@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import SampledModeUnavailable, SubsetTooSmall
-from .graph import EXACT_CODEGREE_CAP, Graph, degrees_into, max_co_degree
+from .graph import EXACT_CODEGREE_CAP, CoDegreeResult, Graph, degrees_into, max_co_degree
 from .rng import derived
 
 
@@ -65,10 +65,37 @@ class PseudoRandomProfile:
 def certify(g: Graph, p: float, a_n: float, b_n: float,
             exact_cap: int = EXACT_CODEGREE_CAP) -> PseudoRandomProfile:
     """Measure degree/co-degree extremes and evaluate the three verdicts."""
-    deg = g.degrees()
-    min_degree = int(deg.min()) if g.n else 0
-    max_degree = int(deg.max()) if g.n else 0
+    return _verdicts(g, p, a_n, b_n, max_co_degree(g, exact_cap=exact_cap))
+
+
+def estimate_slacks(g: Graph, p: float,
+                    exact_cap: int = EXACT_CODEGREE_CAP) -> Tuple[float, float]:
+    """Tightest (a_n, b_n) making all three verdicts strictly true.
+
+    Starts from the measured gaps and nudges upward by ulps until the strict
+    inequalities hold, so certify(g, p, a_n, b_n) round-trips to all-true.
+    """
+    if g.n > exact_cap:
+        raise SampledModeUnavailable(
+            f"exact co-degree needs n <= {exact_cap}, got {g.n}")
+    return _slacks(g, p, max_co_degree(g, exact_cap=exact_cap))
+
+
+def tightest_profile(g: Graph, p: float,
+                     exact_cap: int = EXACT_CODEGREE_CAP) -> PseudoRandomProfile:
+    """certify(g, p, *estimate_slacks(g, p)) from one co-degree scan.
+
+    Beyond exact_cap the scan is sampled: b_n is then fitted to a lower bound
+    of the maximum co-degree, and a2 comes out None (not falsified).
+    """
     co = max_co_degree(g, exact_cap=exact_cap)
+    a_n, b_n = _slacks(g, p, co)
+    return _verdicts(g, p, a_n, b_n, co)
+
+
+def _verdicts(g: Graph, p: float, a_n: float, b_n: float,
+              co: CoDegreeResult) -> PseudoRandomProfile:
+    min_degree, max_degree = _degree_extremes(g)
     a1 = min_degree > g.n * p - a_n
     a3 = max_degree < g.n * p + a_n
     a2 = co.value < g.n * p * p + b_n if co.mode == "exact" else None
@@ -82,27 +109,20 @@ def certify(g: Graph, p: float, a_n: float, b_n: float,
     )
 
 
-def estimate_slacks(g: Graph, p: float,
-                    exact_cap: int = EXACT_CODEGREE_CAP) -> Tuple[float, float]:
-    """Tightest (a_n, b_n) making all three verdicts strictly true.
-
-    Starts from the measured gaps and nudges upward by ulps until the strict
-    inequalities hold, so certify(g, p, a_n, b_n) round-trips to all-true.
-    """
-    if g.n > exact_cap:
-        raise SampledModeUnavailable(
-            f"exact co-degree needs n <= {exact_cap}, got {g.n}")
-    deg = g.degrees()
-    min_degree = int(deg.min()) if g.n else 0
-    max_degree = int(deg.max()) if g.n else 0
+def _slacks(g: Graph, p: float, co: CoDegreeResult) -> Tuple[float, float]:
+    min_degree, max_degree = _degree_extremes(g)
     a_n = max(g.n * p - min_degree, max_degree - g.n * p, 0.0)
     while not (min_degree > g.n * p - a_n and max_degree < g.n * p + a_n):
         a_n = _bump(a_n, g.n * p)
-    co = max_co_degree(g, exact_cap=exact_cap)
     b_n = co.value - g.n * p * p
     while not co.value < g.n * p * p + b_n:
         b_n = _bump(b_n, g.n * p * p)
     return a_n, b_n
+
+
+def _degree_extremes(g: Graph) -> Tuple[int, int]:
+    deg = g.degrees()
+    return (int(deg.min()), int(deg.max())) if g.n else (0, 0)
 
 
 def _bump(x: float, scale: float) -> float:

@@ -27,9 +27,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .certify import PseudoRandomProfile, _bump, certify, estimate_slacks, hd_check
-from .errors import NotCertified, RhoOutOfRange, SampledModeUnavailable
-from .graph import Graph, GeneratorSpec, generate, load_edge_list, max_co_degree
+from .certify import PseudoRandomProfile, hd_check, tightest_profile
+from .errors import NotCertified, RhoOutOfRange
+from .graph import Graph, GeneratorSpec, generate, load_edge_list
 from .lemmas import grow_connected_set, outer_complement_check
 from .percolate import BernoulliStream, dfs_percolate, largest_two
 
@@ -76,18 +76,7 @@ def derive_profile(g: Graph, p: float) -> PseudoRandomProfile:
     """Certification attached to every experiment: tightest slacks when the
     exact co-degree scan is feasible, measured-lower-bound slacks (sampled
     mode, a2 undecided) beyond the cap."""
-    try:
-        a_n, b_n = estimate_slacks(g, p)
-    except SampledModeUnavailable:
-        deg = g.degrees()
-        a_n = max(g.n * p - int(deg.min()), int(deg.max()) - g.n * p, 0.0)
-        while not (deg.min() > g.n * p - a_n and deg.max() < g.n * p + a_n):
-            a_n = _bump(a_n, g.n * p)
-        co = max_co_degree(g)
-        b_n = co.value - g.n * p * p
-        while not co.value < g.n * p * p + b_n:
-            b_n = _bump(b_n, g.n * p * p)
-    return certify(g, p, a_n, b_n)
+    return tightest_profile(g, p)
 
 
 @dataclass

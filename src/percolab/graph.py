@@ -154,29 +154,47 @@ def _check_cap(expected_edges: float, cap: int):
 
 
 def _from_edge_arrays(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
-    # Input: unique unordered pairs with eu < ev. Symmetrize, then CSR.
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order].astype(np.int32)
-    offsets = np.searchsorted(src, np.arange(n + 1, dtype=np.int64)).astype(np.int64)
+    """CSR of the graph on n vertices whose edges are the pairs (eu[i], ev[i]).
+
+    Precondition: the pairs are unique, eu < ev, and sorted lexicographically
+    (every generator and the loader produce them so). Row v holds its lower
+    neighbors {u < v} followed by its upper neighbors {w > v}, each part
+    ascending: the upper parts, concatenated in row order, are `ev` as given,
+    and the lower parts are `eu` re-sorted by (ev, eu).
+    """
+    lower = np.bincount(ev, minlength=n)
+    upper = np.bincount(eu, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lower + upper, out=offsets[1:])
+    # one sort of packed (ev, eu) keys; 32-bit keys while ids fit in 16 bits
+    if n <= 1 << 16:
+        key = ev.astype(np.uint32) << 16
+        key |= eu.astype(np.uint32)
+        key.sort()
+        below = key & 0xFFFF
+    else:
+        key = ev * n + eu
+        key.sort()
+        below = key % n
+    del key
+    is_lower = np.repeat(np.tile([True, False], n), np.stack((lower, upper), axis=1).ravel())
+    neighbors = np.empty(2 * len(eu), dtype=np.int32)
+    neighbors[is_lower] = below
+    neighbors[~is_lower] = ev
     offsets.setflags(write=False)
-    dst.setflags(write=False)
-    return Graph(n=n, offsets=offsets, neighbors=dst, edge_count=len(eu))
+    neighbors.setflags(write=False)
+    return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=len(eu))
 
 
 def _gnp_pairs(n: int, p: float, seed: int):
     total = n * (n - 1) // 2
-    if total == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy()
     rng = generator(seed)
     log1mp = np.log1p(-p)
     # cum[u] = lexicographic index of pair (u, u+1)
     rows = np.arange(n, dtype=np.int64)
     cum = rows * n - rows * (rows + 1) // 2
-    out_u, out_v = [], []
+    # the first gap alone may overshoot every pair
+    out_u, out_v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     pos = -1
     while True:
         u = rng.random(_GNP_BATCH)
@@ -202,38 +220,31 @@ def _complete_pairs(n: int):
 
 def _paley_pairs(q: int):
     # x ~ y iff x - y is a nonzero quadratic residue mod q; q = 1 mod 4 makes
-    # -1 a residue, so adjacency is symmetric.
-    residues = sorted({(x * x) % q for x in range(1, q)})
-    pairs = set()
-    for a in range(q):
-        for r in residues:
-            b = (a + r) % q
-            if a != b:
-                pairs.add((min(a, b), max(a, b)))
-    if pairs:
-        arr = np.array(sorted(pairs), dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
-    z = np.zeros(0, dtype=np.int64)
-    return z, z.copy()
+    # -1 a residue, so adjacency is symmetric. Row a of the upper triangle is
+    # a + r for the residues r < q - a, in ascending order.
+    is_residue = np.zeros(q, dtype=bool)
+    x = np.arange(1, q, dtype=np.int64)
+    is_residue[x * x % q] = True
+    residues = np.flatnonzero(is_residue)
+    rows = np.arange(q, dtype=np.int64)
+    counts = np.searchsorted(residues, q - rows)
+    eu = np.repeat(rows, counts)
+    first = np.cumsum(counts) - counts
+    ev = eu + residues[np.arange(len(eu)) - np.repeat(first, counts)]
+    return eu, ev
 
 
 def _near_regular_perturbed(n: int, p: float, seed: int, fraction: float = 0.01) -> Graph:
-    base = _gnp_pairs(n, p, seed)
-    codes = set((base[0] * n + base[1]).tolist())
+    eu, ev = _gnp_pairs(n, p, seed)
     rng = derived(seed, 1)
     k = max(1, int(np.ceil(fraction * n)))
-    chosen = rng.choice(n, size=min(k, n), replace=False)
-    for x in chosen:
-        y = int(rng.integers(0, n - 1))
-        y += y >= x  # uniform over [n] \ {x}
-        u, v = (int(x), y) if x < y else (y, int(x))
-        code = u * n + v
-        if code in codes:
-            codes.remove(code)
-        else:
-            codes.add(code)
-    arr = np.fromiter(sorted(codes), dtype=np.int64, count=len(codes))
-    return _from_edge_arrays(n, arr // n, arr % n)
+    x = rng.choice(n, size=min(k, n), replace=False)
+    y = rng.integers(0, n - 1, size=len(x))
+    y += y >= x  # uniform over [n] \ {x}
+    # toggle each chosen pair; a pair drawn twice keeps its original state
+    toggled, times = np.unique(np.minimum(x, y) * n + np.maximum(x, y), return_counts=True)
+    codes = np.setxor1d(eu * n + ev, toggled[times % 2 == 1], assume_unique=True)
+    return _from_edge_arrays(n, codes // n, codes % n)
 
 
 def degrees_into(g: Graph, in_set: np.ndarray) -> np.ndarray:
@@ -325,52 +336,146 @@ def _max_codegree_sampled(g: Graph, sample_pairs: int):
 
 
 _HEADER_PREFIX = "# n="
+# neighbors are int32, so n and every id stay below 2**31 - 1
+_MAX_N = int(np.iinfo(np.int32).max)
+_MAX_DIGITS = 18  # longest id token parsed without int64 overflow
+# the bytes that bytes.split() treats as whitespace
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+_DIGIT_OR_SPACE = _SPACE.copy()
+_DIGIT_OR_SPACE[ord("0"):ord("9") + 1] = True
 
 
 def load_edge_list(path) -> Graph:
-    """Parse the canonical edge-list format (see save_edge_list)."""
-    declared_n = None
-    us, vs = [], []
-    seen = set()
-    max_id = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n="):
-                    try:
-                        declared_n = int(body[2:])
-                    except ValueError:
-                        raise ParseError(line_no, f"bad header {line!r}")
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(line_no, f"expected two vertex ids, got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer vertex id in {line!r}")
-            if u < 0 or v < 0:
-                raise ParseError(line_no, f"negative vertex id in {line!r}")
-            if u == v:
-                raise NonSimple(line_no, f"self-loop {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise NonSimple(line_no, f"duplicate edge {key}")
-            seen.add(key)
-            if declared_n is not None and max(u, v) >= declared_n:
-                raise ParseError(line_no, f"vertex {max(u, v)} outside declared n={declared_n}")
-            us.append(key[0])
-            vs.append(key[1])
-            max_id = max(max_id, v, u)
-    n = declared_n if declared_n is not None else max_id + 1
-    arr_u = np.array(us, dtype=np.int64)
-    arr_v = np.array(vs, dtype=np.int64)
-    order = np.lexsort((arr_v, arr_u))
-    return _from_edge_arrays(n, arr_u[order], arr_v[order])
+    """Parse the canonical edge-list format (see save_edge_list).
+
+    Blank lines and lines whose first non-blank character is '#' are
+    skipped, except a single '# n=<N>' header, which must come before the
+    first edge. Every other line holds two distinct vertex ids in ASCII
+    decimal digits; each unordered pair may appear once. Without a header,
+    n is the largest id plus one. The first bad line raises ParseError, or
+    NonSimple for a self-loop or a repeated edge, with its 1-based number.
+
+    The whole file is scanned at once with numpy: tokens are the runs of
+    non-space bytes, and each check finds its first failing line; a line
+    fails only if every line before it passed every check.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    line_ends = np.flatnonzero(raw == ord("\n"))
+    n_lines = len(line_ends) + 1
+
+    def line_bytes(i):
+        start = int(line_ends[i - 1]) + 1 if i else 0
+        return data[start:int(line_ends[i]) if i < len(line_ends) else len(data)]
+
+    space = np.concatenate(([True], _SPACE[raw], [True]))
+    bounds = np.flatnonzero(space[1:] != space[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    tok_line = np.searchsorted(line_ends, starts)
+    leading = np.ones(len(starts), dtype=bool)
+    leading[1:] = tok_line[1:] != tok_line[:-1]
+    comment_lines = tok_line[leading & (raw[starts] == ord("#"))]
+    is_comment = np.zeros(n_lines, dtype=bool)
+    is_comment[comment_lines] = True
+    on_edge_line = ~is_comment[tok_line]
+    starts, ends, tok_line = starts[on_edge_line], ends[on_edge_line], tok_line[on_edge_line]
+    first_edge_line = int(tok_line[0]) if len(tok_line) else n_lines
+
+    # (line index, error) of the first bad line found so far
+    declared_n, failure = None, (n_lines, None)
+    for i in comment_lines.tolist():
+        try:
+            line = line_bytes(i).decode("utf-8").strip()
+        except UnicodeDecodeError:
+            failure = (i, ParseError(i + 1, "line is not UTF-8"))
+            break
+        body = line[1:].strip()
+        if not body.startswith("n="):
+            continue
+        if declared_n is not None:
+            failure = (i, ParseError(i + 1, f"repeated header {line!r}"))
+            break
+        if i > first_edge_line:
+            failure = (i, ParseError(i + 1, f"header {line!r} after the first edge"))
+            break
+        try:
+            declared_n = int(body[2:])
+        except ValueError:
+            declared_n = -1
+        if not 0 <= declared_n <= _MAX_N:
+            failure = (i, ParseError(i + 1, f"bad header {line!r}"))
+            declared_n = None
+            break
+
+    def first_line(lines):
+        return int(lines[0]) if len(lines) else n_lines
+
+    # Shape: two tokens of ASCII digits per edge line, none too long to parse.
+    counts = np.bincount(tok_line, minlength=n_lines)
+    odd = np.flatnonzero(~_DIGIT_OR_SPACE[raw])
+    odd_line = np.searchsorted(line_ends, odd)
+    bad_shape = min(first_line(np.flatnonzero((counts != 0) & (counts != 2))),
+                    first_line(odd_line[~is_comment[odd_line]]),
+                    first_line(tok_line[ends - starts > _MAX_DIGITS]))
+    if bad_shape < failure[0]:
+        failure = (bad_shape, _shape_error(bad_shape + 1, line_bytes(bad_shape)))
+    keep = tok_line < failure[0]
+    starts, ends, tok_line = starts[keep], ends[keep], tok_line[keep]
+
+    ids = np.zeros(len(starts), dtype=np.int64)
+    width = ends - starts
+    for j in range(int(width.max()) if len(width) else 0):
+        live = width > j
+        ids[live] = ids[live] * 10 + (raw[starts[live] + j] - ord("0"))
+    u, v, line_of = ids[0::2], ids[1::2], tok_line[0::2]
+
+    # Values, in the order the checks apply to one line.
+    too_large = np.maximum(u, v) >= _MAX_N
+    bad = np.flatnonzero(too_large | (u == v))[:1]
+    if len(bad):
+        k = int(bad[0])
+        i = int(line_of[k])
+        failure = (i, ParseError(i + 1, f"vertex id {max(u[k], v[k])} above {_MAX_N - 1}")
+                   if too_large[k] else NonSimple(i + 1, f"self-loop {u[k]}"))
+        u, v, line_of = u[:k], v[:k], line_of[:k]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    span = int(hi.max()) + 1 if len(hi) else 1
+    key = lo * span + hi
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeated = np.flatnonzero(key[1:] == key[:-1])
+        if len(repeated):
+            k = int(order[1:][repeated].min())
+            failure = (int(line_of[k]), NonSimple(int(line_of[k]) + 1,
+                                                  f"duplicate edge {(int(lo[k]), int(hi[k]))}"))
+            lo, hi = lo[:k], hi[:k]
+    if declared_n is not None:
+        outside = np.flatnonzero(hi >= declared_n)[:1]
+        if len(outside):
+            k = int(outside[0])
+            failure = (int(line_of[k]), ParseError(
+                int(line_of[k]) + 1, f"vertex {hi[k]} outside declared n={declared_n}"))
+    if failure[1] is not None:
+        raise failure[1]
+    n = declared_n if declared_n is not None else span if len(key) else 0
+    return _from_edge_arrays(n, key // span, key % span)
+
+
+def _shape_error(line_no: int, raw: bytes) -> ParseError:
+    """The error for an edge line that is not two ids of at most
+    _MAX_DIGITS ASCII digits."""
+    parts = raw.split()
+    line = raw.decode("utf-8", errors="replace").strip()
+    if len(parts) != 2:
+        return ParseError(line_no, f"expected two vertex ids, got {line!r}")
+    if all(part.isdigit() for part in parts):
+        return ParseError(line_no, f"vertex id too large in {line!r}")
+    if any(part[:1] == b"-" and part[1:].isdigit() for part in parts):
+        return ParseError(line_no, f"negative vertex id in {line!r}")
+    return ParseError(line_no, f"non-integer vertex id in {line!r}")
 
 
 def save_edge_list(g: Graph, path):

@@ -1,6 +1,7 @@
 """Sweep and trial harness: seeds, rho grid, aggregation, emission, gating."""
 
 import csv
+import importlib
 import json
 
 import numpy as np
@@ -16,13 +17,13 @@ from percolab import (
     generate,
     hd_uniqueness_trial,
     largest_two,
+    max_co_degree,
     oracle_components,
     run_sweep,
     subcritical_trial,
     supercritical_trial,
 )
-from percolab import experiment
-from percolab.errors import NotCertified, RhoOutOfRange, SampledModeUnavailable
+from percolab.errors import NotCertified, RhoOutOfRange
 from percolab.experiment import derive_profile, emit_trial_json, seed_block
 
 G2000 = GeneratorSpec(kind="gnp", n=2000, p=0.01, seed=5)
@@ -48,16 +49,22 @@ def test_derive_profile_round_trips():
 
 def test_derive_profile_fallback_when_exact_unavailable(monkeypatch):
     g = generate(GeneratorSpec(kind="gnp", n=300, p=0.05, seed=6))
+    scans = []
 
-    def refuse(g_, p_):
-        raise SampledModeUnavailable("forced for the test")
+    def sampled_only(g_, exact_cap):
+        scans.append(exact_cap)
+        return max_co_degree(g_, exact_cap=10)  # as if n were beyond the cap
 
-    monkeypatch.setattr(experiment, "estimate_slacks", refuse)
+    monkeypatch.setattr(importlib.import_module("percolab.certify"), "max_co_degree",
+                        sampled_only)
     prof = derive_profile(g, 0.05)
-    assert (prof.a1, prof.a2, prof.a3) == (True, True, True)
+    assert len(scans) == 1  # one scan feeds both the slacks and the verdicts
+    assert prof.codegree_mode == "sampled"
+    assert (prof.a1, prof.a2, prof.a3) == (True, None, True)
     deg = g.degrees()
     assert int(deg.min()) > 15.0 - prof.a_n
     assert int(deg.max()) < 15.0 + prof.a_n
+    assert prof.max_codegree < 300 * 0.05 ** 2 + prof.b_n
 
 
 # --- sweep ---

@@ -2,13 +2,17 @@
 
 Generated families are checked against independent re-implementations: a
 scalar geometric-skip sampler for gnp, a quadratic-residue table for paley,
-and dense-matrix co-degree counts.
+a set-toggling loop for the perturbed family, dense-matrix co-degree counts,
+a lexsort CSR builder and a line-at-a-time edge-list reader. The property
+tests draw their inputs with hypothesis.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_graph, complete_graph, cycle_graph, edge_set, path_graph, star_graph
 from percolab import (
@@ -25,11 +29,13 @@ from percolab.errors import (
     InvalidSpec,
     NonSimple,
     ParseError,
+    PercolabError,
     ResourceLimit,
     SameVertex,
     VertexOutOfRange,
 )
-from percolab.graph import degrees_into
+from percolab.graph import _from_edge_arrays, _near_regular_perturbed, _is_prime, degrees_into
+from percolab.rng import derived
 
 
 def check_invariants(g):
@@ -160,6 +166,12 @@ def test_near_regular_perturbation_budget():
     pert = generate(GeneratorSpec(kind="near_regular_perturbed", n=n, p=p, seed=seed))
     diff = edge_set(base) ^ edge_set(pert)
     assert 1 <= len(diff) <= max(1, math.ceil(0.01 * n))
+
+
+def test_gnp_with_no_pair_drawn():
+    # the first geometric gap already overshoots the single pair of n=2
+    g = generate(GeneratorSpec(kind="gnp", n=2, p=0.5, seed=0))
+    assert g.n == 2 and g.edge_count == 0 and g.offsets.tolist() == [0, 0, 0]
 
 
 def test_empty_and_tiny_graphs():
@@ -302,6 +314,8 @@ def test_load_without_header_uses_max_id(tmp_path):
     ("0 1 2\n", ParseError, 1),
     ("# n=3\n0 5\n", ParseError, 2),
     ("-1 2\n", ParseError, 1),
+    ("0 5\n1 2\n# n=3\n", ParseError, 3),  # header after an edge
+    ("# n=5\n0 1\n# n=5\n", ParseError, 3),  # repeated header
 ])
 def test_load_rejects_bad_lines(tmp_path, text, err, line_no):
     f = tmp_path / "bad.edges"
@@ -321,3 +335,176 @@ def test_save_load_round_trip(tmp_path):
     save_edge_list(h, str(f2))
     assert f1.read_bytes() == f2.read_bytes()
     assert f1.read_text().startswith(f"# n={g.n}\n")
+
+
+# --- properties ---
+
+
+def lexsort_csr(n, eu, ev):
+    """Reference CSR build: symmetrize, lexsort, binary-search the offsets."""
+    src = np.concatenate([eu, ev])
+    dst = np.concatenate([ev, eu])
+    order = np.lexsort((dst, src))
+    offsets = np.searchsorted(src[order], np.arange(n + 1, dtype=np.int64))
+    return offsets.astype(np.int64), dst[order].astype(np.int32)
+
+
+def pair_arrays(pairs):
+    pairs = sorted(pairs)
+    return (np.array([u for u, _ in pairs], dtype=np.int64),
+            np.array([v for _, v in pairs], dtype=np.int64))
+
+
+@st.composite
+def edge_sets(draw):
+    """(n, set of pairs u < v): small n, and n on both sides of 2**16, where
+    the builder switches from 32-bit to 64-bit sort keys."""
+    n = draw(st.one_of(st.integers(0, 30), st.sampled_from([65535, 65536, 65537, 70001])))
+    if n < 2:
+        return n, set()
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(ids, ids).filter(lambda t: t[0] != t[1])
+                         .map(lambda t: (min(t), max(t))), max_size=80))
+    return n, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_sets())
+def test_builder_matches_lexsort_reference(case):
+    n, pairs = case
+    eu, ev = pair_arrays(pairs)
+    g = _from_edge_arrays(n, eu, ev)
+    offsets, neighbors = lexsort_csr(n, eu, ev)
+    assert g.n == n and g.edge_count == len(pairs)
+    assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
+    assert np.array_equal(g.offsets, offsets)
+    assert np.array_equal(g.neighbors, neighbors)
+    assert not g.offsets.flags.writeable and not g.neighbors.flags.writeable
+
+
+PALEY_Q = [q for q in range(5, 400) if q % 4 == 1 and _is_prime(q)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PALEY_Q))
+def test_paley_matches_residue_definition(q):
+    g = generate(GeneratorSpec(kind="paley", q=q))
+    oracle = paley_edges_oracle(q)
+    offsets, neighbors = lexsort_csr(q, *pair_arrays(oracle))
+    assert g.edge_count == len(oracle) == q * (q - 1) // 4
+    assert np.array_equal(g.offsets, offsets)
+    assert np.array_equal(g.neighbors, neighbors)
+
+
+def perturbed_reference(n, p, seed, fraction):
+    """One scalar draw and one set toggle per chosen vertex."""
+    base = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=seed))
+    codes = {u * n + v for u, v in edge_set(base)}
+    rng = derived(seed, 1)
+    k = max(1, math.ceil(fraction * n))
+    for x in rng.choice(n, size=min(k, n), replace=False).tolist():
+        y = int(rng.integers(0, n - 1))
+        y += y >= x
+        codes ^= {min(x, y) * n + max(x, y)}
+    return {(c // n, c % n) for c in codes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 120), p=st.floats(0.01, 0.9), seed=st.integers(0, 2 ** 32 - 1),
+       fraction=st.sampled_from([0.01, 0.2, 1.0]))
+def test_perturbed_matches_toggle_reference(n, p, seed, fraction):
+    # fraction 1.0 on small n draws many pairs twice: those keep their state
+    g = _near_regular_perturbed(n, p, seed, fraction)
+    assert edge_set(g) == perturbed_reference(n, p, seed, fraction)
+    check_invariants(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_sets().filter(lambda case: case[0] <= 30))
+def test_save_load_save_is_byte_identical(tmp_path_factory, case):
+    n, pairs = case
+    g = _from_edge_arrays(n, *pair_arrays(pairs))
+    d = tmp_path_factory.mktemp("io")
+    save_edge_list(g, d / "a.edges")
+    h = load_edge_list(d / "a.edges")
+    save_edge_list(h, d / "b.edges")
+    assert (d / "a.edges").read_bytes() == (d / "b.edges").read_bytes()
+    assert h.n == n
+    assert np.array_equal(h.offsets, g.offsets) and np.array_equal(h.neighbors, g.neighbors)
+
+
+def read_reference(text):
+    """Line-at-a-time reading of the format load_edge_list documents: returns
+    (n, edge set) for a valid file, else (error class, line number)."""
+    declared, seen, max_id, edge_seen = None, set(), -1, False
+    for no, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        parts = line.encode().split()
+        if not parts:
+            continue
+        if parts[0].startswith(b"#"):
+            body = line.strip()[1:].strip()
+            if body.startswith("n="):
+                if declared is not None or edge_seen:
+                    return ParseError, no
+                try:
+                    declared = int(body[2:])
+                except ValueError:
+                    return ParseError, no
+                if not 0 <= declared < 2 ** 31:
+                    return ParseError, no
+            continue
+        edge_seen = True
+        if len(parts) != 2 or not all(part.isdigit() for part in parts):
+            return ParseError, no
+        u, v = int(parts[0]), int(parts[1])
+        if max(u, v) >= 2 ** 31 - 1:
+            return ParseError, no
+        if u == v:
+            return NonSimple, no
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return NonSimple, no
+        seen.add(key)
+        if declared is not None and key[1] >= declared:
+            return ParseError, no
+        max_id = max(max_id, key[1])
+    return (declared if declared is not None else max_id + 1), seen
+
+
+# Ids stay small (or are rejected as too large) so no accepted file asks
+# for a big n. Well-formed edge lines are drawn most often, so that many
+# files load and the error cases sit at varying depths.
+GOOD_LINES = st.tuples(st.integers(0, 40), st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c"]),
+                       st.integers(0, 40), st.sampled_from(["", " ", "\t"])).map(
+    lambda t: f"{t[0]}{t[1]}{t[2]}{t[3]}")
+TOKENS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["-1", "007", "+3", "1_0", "1.5", "0x1", "x", "\u0663", "#", "n=3",
+                     "2147483647", "9" * 19, "\x00", "\xe9"]),
+)
+ODD_LINES = st.one_of(
+    st.lists(TOKENS, min_size=1, max_size=3).flatmap(
+        lambda toks: st.sampled_from([" ", "\t", "\x1c", "\xa0"]).map(lambda sep: sep.join(toks))),
+    st.integers(-2, 14).map(lambda k: f"# n={k}"),
+    st.sampled_from(["", "   ", "# comment", " # n=4", "#n=x", "# n=99999999999", "# caf\xe9"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=6),
+)
+LINES = st.integers(0, 9).flatmap(lambda i: ODD_LINES if i == 0 else GOOD_LINES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+def test_fuzzed_edge_list_matches_line_reader(tmp_path_factory, lines):
+    text = "".join(line + end for line, end in lines)
+    f = tmp_path_factory.mktemp("fuzz") / "g.edges"
+    f.write_bytes(text.encode("utf-8"))
+    want = read_reference(text)
+    try:
+        g = load_edge_list(f)
+    except PercolabError as err:
+        assert (type(err), err.line_no) == want
+        return
+    assert (g.n, edge_set(g)) == want
+    assert g.offsets[0] == 0 and (np.diff(g.offsets) >= 0).all()
+    assert g.offsets[-1] == len(g.neighbors) == 2 * g.edge_count
+    check_invariants(g)
