@@ -14,8 +14,8 @@ import sys
 
 from . import experiment, graph, lemmas, percolate
 from .certify import certify as run_certify
-from .certify import estimate_slacks
-from .errors import PercolabError
+from .certify import tightest_profile
+from .errors import PercolabError, SampledModeUnavailable
 from .rng import derived
 
 _INT_FIELDS = {"n", "q", "seed"}
@@ -67,8 +67,10 @@ def _emit(payload: dict, out):
 def _profile_for(args, g):
     if args.a is not None and args.b is not None:
         return run_certify(g, args.p, args.a, args.b)
-    a_n, b_n = estimate_slacks(g, args.p)
-    return run_certify(g, args.p, a_n, b_n)
+    if g.n > graph.EXACT_CODEGREE_CAP:
+        raise SampledModeUnavailable(
+            f"exact co-degree needs n <= {graph.EXACT_CODEGREE_CAP}, got {g.n}")
+    return tightest_profile(g, args.p)
 
 
 def _add_common(sub, graph_source=True, p=False, epsilon=False, seeds=False):

@@ -159,28 +159,28 @@ def _from_edge_arrays(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
     Precondition: the pairs are unique, eu < ev, and sorted lexicographically
     (every generator and the loader produce them so). Row v holds its lower
     neighbors {u < v} followed by its upper neighbors {w > v}, each part
-    ascending: the upper parts, concatenated in row order, are `ev` as given,
-    and the lower parts are `eu` re-sorted by (ev, eu).
+    ascending. The upper parts, concatenated in row order, are `ev` as given:
+    pair i lands at slot i plus the number of lower neighbors of rows
+    0..eu[i]. The lower parts fill the other slots with `eu` re-sorted by
+    (ev, eu).
     """
+    m = len(eu)
     lower = np.bincount(ev, minlength=n)
-    upper = np.bincount(eu, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lower + upper, out=offsets[1:])
-    # one sort of packed (ev, eu) keys; 32-bit keys while ids fit in 16 bits
-    if n <= 1 << 16:
-        key = ev.astype(np.uint32) << 16
-        key |= eu.astype(np.uint32)
-        key.sort()
-        below = key & 0xFFFF
-    else:
-        key = ev * n + eu
-        key.sort()
-        below = key % n
-    del key
-    is_lower = np.repeat(np.tile([True, False], n), np.stack((lower, upper), axis=1).ravel())
-    neighbors = np.empty(2 * len(eu), dtype=np.int32)
-    neighbors[is_lower] = below
-    neighbors[~is_lower] = ev
+    offsets[1:] = np.bincount(eu, minlength=n)
+    offsets[1:] += lower
+    np.cumsum(offsets, out=offsets)
+    upper_at = np.cumsum(lower, out=lower)[eu]
+    upper_at += np.arange(m)
+    neighbors = np.empty(2 * m, dtype=np.int32)
+    neighbors[upper_at] = ev
+    is_lower = np.ones(2 * m, dtype=bool)
+    is_lower[upper_at] = False
+    del upper_at
+    key = ev * n + eu
+    key.sort()
+    key %= n
+    neighbors[is_lower] = key
     offsets.setflags(write=False)
     neighbors.setflags(write=False)
     return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=len(eu))
@@ -357,8 +357,9 @@ def load_edge_list(path) -> Graph:
     NonSimple for a self-loop or a repeated edge, with its 1-based number.
 
     The whole file is scanned at once with numpy: tokens are the runs of
-    non-space bytes, and each check finds its first failing line; a line
-    fails only if every line before it passed every check.
+    non-space bytes. Each check marks the lines it fails, whatever the
+    lines before them hold; the first marked line reports the first check
+    it fails.
     """
     with open(path, "rb") as fh:
         data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -383,46 +384,39 @@ def load_edge_list(path) -> Graph:
     starts, ends, tok_line = starts[on_edge_line], ends[on_edge_line], tok_line[on_edge_line]
     first_edge_line = int(tok_line[0]) if len(tok_line) else n_lines
 
-    # (line index, error) of the first bad line found so far
-    declared_n, failure = None, (n_lines, None)
+    # Headers: only the first one, if it comes before the first edge, sets n.
+    declared_n, header_seen, header_errors = None, False, {}
     for i in comment_lines.tolist():
         try:
             line = line_bytes(i).decode("utf-8").strip()
         except UnicodeDecodeError:
-            failure = (i, ParseError(i + 1, "line is not UTF-8"))
-            break
+            header_errors[i] = ParseError(i + 1, "line is not UTF-8")
+            continue
         body = line[1:].strip()
         if not body.startswith("n="):
             continue
-        if declared_n is not None:
-            failure = (i, ParseError(i + 1, f"repeated header {line!r}"))
-            break
-        if i > first_edge_line:
-            failure = (i, ParseError(i + 1, f"header {line!r} after the first edge"))
-            break
-        try:
-            declared_n = int(body[2:])
-        except ValueError:
-            declared_n = -1
-        if not 0 <= declared_n <= _MAX_N:
-            failure = (i, ParseError(i + 1, f"bad header {line!r}"))
-            declared_n = None
-            break
-
-    def first_line(lines):
-        return int(lines[0]) if len(lines) else n_lines
+        if header_seen:
+            header_errors[i] = ParseError(i + 1, f"repeated header {line!r}")
+        elif i > first_edge_line:
+            header_errors[i] = ParseError(i + 1, f"header {line!r} after the first edge")
+        else:
+            try:
+                declared_n = int(body[2:])
+            except ValueError:
+                declared_n = -1
+            if not 0 <= declared_n <= _MAX_N:
+                header_errors[i] = ParseError(i + 1, f"bad header {line!r}")
+                declared_n = None
+        header_seen = True
 
     # Shape: two tokens of ASCII digits per edge line, none too long to parse.
     counts = np.bincount(tok_line, minlength=n_lines)
-    odd = np.flatnonzero(~_DIGIT_OR_SPACE[raw])
-    odd_line = np.searchsorted(line_ends, odd)
-    bad_shape = min(first_line(np.flatnonzero((counts != 0) & (counts != 2))),
-                    first_line(odd_line[~is_comment[odd_line]]),
-                    first_line(tok_line[ends - starts > _MAX_DIGITS]))
-    if bad_shape < failure[0]:
-        failure = (bad_shape, _shape_error(bad_shape + 1, line_bytes(bad_shape)))
-    keep = tok_line < failure[0]
-    starts, ends, tok_line = starts[keep], ends[keep], tok_line[keep]
+    bad_shape = (counts != 0) & (counts != 2)
+    odd_line = np.searchsorted(line_ends, np.flatnonzero(~_DIGIT_OR_SPACE[raw]))
+    bad_shape[odd_line[~is_comment[odd_line]]] = True
+    bad_shape[tok_line[ends - starts > _MAX_DIGITS]] = True
+    well_formed = ~bad_shape[tok_line]
+    starts, ends, tok_line = starts[well_formed], ends[well_formed], tok_line[well_formed]
 
     ids = np.zeros(len(starts), dtype=np.int64)
     width = ends - starts
@@ -431,35 +425,38 @@ def load_edge_list(path) -> Graph:
         ids[live] = ids[live] * 10 + (raw[starts[live] + j] - ord("0"))
     u, v, line_of = ids[0::2], ids[1::2], tok_line[0::2]
 
-    # Values, in the order the checks apply to one line.
+    # Values of the well-formed lines. Ids clipped to _MAX_N only make
+    # false duplicates after a line that is already too large.
     too_large = np.maximum(u, v) >= _MAX_N
-    bad = np.flatnonzero(too_large | (u == v))[:1]
-    if len(bad):
-        k = int(bad[0])
-        i = int(line_of[k])
-        failure = (i, ParseError(i + 1, f"vertex id {max(u[k], v[k])} above {_MAX_N - 1}")
-                   if too_large[k] else NonSimple(i + 1, f"self-loop {u[k]}"))
-        u, v, line_of = u[:k], v[:k], line_of[:k]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    self_loop = u == v
+    lo = np.minimum(np.minimum(u, v), _MAX_N)
+    hi = np.minimum(np.maximum(u, v), _MAX_N)
     span = int(hi.max()) + 1 if len(hi) else 1
     key = lo * span + hi
+    duplicate = np.zeros(len(key), dtype=bool)
     if not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
         key = key[order]
-        repeated = np.flatnonzero(key[1:] == key[:-1])
-        if len(repeated):
-            k = int(order[1:][repeated].min())
-            failure = (int(line_of[k]), NonSimple(int(line_of[k]) + 1,
-                                                  f"duplicate edge {(int(lo[k]), int(hi[k]))}"))
-            lo, hi = lo[:k], hi[:k]
-    if declared_n is not None:
-        outside = np.flatnonzero(hi >= declared_n)[:1]
-        if len(outside):
-            k = int(outside[0])
-            failure = (int(line_of[k]), ParseError(
-                int(line_of[k]) + 1, f"vertex {hi[k]} outside declared n={declared_n}"))
-    if failure[1] is not None:
-        raise failure[1]
+        duplicate[order[1:][key[1:] == key[:-1]]] = True
+    outside = hi >= declared_n if declared_n is not None else np.zeros(len(hi), dtype=bool)
+
+    bad_value = too_large | self_loop | duplicate | outside
+    first_bad = min(header_errors, default=n_lines)
+    for bad_lines in (np.flatnonzero(bad_shape), line_of[bad_value]):
+        first_bad = min([first_bad, *bad_lines[:1].tolist()])
+    if first_bad in header_errors:
+        raise header_errors[first_bad]
+    if first_bad < n_lines and bad_shape[first_bad]:
+        raise _shape_error(first_bad + 1, line_bytes(first_bad))
+    if first_bad < n_lines:
+        k, line_no = int(np.searchsorted(line_of, first_bad)), first_bad + 1
+        if too_large[k]:
+            raise ParseError(line_no, f"vertex id {max(u[k], v[k])} above {_MAX_N - 1}")
+        if self_loop[k]:
+            raise NonSimple(line_no, f"self-loop {u[k]}")
+        if duplicate[k]:
+            raise NonSimple(line_no, f"duplicate edge {(int(lo[k]), int(hi[k]))}")
+        raise ParseError(line_no, f"vertex {hi[k]} outside declared n={declared_n}")
     n = declared_n if declared_n is not None else span if len(key) else 0
     return _from_edge_arrays(n, key // span, key % span)
 

@@ -4,6 +4,7 @@ Each JSON-emitting command is replayed against the library call it wraps, so
 the front end cannot silently drift from the programmatic API.
 """
 
+import importlib
 import json
 import math
 
@@ -96,6 +97,24 @@ def test_certify_matches_library(tmp_path):
     assert rc == 0
     forced = certify(g, 0.1, 5.0, 30.0)
     assert json.loads(out.read_text()) == json.loads(forced.to_json())
+
+
+def test_certify_scans_codegree_once(tmp_path, monkeypatch):
+    calls = []
+    certify_module = importlib.import_module("percolab.certify")
+    scan = certify_module.max_co_degree
+    monkeypatch.setattr(certify_module, "max_co_degree",
+                        lambda *args, **kwargs: calls.append(1) or scan(*args, **kwargs))
+    rc = cli.main(["certify", "--gen", "gnp:n=200,p=0.1,seed=3", "--p", "0.1",
+                   "--out", str(tmp_path / "cert.json")])
+    assert rc == 0 and len(calls) == 1
+
+
+def test_certify_beyond_exact_cap_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.graph, "EXACT_CODEGREE_CAP", 50)
+    rc = cli.main(["certify", "--gen", "gnp:n=60,p=0.1,seed=3", "--p", "0.1",
+                   "--out", str(tmp_path / "cert.json")])
+    assert rc == 2 and not (tmp_path / "cert.json").exists()
 
 
 def test_certify_without_graph_exits_2(capsys):

@@ -357,8 +357,8 @@ def pair_arrays(pairs):
 
 @st.composite
 def edge_sets(draw):
-    """(n, set of pairs u < v): small n, and n on both sides of 2**16, where
-    the builder switches from 32-bit to 64-bit sort keys."""
+    """(n, set of pairs u < v): small n, and n on both sides of 2**16, so
+    that ids do not fit in 16 bits and most vertices are isolated."""
     n = draw(st.one_of(st.integers(0, 30), st.sampled_from([65535, 65536, 65537, 70001])))
     if n < 2:
         return n, set()
