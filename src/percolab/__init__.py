@@ -12,7 +12,6 @@ from .graph import (
     GeneratorSpec,
     Graph,
     co_degree,
-    degree,
     generate,
     load_edge_list,
     max_co_degree,
@@ -21,7 +20,9 @@ from .graph import (
 from .lemmas import (
     ExpansionWitness,
     LemmaReport,
+    binomial_stream_check,
     expansion_check,
+    inclusion_exclusion_check,
     inclusion_exclusion_lower_bound,
     neighborhood_size,
     outer_complement_check,
@@ -31,7 +32,6 @@ from .lemmas import (
 from .percolate import (
     BernoulliStream,
     PercolationOutcome,
-    binomial_stream_check,
     dfs_percolate,
     largest_two,
     oracle_components,
@@ -67,7 +67,6 @@ __all__ = [
     "binomial_stream_check",
     "certify",
     "co_degree",
-    "degree",
     "dfs_percolate",
     "emit_csv",
     "emit_json",
@@ -76,6 +75,7 @@ __all__ = [
     "generate",
     "hd_check",
     "hd_uniqueness_trial",
+    "inclusion_exclusion_check",
     "inclusion_exclusion_lower_bound",
     "largest_two",
     "load_edge_list",

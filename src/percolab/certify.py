@@ -23,7 +23,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import SampledModeUnavailable, SubsetTooSmall
+from .errors import (InvalidParameter, SampledModeUnavailable, SubsetTooSmall,
+                     require_density, require_finite)
 from .graph import EXACT_CODEGREE_CAP, CoDegreeResult, Graph, degrees_into, max_co_degree
 from .rng import derived
 
@@ -59,12 +60,15 @@ class PseudoRandomProfile:
             },
             indent=2,
             sort_keys=True,
+            allow_nan=False,
         )
 
 
 def certify(g: Graph, p: float, a_n: float, b_n: float,
             exact_cap: int = EXACT_CODEGREE_CAP) -> PseudoRandomProfile:
     """Measure degree/co-degree extremes and evaluate the three verdicts."""
+    require_density(p)
+    require_finite(a_n=a_n, b_n=b_n)
     return _verdicts(g, p, a_n, b_n, max_co_degree(g, exact_cap=exact_cap))
 
 
@@ -75,6 +79,7 @@ def estimate_slacks(g: Graph, p: float,
     Starts from the measured gaps and nudges upward by ulps until the strict
     inequalities hold, so certify(g, p, a_n, b_n) round-trips to all-true.
     """
+    require_density(p)
     if g.n > exact_cap:
         raise SampledModeUnavailable(
             f"exact co-degree needs n <= {exact_cap}, got {g.n}")
@@ -88,6 +93,7 @@ def tightest_profile(g: Graph, p: float,
     Beyond exact_cap the scan is sampled: b_n is then fitted to a lower bound
     of the maximum co-degree, and a2 comes out None (not falsified).
     """
+    require_density(p)
     co = max_co_degree(g, exact_cap=exact_cap)
     a_n, b_n = _slacks(g, p, co)
     return _verdicts(g, p, a_n, b_n, co)
@@ -158,7 +164,7 @@ def hd_check(g: Graph, beta: float, subset_fraction: float = 0.9,
     if not 0.9 <= subset_fraction <= 1.0:
         raise SubsetTooSmall(f"subset_fraction must be in [0.9, 1], got {subset_fraction}")
     if trials < 1:
-        raise ValueError("trials >= 1 required")
+        raise InvalidParameter(f"trials must be >= 1, got {trials}")
     size = int(subset_fraction * g.n)
     if size < 1:
         raise SubsetTooSmall(f"subset of size {size} from n={g.n}")

@@ -15,7 +15,7 @@ import sys
 from . import experiment, graph, lemmas, percolate
 from .certify import certify as run_certify
 from .certify import tightest_profile
-from .errors import PercolabError, SampledModeUnavailable
+from .errors import InvalidParameter, PercolabError, SampledModeUnavailable, require_finite
 from .rng import derived
 
 _INT_FIELDS = {"n", "q", "seed"}
@@ -30,14 +30,21 @@ def parse_gen(text: str) -> graph.GeneratorSpec:
             if not val:
                 raise PercolabError(f"bad --gen fragment {part!r}")
             if key in _INT_FIELDS:
-                kwargs[key] = int(val)
+                kwargs[key] = _number(int, val, f"--gen {key}")
             elif key == "p":
-                kwargs[key] = float(val)
+                kwargs[key] = _number(float, val, "--gen p")
             elif key == "path":
                 kwargs[key] = val
             else:
                 raise PercolabError(f"unknown --gen key {key!r}")
     return graph.GeneratorSpec(kind=kind, **kwargs)
+
+
+def _number(cast, text: str, what: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise InvalidParameter(f"bad {what} value {text!r}") from None
 
 
 def parse_seeds(text: str):
@@ -56,7 +63,7 @@ def _load_graph(args) -> graph.Graph:
 
 
 def _emit(payload: dict, out):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -163,8 +170,7 @@ def cmd_percolate(args) -> int:
         "epochs": [list(e) for e in outcome.epochs],
     }
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(payload, args.emit)
     sys.stdout.write(f"retained {len(outcome.retained)} of {g.n}, "
                      f"L1 = {l1}, L2 = {l2}, components = {len(outcome.components)}\n")
     if args.out:
@@ -190,27 +196,22 @@ def cmd_lemma(args) -> int:
         report = lemmas.xi_count_check(g, _random_u(g, size, args.u_seed),
                                        profile, alpha=args.alpha)
     elif args.which == "outer":
+        require_finite(epsilon=args.epsilon)
         size = math.ceil(args.epsilon / args.p)
         c_set = lemmas.grow_connected_set(g, args.root, size)
         report = lemmas.outer_complement_check(g, c_set, profile, args.epsilon)
     else:
         if not args.h:
             raise PercolabError("incl-excl needs --h v1,v2,...")
-        H = [int(v) for v in args.h.split(",")]
-        value = lemmas.inclusion_exclusion_lower_bound(g, H)
-        exact = lemmas.neighborhood_size(g, H)
-        # measured is the graph quantity, bound the formula value; this is a
-        # lower bound so passed means measured >= bound.
-        report = lemmas.LemmaReport(
-            "inclusion_exclusion", passed=exact >= value, checked_count=1,
-            witness=None, parameters={"H": H}, measured=exact, bound=value)
+        H = [_number(int, v, "--h") for v in args.h.split(",")]
+        report = lemmas.inclusion_exclusion_check(g, H)
     payload = dict(report.to_dict(), schema=experiment.SCHEMA)
     _emit(payload, args.out)
     return 0 if report.passed else 1
 
 
 def cmd_sweep(args) -> int:
-    grid = [float(c) for c in args.grid.split(",")]
+    grid = [_number(float, c, "--grid") for c in args.grid.split(",")]
     out = args.out or "sweep"
     cfg = experiment.SweepConfig(
         source=args.graph if args.graph else parse_gen(args.gen),

@@ -1,12 +1,33 @@
-"""Exception taxonomy shared by all percolab modules.
+"""Exception taxonomy shared by all percolab modules, and the parameter
+checks that every entry point shares.
 
 Every error raised by the library derives from PercolabError so callers can
 catch library failures without catching programming errors.
 """
 
+import math
+
 
 class PercolabError(Exception):
     """Base class for all percolab errors."""
+
+
+class InvalidParameter(PercolabError, ValueError):
+    """A number that is not finite or is outside its domain, an empty seed
+    block, or an unknown mode name."""
+
+
+def require_finite(**values):
+    """Raise InvalidParameter for the first keyword whose value is NaN or inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameter(f"{name} must be finite, got {value}")
+
+
+def require_density(p):
+    """Raise InvalidParameter unless 0 < p <= 1 (NaN and inf fail too)."""
+    if not 0.0 < p <= 1.0:
+        raise InvalidParameter(f"p must be in (0, 1], got {p}")
 
 
 # --- graph construction / loading ---

@@ -15,40 +15,21 @@ standard single-rho measurements:
          falsified hypothesis flags the summary but the measurement proceeds.
 
 Whp acceptance is operationalized as a fraction of seeds at fixed n; every
-emitted artifact embeds the certification profile it ran under. The env var
-PERCOLAB_THREADS caps worker threads (default 1); results are independent of
-the thread count.
+emitted artifact embeds the certification profile it ran under.
 """
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .certify import PseudoRandomProfile, hd_check, tightest_profile
-from .errors import NotCertified, RhoOutOfRange
+from .errors import InvalidParameter, NotCertified, RhoOutOfRange, require_density, require_finite
 from .graph import Graph, GeneratorSpec, generate, load_edge_list
 from .lemmas import grow_connected_set, outer_complement_check
-from .percolate import BernoulliStream, dfs_percolate, largest_two
+from .percolate import BernoulliStream, PercolationOutcome, dfs_percolate, largest_two
 
 SCHEMA = "percolab/1"
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PERCOLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def seed_block(seeds: Union[Sequence[int], Tuple[int, int]]) -> List[int]:
@@ -56,11 +37,11 @@ def seed_block(seeds: Union[Sequence[int], Tuple[int, int]]) -> List[int]:
     if isinstance(seeds, tuple) and len(seeds) == 2:
         base, count = seeds
         if count < 1:
-            raise ValueError("replication count must be >= 1")
+            raise InvalidParameter("replication count must be >= 1")
         return [base + i for i in range(count)]
     out = [int(s) for s in seeds]
     if not out:
-        raise ValueError("need at least one seed")
+        raise InvalidParameter("need at least one seed")
     return out
 
 
@@ -116,14 +97,30 @@ class SweepResult:
 
 
 def _rho_for(c: float, n: int, p: float, clip: bool) -> float:
-    if c < 0:
-        raise RhoOutOfRange(f"multiplier must be >= 0, got {c}")
+    if not (c >= 0 and math.isfinite(c)):
+        raise RhoOutOfRange(f"multiplier must be finite and >= 0, got {c}")
     rho = c / (n * p)
     if rho >= 1.0:
         if not clip:
             raise RhoOutOfRange(f"c = {c} gives rho = {rho:.4g} >= 1")
         rho = 1.0
     return rho
+
+
+def _thresholds(n: int, p: float, epsilon: float) -> Tuple[int, float]:
+    """(giant_size, l2_bound): the L1 a giant must reach, ceil(eps/p), and the
+    (4/eps^2)(ln n)^2 that L2 should stay below."""
+    require_density(p)
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise InvalidParameter(f"epsilon must be finite and > 0, got {epsilon}")
+    l2_bound = (4.0 / epsilon ** 2) * math.log(n) ** 2 if n > 1 else 0.0
+    return math.ceil(epsilon / p), l2_bound
+
+
+def _measure(g: Graph, rho: float, seed: int) -> Tuple[PercolationOutcome, int, int]:
+    """One percolation run at (rho, seed): the outcome and its (L1, L2)."""
+    outcome = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
+    return (outcome, *largest_two(outcome))
 
 
 def aggregate_rows(rows: List[SweepRow], giant_size: int, l2_bound: float) -> Dict[float, dict]:
@@ -150,31 +147,19 @@ def aggregate_rows(rows: List[SweepRow], giant_size: int, l2_bound: float) -> Di
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     g = resolve_graph(cfg.source)
-    profile = derive_profile(g, cfg.p)
+    giant_size, l2_bound = _thresholds(g.n, cfg.p, cfg.epsilon)
     seeds = seed_block(cfg.seeds)
-    eps = cfg.epsilon
-    giant_size = math.ceil(eps / cfg.p)
-    l2_bound = (4.0 / eps ** 2) * math.log(g.n) ** 2 if g.n > 1 else 0.0
-    jobs = [(c, _rho_for(c, g.n, cfg.p, cfg.clip_rho), s)
-            for c in cfg.rho_grid for s in seeds]
-
-    def one(job):
-        c, rho, seed = job
-        outcome = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
-        l1, l2 = largest_two(outcome)
-        return SweepRow(c=c, rho=rho, seed=seed,
-                        retained=len(outcome.retained), L1=l1, L2=l2)
-
-    rows = _map(one, jobs)
+    rhos = [_rho_for(c, g.n, cfg.p, cfg.clip_rho) for c in cfg.rho_grid]
+    profile = derive_profile(g, cfg.p)
+    rows = []
+    for c, rho in zip(cfg.rho_grid, rhos):
+        for seed in seeds:
+            outcome, l1, l2 = _measure(g, rho, seed)
+            rows.append(SweepRow(c, rho, seed, len(outcome.retained), l1, l2))
     aggregates = aggregate_rows(rows, giant_size, l2_bound)
-    c_star = None
-    for c in sorted(aggregates):
-        if aggregates[c]["giant_freq"] >= 0.5:
-            c_star = c
-            break
-    result = SweepResult(rows=rows, aggregates=aggregates, c_star=c_star,
-                         giant_size=giant_size, l2_bound=l2_bound,
-                         n=g.n, p=cfg.p, epsilon=eps,
+    c_star = next((c for c in sorted(aggregates) if aggregates[c]["giant_freq"] >= 0.5), None)
+    result = SweepResult(rows=rows, aggregates=aggregates, c_star=c_star, giant_size=giant_size,
+                         l2_bound=l2_bound, n=g.n, p=cfg.p, epsilon=cfg.epsilon,
                          grid=list(cfg.rho_grid), seeds=seeds, profile=profile)
     if cfg.out:
         emit_csv(result, cfg.out + ".csv")
@@ -205,8 +190,7 @@ def emit_json(result: SweepResult, path):
         "c_star": result.c_star,
         "profile": json.loads(result.profile.to_json()),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(payload, path)
 
 
 @dataclass
@@ -236,7 +220,6 @@ class TrialSummary:
     profile: PseudoRandomProfile
     hd_report: Optional[object] = None
     hd_falsified: Optional[bool] = None
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d = {
@@ -262,57 +245,20 @@ class TrialSummary:
                 d["hd_worst_ratio"] = self.hd_report.worst_ratio
                 d["hd_beta"] = self.hd_report.beta
                 d["hd_witness"] = list(self.hd_report.witness) if self.hd_report.witness else None
-        d.update(self.extras)
         return d
-
-
-def _run_block(g: Graph, rho: float, seeds: List[int], profile, epsilon: float,
-               check_outer: bool) -> List[TrialRow]:
-    giant_size = math.ceil(epsilon / profile.p)
-
-    def one(seed):
-        outcome = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
-        l1, l2 = largest_two(outcome)
-        outer_ok = None
-        if check_outer and l1 >= giant_size and giant_size >= 1:
-            comp = max(outcome.components, key=len)
-            c_set = grow_connected_set(g, comp[0], giant_size, within=comp)
-            outer_ok = outer_complement_check(g, c_set, profile, epsilon).passed
-        return TrialRow(seed=seed, retained=len(outcome.retained),
-                        L1=l1, L2=l2, outer_ok=outer_ok)
-
-    return _map(one, seeds)
 
 
 def supercritical_trial(g: Graph, p: float, epsilon: float, seeds,
                         profile: Optional[PseudoRandomProfile] = None,
                         check_outer: bool = True) -> TrialSummary:
     """rho = (1+eps)/(np): giant and uniqueness fractions over the seed block."""
-    if profile is None:
-        profile = derive_profile(g, p)
-    if not profile.a1 or profile.a2 is False:
-        raise NotCertified(f"need a1 and a2 not falsified, got a1={profile.a1} a2={profile.a2}")
-    rho = (1 + epsilon) / (g.n * p)
-    if not 0.0 <= rho < 1.0:
-        raise RhoOutOfRange(f"rho = {rho:.4g} outside [0, 1)")
-    seeds = seed_block(seeds)
-    rows = _run_block(g, rho, seeds, profile, epsilon, check_outer)
-    return _summarize("super", g, p, epsilon, rho, rows, profile)
+    return _trial("super", g, p, epsilon, seeds, profile, check_outer)
 
 
 def subcritical_trial(g: Graph, p: float, epsilon: float, seeds,
                       profile: Optional[PseudoRandomProfile] = None) -> TrialSummary:
     """rho = (1-eps)/(np): every component should stay polylog-small."""
-    if profile is None:
-        profile = derive_profile(g, p)
-    if not profile.a3:
-        raise NotCertified(f"need a3, got a3={profile.a3}")
-    rho = (1 - epsilon) / (g.n * p)
-    if not 0.0 <= rho < 1.0:
-        raise RhoOutOfRange(f"rho = {rho:.4g} outside [0, 1)")
-    seeds = seed_block(seeds)
-    rows = _run_block(g, rho, seeds, profile, epsilon, check_outer=False)
-    return _summarize("sub", g, p, epsilon, rho, rows, profile)
+    return _trial("sub", g, p, epsilon, seeds, profile, check_outer=False)
 
 
 def hd_uniqueness_trial(g: Graph, p: float, epsilon: float, beta: float, seeds,
@@ -322,26 +268,39 @@ def hd_uniqueness_trial(g: Graph, p: float, epsilon: float, beta: float, seeds,
     """The super measurement under the hereditary-degree hypothesis set (no
     a3 requirement); a falsified HD check flags the summary with a witness
     and the measurement still runs."""
+    return _trial("hd", g, p, epsilon, seeds, profile, check_outer,
+                  beta=beta, hd_trials=hd_trials, hd_seed=hd_seed)
+
+
+def _trial(kind: str, g: Graph, p: float, epsilon: float, seeds, profile, check_outer: bool,
+           beta=None, hd_trials=None, hd_seed=None) -> TrialSummary:
+    """The trial of `kind`: sub needs a3 and runs at rho = (1-eps)/(np); super and hd
+    need a1 and a2 not falsified and run at (1+eps)/(np), hd after a hereditary-degree
+    check. A given profile must be certified for g.n and p."""
+    giant_size, l2_bound = _thresholds(g.n, p, epsilon)
+    if kind == "hd":
+        require_finite(beta=beta)
+    seeds = seed_block(seeds)
     if profile is None:
         profile = derive_profile(g, p)
-    if not profile.a1 or profile.a2 is False:
+    elif (profile.n, profile.p) != (g.n, p):
+        raise NotCertified(f"profile is for n={profile.n}, p={profile.p}, not n={g.n}, p={p}")
+    if kind == "sub" and not profile.a3:
+        raise NotCertified(f"need a3, got a3={profile.a3}")
+    if kind != "sub" and (not profile.a1 or profile.a2 is False):
         raise NotCertified(f"need a1 and a2 not falsified, got a1={profile.a1} a2={profile.a2}")
-    rho = (1 + epsilon) / (g.n * p)
-    if not 0.0 <= rho < 1.0:
-        raise RhoOutOfRange(f"rho = {rho:.4g} outside [0, 1)")
-    report = hd_check(g, beta=beta, subset_fraction=0.9, trials=hd_trials,
-                      seed=hd_seed, p=p)
-    seeds = seed_block(seeds)
-    rows = _run_block(g, rho, seeds, profile, epsilon, check_outer)
-    summary = _summarize("hd", g, p, epsilon, rho, rows, profile)
-    summary.hd_report = report
-    summary.hd_falsified = report.falsified
-    return summary
-
-
-def _summarize(kind, g, p, epsilon, rho, rows, profile) -> TrialSummary:
-    giant_size = math.ceil(epsilon / p)
-    l2_bound = (4.0 / epsilon ** 2) * math.log(g.n) ** 2 if g.n > 1 else 0.0
+    rho = _rho_for(1 - epsilon if kind == "sub" else 1 + epsilon, g.n, p, clip=False)
+    report = hd_check(g, beta=beta, subset_fraction=0.9, trials=hd_trials, seed=hd_seed,
+                      p=p) if kind == "hd" else None
+    rows = []
+    for seed in seeds:
+        outcome, l1, l2 = _measure(g, rho, seed)
+        outer_ok = None
+        if check_outer and l1 >= giant_size >= 1:
+            comp = max(outcome.components, key=len)
+            c_set = grow_connected_set(g, comp[0], giant_size, within=comp)
+            outer_ok = outer_complement_check(g, c_set, profile, epsilon).passed
+        rows.append(TrialRow(seed, len(outcome.retained), l1, l2, outer_ok))
     k = len(rows)
     checked = [r.outer_ok for r in rows if r.outer_ok is not None]
     return TrialSummary(
@@ -354,9 +313,14 @@ def _summarize(kind, g, p, epsilon, rho, rows, profile) -> TrialSummary:
         frac_small=sum(r.L1 < giant_size for r in rows) / k,
         max_L1=max(r.L1 for r in rows),
         frac_outer_ok=(sum(checked) / len(checked)) if checked else None,
-        profile=profile)
+        profile=profile, hd_report=report,
+        hd_falsified=None if report is None else report.falsified)
 
 
 def emit_trial_json(summary: TrialSummary, path):
+    _write_json(summary.to_dict(), path)
+
+
+def _write_json(payload: dict, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

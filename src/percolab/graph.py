@@ -73,10 +73,6 @@ def co_degree(g: Graph, u, v) -> int:
     return int(np.intersect1d(a, b, assume_unique=True).size)
 
 
-def degree(g: Graph, v) -> int:
-    return g.degree(v)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters for one graph construction; fields unused by `kind` stay None."""
@@ -107,6 +103,8 @@ def _validate_spec(spec: GeneratorSpec):
         raise InvalidSpec(f"kind {spec.kind!r} needs exactly {sorted(needed)}, got {sorted(given)}")
     if "n" in needed and spec.n < 0:
         raise InvalidSpec(f"n must be >= 0, got {spec.n}")
+    if "seed" in needed and spec.seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
     if "p" in needed and not 0.0 < spec.p < 1.0:
         raise InvalidSpec(f"p must be in (0,1), got {spec.p}")
     if "q" in needed:
@@ -236,6 +234,8 @@ def _paley_pairs(q: int):
 
 def _near_regular_perturbed(n: int, p: float, seed: int, fraction: float = 0.01) -> Graph:
     eu, ev = _gnp_pairs(n, p, seed)
+    if n < 2:
+        return _from_edge_arrays(n, eu, ev)  # no pair to toggle
     rng = derived(seed, 1)
     k = max(1, int(np.ceil(fraction * n)))
     x = rng.choice(n, size=min(k, n), replace=False)
@@ -279,7 +279,7 @@ def max_co_degree(g: Graph, exact_cap: int = EXACT_CODEGREE_CAP,
     if g.n < 2:
         raise GraphTooSmall("max_co_degree needs n >= 2")
     if g.n <= exact_cap:
-        value, pair = _max_codegree_exact(g)
+        value, pair = _max_codegree_among(g, np.arange(g.n))
         return CoDegreeResult(value=value, pair=pair, mode="exact")
     value, pair = _max_codegree_sampled(g, sample_pairs)
     return CoDegreeResult(value=value, pair=pair, mode="sampled")
@@ -295,34 +295,27 @@ def _packed_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_codegree_exact(g: Graph):
-    packed = _packed_rows(g, np.arange(g.n))
+def _max_codegree_among(g: Graph, rows: np.ndarray):
+    """Largest co-degree over the pairs of the ascending vertex array `rows`,
+    with the first pair attaining it, by popcounted ANDs of packed rows."""
+    packed = _packed_rows(g, rows)
     best = -1
     pair = (0, 1)
-    for u in range(g.n - 1):
-        counts = np.bitwise_count(packed[u] & packed[u + 1:]).sum(axis=1, dtype=np.int64)
-        i = int(np.argmax(counts))
-        if counts[i] > best:
-            best = int(counts[i])
-            pair = (u, u + 1 + i)
-    return best, pair
-
-
-def _max_codegree_sampled(g: Graph, sample_pairs: int):
-    best = -1
-    pair = (0, 1)
-    # All pairs among the top-degree 1% (ties broken by index): high-degree
-    # vertices dominate the maximum.
-    t = max(2, g.n // 100)
-    deg = g.degrees()
-    top = np.sort(np.argsort(-deg, kind="stable")[:t])
-    packed = _packed_rows(g, top)
-    for i in range(len(top) - 1):
+    for i in range(len(rows) - 1):
         counts = np.bitwise_count(packed[i] & packed[i + 1:]).sum(axis=1, dtype=np.int64)
         j = int(np.argmax(counts))
         if counts[j] > best:
             best = int(counts[j])
-            pair = (int(top[i]), int(top[i + 1 + j]))
+            pair = (int(rows[i]), int(rows[i + 1 + j]))
+    return best, pair
+
+
+def _max_codegree_sampled(g: Graph, sample_pairs: int):
+    # All pairs among the top-degree 1% (ties broken by index): high-degree
+    # vertices dominate the maximum.
+    t = max(2, g.n // 100)
+    top = np.sort(np.argsort(-g.degrees(), kind="stable")[:t])
+    best, pair = _max_codegree_among(g, top)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0xC0DE6, g.n, g.edge_count))))
     us = rng.integers(0, g.n, size=sample_pairs)
     vs = rng.integers(0, g.n - 1, size=sample_pairs)

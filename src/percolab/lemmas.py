@@ -17,11 +17,15 @@ from .errors import (
     AssumptionsNotCertified,
     CombinationOverflow,
     EmptySet,
+    InvalidEpsilon,
+    InvalidParameter,
     NotConnected,
     PreconditionViolated,
     SizeMismatch,
     SlackTooLarge,
+    StreamLengthMismatch,
     USmall,
+    require_finite,
 )
 from .graph import Graph, co_degree, degrees_into
 from .rng import derived
@@ -92,6 +96,16 @@ def inclusion_exclusion_lower_bound(g: Graph, H: Sequence[int]) -> int:
     return total - len(hs)
 
 
+def inclusion_exclusion_check(g: Graph, H: Sequence[int]) -> LemmaReport:
+    """The exact external neighborhood size of H against its inclusion-exclusion
+    lower bound; passed means measured >= bound."""
+    hs = [int(v) for v in H]
+    bound = inclusion_exclusion_lower_bound(g, hs)
+    measured = neighborhood_size(g, hs)
+    return LemmaReport("inclusion_exclusion", passed=measured >= bound, checked_count=1,
+                       witness=None, parameters={"H": hs}, measured=measured, bound=bound)
+
+
 def _require_certified(profile, need_a3: bool):
     # a2 = None means the sampled co-degree scan did not falsify the bound;
     # the derived inequalities are then evidence-based, which we accept and
@@ -112,6 +126,7 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
     sampled mode tries `samples` random sets plus one greedy adversarial set
     and can only falsify.
     """
+    require_finite(alpha0=alpha0, c=c)
     n, p = g.n, profile.p
     if not 0.0 < c < 1.0 / 3.0:
         raise PreconditionViolated(f"c must be in (0, 1/3), got {c}")
@@ -131,7 +146,7 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
         worst, witness_set = _expansion_scan_sampled(g, m, samples, seed)
         checked = samples + 1
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParameter(f"unknown mode {mode!r}")
 
     passed = worst >= bound
     witness = None if passed else ExpansionWitness(
@@ -269,6 +284,7 @@ def variance_bound_check(g: Graph, U: Sequence[int], profile) -> LemmaReport:
 def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaReport:
     """Exact count of vertices with d(v, U) >= (1+alpha) p |U| against
     4/(alpha p)^2 * (4p + 12 b_n). Needs |U| >= n/2 and a_n <= alpha p n / 2."""
+    require_finite(alpha=alpha)
     _require_certified(profile, need_a3=True)
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     us = sorted({int(v) for v in U})
@@ -296,49 +312,32 @@ def grow_connected_set(g: Graph, root: int, size: int,
                        within: Optional[Sequence[int]] = None) -> List[int]:
     """First `size` vertices of a BFS from root (optionally confined to
     `within`); raises NotConnected when the reachable set is too small."""
-    allowed = None
-    if within is not None:
-        allowed = np.zeros(g.n, dtype=bool)
-        allowed[list(within)] = True
-        if not allowed[root]:
-            raise NotConnected(f"root {root} not in the confining set")
-    seen = {int(root)}
-    frontier = [int(root)]
-    order = [int(root)]
-    while frontier and len(order) < size:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors_of(v):
-                w = int(w)
-                if w in seen or (allowed is not None and not allowed[w]):
-                    continue
-                seen.add(w)
-                order.append(w)
-                nxt.append(w)
-                if len(order) == size:
-                    return sorted(order)
-        frontier = nxt
+    allowed = None if within is None else set(within)
+    if allowed is not None and root not in allowed:
+        raise NotConnected(f"root {root} not in the confining set")
+    order = _bfs(g, int(root), allowed, size)
     if len(order) < size:
         raise NotConnected(f"only {len(order)} vertices reachable, need {size}")
     return sorted(order)
 
 
 def _is_connected_induced(g: Graph, C: List[int]) -> bool:
-    if not C:
-        return False
-    cset = set(C)
-    seen = {C[0]}
-    frontier = [C[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors_of(v):
-                w = int(w)
-                if w in cset and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == len(cset)
+    inside = set(C)
+    return bool(C) and len(_bfs(g, C[0], inside, len(inside))) == len(inside)
+
+
+def _bfs(g: Graph, root: int, allowed: Optional[set], limit: int) -> List[int]:
+    """The first `limit` vertices (fewer when the search runs out) in BFS order
+    from root, entering only vertices in `allowed` (any vertex when None)."""
+    order, seen = [root], {root}
+    for v in order:  # the loop also visits the vertices appended below
+        for w in g.neighbors_of(v).tolist():
+            if len(order) >= limit:
+                return order
+            if w not in seen and (allowed is None or w in allowed):
+                seen.add(w)
+                order.append(w)
+    return order
 
 
 def outer_complement_check(g: Graph, C: Sequence[int], profile,
@@ -350,6 +349,7 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     tolerance). The looser variant with eps^2 instead of eps^2/2 is evaluated
     alongside and echoed in the parameters.
     """
+    require_finite(epsilon=epsilon)
     _require_certified(profile, need_a3=False)
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     cs = sorted({int(v) for v in C})
@@ -375,3 +375,68 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     return LemmaReport("outer_complement", bool(passed), 1,
                        None if passed else {"outer_size": outer, "C": cs[:10]},
                        params, measured=outer, bound=bound_proof)
+
+
+def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
+                          seed: int, max_failure_rate: float = 0.01,
+                          bits: Optional[Sequence[int]] = None) -> LemmaReport:
+    """Monte Carlo check of the three prefix-sum tail predicates for i.i.d.
+    Bernoulli(rho) bits Y_1..Y_n, under the parameterization rho = (1+eps)/(np)
+    (so p is implied by rho):
+
+      (1) sum_{i <= ceil(eps^3 n)} Y_i <= 2 eps^3 / p
+      (2) sum_{i <= ceil(eps n)} Y_i <= 2 eps / p
+      (3) for every t in [ceil(eps^3 n), ceil(eps n)]:
+          sum_{i <= t} Y_i >= (1 + 3 eps/4) t / (np)
+
+    Only the ceil(eps*n) prefix of each stream is drawn. Item (3) is checked
+    at every integer t via one cumulative-sum pass. passed means every item's
+    empirical failure frequency is <= max_failure_rate. `bits` injects one
+    explicit stream (trials is then ignored).
+    """
+    eps = float(epsilon)
+    if eps ** 3 * n < 1:
+        raise InvalidEpsilon(f"need eps^3 * n >= 1, got {eps ** 3 * n:.3g}")
+    p = (1 + eps) / (n * rho)
+    t1 = math.ceil(eps ** 3 * n)
+    t2 = math.ceil(eps * n)
+    bound1 = 2 * eps ** 3 / p
+    bound2 = 2 * eps / p
+    ts = np.arange(t1, t2 + 1, dtype=np.int64)
+    floor3 = (1 + 3 * eps / 4) * ts / (n * p)
+
+    if bits is not None:
+        streams = [np.asarray(bits[:t2], dtype=bool)]
+        if len(bits) < t2:
+            raise StreamLengthMismatch(f"need at least {t2} bits, got {len(bits)}")
+    else:
+        streams = None
+
+    fails = [0, 0, 0]
+    witness = None
+    total = 1 if streams is not None else trials
+    for k in range(total):
+        stream = streams[k] if streams is not None else derived(seed, k).random(t2) < rho
+        cs = np.cumsum(stream)
+        bad = (cs[t1 - 1] > bound1, cs[t2 - 1] > bound2,
+               bool(np.any(cs[t1 - 1:t2] < floor3)))
+        for i in range(3):
+            if bad[i]:
+                fails[i] += 1
+        if any(bad) and witness is None:
+            witness = {"trial": k, "items_failed": [i + 1 for i in range(3) if bad[i]]}
+
+    freqs = [f / total for f in fails]
+    passed = all(f <= max_failure_rate for f in freqs)
+    return LemmaReport(
+        lemma_id="binomial_tails",
+        passed=passed,
+        checked_count=total,
+        witness=None if passed else witness,
+        parameters={"n": n, "rho": rho, "epsilon": eps, "p_implied": p,
+                    "t_low": t1, "t_high": t2, "trials": total, "seed": seed,
+                    "max_failure_rate": max_failure_rate},
+        measured={"failure_frequencies": freqs},
+        bound={"item1": bound1, "item2": bound2,
+               "item3_floor_at_t_low": float(floor3[0])},
+    )

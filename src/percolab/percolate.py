@@ -23,16 +23,14 @@ retained(rho2) whenever rho1 <= rho2. explicit_bits consumes a supplied 0/1
 sequence positionally, in query order (test injection).
 """
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidEpsilon, RhoOutOfRange, StreamLengthMismatch, VertexOutOfRange
+from .errors import InvalidParameter, RhoOutOfRange, StreamLengthMismatch, VertexOutOfRange
 from .graph import Graph
-from .lemmas import LemmaReport
-from .rng import derived, uniforms
+from .rng import uniforms
 
 UNIFORM_THRESHOLD = "uniform_threshold"
 EXPLICIT_BITS = "explicit_bits"
@@ -49,7 +47,9 @@ class BernoulliStream:
 
     def __post_init__(self):
         if self.mode not in (UNIFORM_THRESHOLD, EXPLICIT_BITS):
-            raise ValueError(f"unknown stream mode {self.mode!r}")
+            raise InvalidParameter(f"unknown stream mode {self.mode!r}")
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.rho <= 1.0:
             raise RhoOutOfRange(f"rho must be in [0, 1], got {self.rho}")
         if self.mode == EXPLICIT_BITS and self.bits is None:
@@ -198,68 +198,3 @@ def largest_two(outcome: PercolationOutcome) -> Tuple[int, int]:
     l1 = sizes[0] if sizes else 0
     l2 = sizes[1] if len(sizes) > 1 else 0
     return l1, l2
-
-
-def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
-                          seed: int, max_failure_rate: float = 0.01,
-                          bits: Optional[Sequence[int]] = None) -> LemmaReport:
-    """Monte Carlo check of the three prefix-sum tail predicates for i.i.d.
-    Bernoulli(rho) bits Y_1..Y_n, under the parameterization rho = (1+eps)/(np)
-    (so p is implied by rho):
-
-      (1) sum_{i <= ceil(eps^3 n)} Y_i <= 2 eps^3 / p
-      (2) sum_{i <= ceil(eps n)} Y_i <= 2 eps / p
-      (3) for every t in [ceil(eps^3 n), ceil(eps n)]:
-          sum_{i <= t} Y_i >= (1 + 3 eps/4) t / (np)
-
-    Only the ceil(eps*n) prefix of each stream is drawn. Item (3) is checked
-    at every integer t via one cumulative-sum pass. passed means every item's
-    empirical failure frequency is <= max_failure_rate. `bits` injects one
-    explicit stream (trials is then ignored).
-    """
-    eps = float(epsilon)
-    if eps ** 3 * n < 1:
-        raise InvalidEpsilon(f"need eps^3 * n >= 1, got {eps ** 3 * n:.3g}")
-    p = (1 + eps) / (n * rho)
-    t1 = math.ceil(eps ** 3 * n)
-    t2 = math.ceil(eps * n)
-    bound1 = 2 * eps ** 3 / p
-    bound2 = 2 * eps / p
-    ts = np.arange(t1, t2 + 1, dtype=np.int64)
-    floor3 = (1 + 3 * eps / 4) * ts / (n * p)
-
-    if bits is not None:
-        streams = [np.asarray(bits[:t2], dtype=bool)]
-        if len(bits) < t2:
-            raise StreamLengthMismatch(f"need at least {t2} bits, got {len(bits)}")
-    else:
-        streams = None
-
-    fails = [0, 0, 0]
-    witness = None
-    total = 1 if streams is not None else trials
-    for k in range(total):
-        stream = streams[k] if streams is not None else derived(seed, k).random(t2) < rho
-        cs = np.cumsum(stream)
-        bad = (cs[t1 - 1] > bound1, cs[t2 - 1] > bound2,
-               bool(np.any(cs[t1 - 1:t2] < floor3)))
-        for i in range(3):
-            if bad[i]:
-                fails[i] += 1
-        if any(bad) and witness is None:
-            witness = {"trial": k, "items_failed": [i + 1 for i in range(3) if bad[i]]}
-
-    freqs = [f / total for f in fails]
-    passed = all(f <= max_failure_rate for f in freqs)
-    return LemmaReport(
-        lemma_id="binomial_tails",
-        passed=passed,
-        checked_count=total,
-        witness=None if passed else witness,
-        parameters={"n": n, "rho": rho, "epsilon": eps, "p_implied": p,
-                    "t_low": t1, "t_high": t2, "trials": total, "seed": seed,
-                    "max_failure_rate": max_failure_rate},
-        measured={"failure_frequencies": freqs},
-        bound={"item1": bound1, "item2": bound2,
-               "item3_floor_at_t_low": float(floor3[0])},
-    )

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from percolab import GeneratorSpec, certify, estimate_slacks, generate, hd_check, max_co_degree
-from percolab.errors import SampledModeUnavailable, SubsetTooSmall
+from percolab.certify import tightest_profile
+from percolab.errors import InvalidParameter, SampledModeUnavailable, SubsetTooSmall
 
 GNP_CASES = [(200, 0.1, 5), (500, 0.05, 6), (300, 0.3, 7)]
 
@@ -128,6 +129,23 @@ def test_profile_json_round_trip():
     assert d["n"] == 6 and d["a1"] is True and d["max_codegree"] == 4
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.0000001])
+def test_density_outside_unit_interval_is_rejected(p):
+    # a non-finite p used to send the slack search into an endless loop
+    g = complete_graph(6)
+    for run in (lambda: certify(g, p, a_n=1.0, b_n=1.0), lambda: estimate_slacks(g, p),
+                lambda: tightest_profile(g, p)):
+        with pytest.raises(InvalidParameter):
+            run()
+
+
+@pytest.mark.parametrize("a_n,b_n", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                     (1.0, -math.inf)])
+def test_non_finite_slacks_are_rejected(a_n, b_n):
+    with pytest.raises(InvalidParameter):
+        certify(complete_graph(6), 1.0, a_n=a_n, b_n=b_n)
+
+
 # --- hereditary degree falsification ---
 
 
@@ -170,6 +188,8 @@ def test_hd_validation():
     with pytest.raises(SubsetTooSmall):
         hd_check(g, beta=0.1, subset_fraction=0.5)
     with pytest.raises(ValueError):
+        hd_check(g, beta=0.1, trials=0)
+    with pytest.raises(InvalidParameter):
         hd_check(g, beta=0.1, trials=0)
 
 

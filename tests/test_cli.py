@@ -7,11 +7,15 @@ the front end cannot silently drift from the programmatic API.
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import cycle_graph
-from percolab import cli
+import percolab
+from percolab import cli, lemmas
 from percolab.certify import certify, estimate_slacks
 from percolab.cli import parse_gen, parse_seeds
 from percolab.errors import PercolabError
@@ -272,3 +276,69 @@ def test_trial_hd_default_beta(tmp_path):
     assert payload == json.loads(json.dumps(summary.to_dict()))
     assert payload["kind"] == "trial_hd"
     assert payload["hd_beta"] == 0.3 ** 5
+
+
+def run_cli(args, cwd, timeout=60):
+    """The CLI in a fresh process: a hang fails at the timeout instead of
+    stalling the suite."""
+    src = os.path.dirname(os.path.dirname(percolab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "percolab.cli", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+GEN = "--gen gnp:n=50,p=0.1,seed=1"
+
+# Input errors: each must exit 2 with a one-line message. Without the checks,
+# some exited 1 (the "lemma false" code) with a traceback, some exited 0 with
+# NaN in their JSON, and a non-finite p never returned.
+BAD_INPUT = {
+    "certify-p-nan": f"certify {GEN} --p nan",  # the slack search never returned
+    "certify-p-inf": f"certify {GEN} --p inf",
+    "certify-p-above-1": f"certify {GEN} --p 1.5",
+    "trial-p-nan": f"trial super {GEN} --p nan",
+    "trial-p-0": f"trial super {GEN} --p 0",  # ZeroDivisionError
+    "sweep-p-0": f"sweep {GEN} --p 0 --grid 1",
+    "certify-b-nan": f"certify {GEN} --p 0.1 --a 10 --b nan",  # exit 0, NaN in JSON
+    "hd-beta-nan": f"trial hd {GEN} --p 0.1 --beta nan",
+    "sub-epsilon-nan": f"trial sub {GEN} --p 0.1 --epsilon nan",
+    "sweep-epsilon-0": f"sweep {GEN} --p 0.1 --grid 1 --epsilon 0",
+    "sweep-grid-inf": f"sweep {GEN} --p 0.1 --grid inf --clip-rho",
+    "xi-alpha-nan": f"lemma --which xi {GEN} --p 0.1 --alpha nan",  # exit 1, NaN in JSON
+    "expansion-alpha0-nan": f"lemma --which expansion {GEN} --p 0.1 --alpha0 nan",
+    "outer-epsilon-nan": f"lemma --which outer {GEN} --p 0.1 --epsilon nan",
+    "seeds-count-0": f"sweep {GEN} --p 0.1 --grid 1 --seeds 5:0",  # bare ValueError
+    "gen-n-not-int": "certify --gen gnp:n=abc,p=0.1,seed=1 --p 0.1",
+    "gen-p-not-float": "certify --gen gnp:n=50,p=x,seed=1 --p 0.1",
+    "gen-seed-negative": "generate --gen gnp:n=50,p=0.1,seed=-1 --out g.txt",
+    "percolate-seed-negative": f"percolate {GEN} --rho 0.5 --seed -1",
+    "grid-not-float": f"sweep {GEN} --p 0.1 --grid 1,x",
+    "h-not-int": f"lemma --which incl-excl {GEN} --p 0.1 --h 0,x",
+}
+
+
+@pytest.mark.parametrize("args", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exits_2_without_traceback(args, tmp_path):
+    done = run_cli(args.split(), tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_perturbed_below_two_vertices_is_the_plain_graph(tmp_path):
+    # rng.integers(0, 0) used to raise a bare ValueError for n = 1
+    done = run_cli(["generate", "--gen", "near_regular_perturbed:n=1,p=0.5,seed=1",
+                    "--out", "g.txt"], tmp_path)
+    assert done.returncode == 0 and done.stderr == ""
+    assert (tmp_path / "g.txt").read_text() == "# n=1\n"
+
+
+def test_lemma_incl_excl_matches_library(tmp_path):
+    out = tmp_path / "ie.json"
+    rc = cli.main(["lemma", "--which", "incl-excl", "--gen", "gnp:n=200,p=0.1,seed=4",
+                   "--p", "0.1", "--h", "0,1,5,9", "--out", str(out)])
+    report = lemmas.inclusion_exclusion_check(generate(parse_gen("gnp:n=200,p=0.1,seed=4")),
+                                              [0, 1, 5, 9])
+    assert rc == (0 if report.passed else 1)
+    assert json.loads(out.read_text()) == dict(report.to_dict(), schema="percolab/1")

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import build_graph, complete_graph, cycle_graph, edge_set, path_graph, star_graph
 from percolab import (
+    CoDegreeResult,
     GeneratorSpec,
     co_degree,
-    degree,
     generate,
     load_edge_list,
     max_co_degree,
@@ -174,6 +174,16 @@ def test_gnp_with_no_pair_drawn():
     assert g.n == 2 and g.edge_count == 0 and g.offsets.tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_perturbed_tiny_n(n):
+    # below n = 2 there is no pair to toggle, so the gnp graph comes back as is
+    spec = GeneratorSpec(kind="near_regular_perturbed", n=n, p=0.5, seed=1)
+    g = generate(spec)
+    assert g.n == n
+    if n < 2:
+        assert g.edge_count == 0 and g.offsets.tolist() == [0] * (n + 1)
+
+
 def test_empty_and_tiny_graphs():
     g0 = generate(GeneratorSpec(kind="complete", n=0))
     assert g0.n == 0 and g0.edge_count == 0
@@ -192,6 +202,7 @@ def test_empty_and_tiny_graphs():
     GeneratorSpec(kind="gnp", n=100, p=0.0, seed=0),
     GeneratorSpec(kind="gnp", n=100, p=1.0, seed=0),
     GeneratorSpec(kind="gnp", n=-3, p=0.5, seed=0),
+    GeneratorSpec(kind="gnp", n=10, p=0.5, seed=-1),
     GeneratorSpec(kind="paley", q=9),    # not prime
     GeneratorSpec(kind="paley", q=7),    # 3 mod 4
     GeneratorSpec(kind="paley", q=3),    # below floor
@@ -213,14 +224,14 @@ def test_edge_cap():
 
 def test_degree_and_codegree_on_star():
     g = star_graph(6)
-    assert degree(g, 0) == 5
-    assert all(degree(g, v) == 1 for v in range(1, 6))
+    assert g.degree(0) == 5
+    assert all(g.degree(v) == 1 for v in range(1, 6))
     assert co_degree(g, 1, 2) == 1   # both see the center
     assert co_degree(g, 0, 1) == 0
     with pytest.raises(SameVertex):
         co_degree(g, 2, 2)
     with pytest.raises(VertexOutOfRange):
-        degree(g, 6)
+        g.degree(6)
     with pytest.raises(VertexOutOfRange):
         co_degree(g, 0, 17)
 
@@ -270,6 +281,26 @@ def test_max_codegree_sampled_lower_bound():
     assert co_degree(g, *sampled.pair) == sampled.value
     # dense enough that the top-degree sweep finds the true maximum here
     assert sampled.value == exact.value == 12
+
+
+def test_codegree_kernel_keeps_first_attaining_pair():
+    # both modes report the first pair, in (u, v) order, attaining the maximum
+    paley = generate(GeneratorSpec(kind="paley", q=101))  # many pairs tie at 25
+    assert naive_max_codegree(paley) == (25, (0, 2))
+    assert max_co_degree(paley) == CoDegreeResult(25, (0, 2), "exact")
+    g = generate(GeneratorSpec(kind="gnp", n=1200, p=0.05, seed=2))
+    top = np.sort(np.argsort(-g.degrees(), kind="stable")[:12]).tolist()
+    best, pair = -1, None
+    for i, u in enumerate(top):
+        for v in top[i + 1:]:
+            c = co_degree(g, u, v)
+            if c > best:
+                best, pair = c, (u, v)
+    # sample_pairs=0 leaves only the all-pairs scan of the top-degree 1%
+    assert max_co_degree(g, exact_cap=100, sample_pairs=0) == CoDegreeResult(
+        best, pair, "sampled")
+    assert (best, pair) == (11, (206, 244))
+    assert max_co_degree(g, exact_cap=100) == CoDegreeResult(12, (118, 407), "sampled")
 
 
 def test_degrees_into_hand_cases():

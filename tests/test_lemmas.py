@@ -1,5 +1,6 @@
 """Lemma checkers: hand-computable cases, naive-oracle agreement, gating."""
 
+import collections
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from percolab import (
     estimate_slacks,
     expansion_check,
     generate,
+    inclusion_exclusion_check,
     inclusion_exclusion_lower_bound,
     neighborhood_size,
     outer_complement_check,
@@ -24,13 +26,14 @@ from percolab.errors import (
     AssumptionsNotCertified,
     CombinationOverflow,
     EmptySet,
+    InvalidParameter,
     NotConnected,
     PreconditionViolated,
     SizeMismatch,
     SlackTooLarge,
     USmall,
 )
-from percolab.lemmas import LEMMA_IDS, grow_connected_set
+from percolab.lemmas import LEMMA_IDS, _is_connected_induced, grow_connected_set
 
 
 def certified(g, p):
@@ -358,6 +361,71 @@ def test_grow_connected_set(path5):
     two = build_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
     with pytest.raises(NotConnected):
         grow_connected_set(two, 0, 3)
+
+
+def bfs_order(g, root, allowed):
+    order, seen, queue = [], {root}, collections.deque([root])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in g.neighbors_of(v).tolist():
+            if w not in seen and w in allowed:
+                seen.add(w)
+                queue.append(w)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bfs_helpers_match_a_queue_bfs(seed):
+    g = generate(GeneratorSpec(kind="gnp", n=60, p=0.05, seed=seed))
+    rng = np.random.default_rng(seed)
+    everyone = set(range(g.n))
+    for root in range(0, g.n, 7):
+        order = bfs_order(g, root, everyone)
+        for size in {1, len(order) // 2 + 1, len(order)}:
+            assert grow_connected_set(g, root, size) == sorted(order[:size])
+        with pytest.raises(NotConnected):
+            grow_connected_set(g, root, len(order) + 1)
+        within = sorted({root} | set(rng.choice(g.n, 30, replace=False).tolist()))
+        confined = bfs_order(g, root, set(within))
+        assert grow_connected_set(g, root, len(confined), within=within) == sorted(confined)
+        assert _is_connected_induced(g, within) == (len(confined) == len(within))
+        assert _is_connected_induced(g, sorted(order))
+
+
+def test_inclusion_exclusion_check(k4):
+    rep = inclusion_exclusion_check(k4, [0, 1])
+    assert (rep.lemma_id, rep.passed, rep.checked_count, rep.witness) == (
+        "inclusion_exclusion", True, 1, None)
+    assert (rep.measured, rep.bound, rep.parameters) == (2, 2, {"H": [0, 1]})
+    g = generate(GeneratorSpec(kind="gnp", n=80, p=0.2, seed=2))
+    H = [3, 17, 40, 41]
+    rep = inclusion_exclusion_check(g, H)
+    assert rep.bound == inclusion_exclusion_lower_bound(g, H) <= rep.measured
+    assert rep.measured == neighborhood_size(g, H) and rep.passed
+
+
+def test_non_finite_lemma_parameters_are_rejected(k4):
+    g = complete_graph(10)
+    prof = certified(g, 0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            expansion_check(g, prof, m=2, alpha0=bad)
+        with pytest.raises(InvalidParameter):
+            expansion_check(g, prof, m=2, alpha0=0.5, c=bad)
+        with pytest.raises(InvalidParameter):
+            xi_count_check(g, list(range(5)), prof, alpha=bad)
+        with pytest.raises(InvalidParameter):
+            outer_complement_check(g, [0], prof, epsilon=bad)
+    with pytest.raises(InvalidParameter):
+        expansion_check(g, prof, m=2, alpha0=0.5, mode="guess")
+
+
+def test_binomial_stream_check_lives_in_lemmas():
+    import percolab
+    from percolab import lemmas, percolate
+    assert percolab.binomial_stream_check is lemmas.binomial_stream_check
+    assert not hasattr(percolate, "LemmaReport")
 
 
 def test_lemma_ids_and_report_dict():

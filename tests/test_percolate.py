@@ -1,11 +1,15 @@
 """Four-set DFS percolation against independent reference implementations."""
 
 import collections
+import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_graph, complete_graph, cycle_graph, path_graph, star_graph
+from conftest import build_graph, complete_graph, cycle_graph, edge_set, path_graph, star_graph
 from percolab import (
     BernoulliStream,
     GeneratorSpec,
@@ -18,6 +22,7 @@ from percolab import (
 )
 from percolab.errors import (
     InvalidEpsilon,
+    InvalidParameter,
     RhoOutOfRange,
     StreamLengthMismatch,
     VertexOutOfRange,
@@ -148,8 +153,14 @@ def test_stream_validation():
         BernoulliStream(rho=-0.1)
     with pytest.raises(ValueError):
         BernoulliStream(rho=0.5, mode="biased_coin")
+    with pytest.raises(InvalidParameter):
+        BernoulliStream(rho=0.5, mode="biased_coin")
     with pytest.raises(StreamLengthMismatch):
         BernoulliStream(rho=0.5, mode="explicit_bits")
+    with pytest.raises(RhoOutOfRange):
+        BernoulliStream(rho=math.nan)
+    with pytest.raises(InvalidParameter):  # SeedSequence refuses negative seeds
+        BernoulliStream(rho=0.5, seed=-1)
 
 
 def test_bits_length_must_match_n(triangle):
@@ -319,3 +330,35 @@ def test_binomial_dense_regime_mechanics():
     assert not rep.passed
     assert freqs[2] > 0.8  # the running floor is above the mean at small t
     assert rep.witness is not None and 3 in rep.witness["items_failed"]
+
+
+# --- properties ---
+
+
+@st.composite
+def percolation_cases(draw):
+    """A small graph, two retention probabilities lo <= hi and a seed."""
+    n = draw(st.integers(0, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.0]))
+    keep = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(len(pairs))
+    g = build_graph(n, [e for e, k in zip(pairs, keep) if k < density])
+    lo, hi = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    return g, lo, hi, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(percolation_cases())
+def test_dfs_matches_oracles_and_nests_across_rho(case):
+    g, lo, hi, seed = case
+    edges = edge_set(g)
+    runs = [dfs_percolate(g, BernoulliStream(rho=rho, seed=seed)) for rho in (lo, hi)]
+    for out in runs:
+        assert out.bits_consumed == g.n
+        assert out.components == oracle_components(g, out.retained)
+        kept = set(out.retained)
+        induced = nx.Graph()
+        induced.add_nodes_from(kept)
+        induced.add_edges_from(e for e in edges if kept.issuperset(e))
+        assert out.components == sorted(sorted(c) for c in nx.connected_components(induced))
+    assert set(runs[0].retained) <= set(runs[1].retained)
