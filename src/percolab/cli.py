@@ -9,13 +9,12 @@ artifacts carry a top-level "schema": "percolab/1".
 
 import argparse
 import json
-import math
 import sys
 
 from . import experiment, graph, lemmas, percolate
 from .certify import certify as run_certify
 from .certify import tightest_profile
-from .errors import InvalidParameter, PercolabError, SampledModeUnavailable, require_finite
+from .errors import InvalidParameter, PercolabError, SampledModeUnavailable
 from .rng import derived
 
 _INT_FIELDS = {"n", "q", "seed"}
@@ -196,8 +195,7 @@ def cmd_lemma(args) -> int:
         report = lemmas.xi_count_check(g, _random_u(g, size, args.u_seed),
                                        profile, alpha=args.alpha)
     elif args.which == "outer":
-        require_finite(epsilon=args.epsilon)
-        size = math.ceil(args.epsilon / args.p)
+        size = lemmas.ceil_eps_over_p(args.epsilon, args.p)
         c_set = lemmas.grow_connected_set(g, args.root, size)
         report = lemmas.outer_complement_check(g, c_set, profile, args.epsilon)
     else:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .certify import PseudoRandomProfile, hd_check, tightest_profile
 from .errors import InvalidParameter, NotCertified, RhoOutOfRange, require_density, require_finite
 from .graph import Graph, GeneratorSpec, generate, load_edge_list
-from .lemmas import grow_connected_set, outer_complement_check
+from .lemmas import ceil_eps_over_p, grow_connected_set, outer_complement_check
 from .percolate import BernoulliStream, PercolationOutcome, dfs_percolate, largest_two
 
 SCHEMA = "percolab/1"
@@ -111,10 +111,15 @@ def _thresholds(n: int, p: float, epsilon: float) -> Tuple[int, float]:
     """(giant_size, l2_bound): the L1 a giant must reach, ceil(eps/p), and the
     (4/eps^2)(ln n)^2 that L2 should stay below."""
     require_density(p)
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise InvalidParameter(f"epsilon must be finite and > 0, got {epsilon}")
-    l2_bound = (4.0 / epsilon ** 2) * math.log(n) ** 2 if n > 1 else 0.0
-    return math.ceil(epsilon / p), l2_bound
+    giant_size = ceil_eps_over_p(epsilon, p)
+    l2_bound = 0.0
+    if n > 1:
+        try:
+            l2_bound = (4.0 / epsilon ** 2) * math.log(n) ** 2
+        except (ZeroDivisionError, OverflowError):
+            raise InvalidParameter(f"eps^2 underflows or overflows at epsilon = {epsilon}") from None
+        require_finite(l2_bound=l2_bound)
+    return giant_size, l2_bound
 
 
 def _measure(g: Graph, rho: float, seed: int) -> Tuple[PercolationOutcome, int, int]:

@@ -133,6 +133,7 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
     if not c < m * p <= 1.0 / 3.0:
         raise PreconditionViolated(f"need c < m*p <= 1/3, got m*p = {m * p}")
     bound = (1.0 - alpha0) * (n * p * m - n * p * p * m * m / 2.0)
+    require_finite(bound=bound)
     params = {"p": p, "a_n": profile.a_n, "b_n": profile.b_n, "m": m,
               "alpha0": alpha0, "c": c, "mode": mode}
 
@@ -163,55 +164,28 @@ def _dense_adjacency(g: Graph) -> np.ndarray:
 
 
 def _expansion_scan_all(g: Graph, m: int):
+    """min |N(H)| over all |H| = m and its first lexicographic witness. Each
+    (m-1)-prefix ORs its rows once; the last member ranges over the later
+    vertices in one vectorized step."""
     n = g.n
     A = _dense_adjacency(g)
     worst = n + 1
     witness = ()
-    if m == 1:
-        deg = A.sum(axis=1)
-        i = int(np.argmin(deg))
-        return int(deg[i]), (i,)
-    if m == 2:
-        for i in range(n - 1):
-            union = A[i] | A[i + 1:]
-            # members of H inside the union: union[i] and union[j] both equal A[i, j]
-            sizes = union.sum(axis=1) - 2 * A[i, i + 1:]
-            j = int(np.argmin(sizes))
-            if sizes[j] < worst:
-                worst = int(sizes[j])
-                witness = (i, i + 1 + j)
-        return worst, witness
-    if m == 3:
-        for i in range(n - 2):
-            Ai = A[i]
-            for j in range(i + 1, n - 1):
-                u2 = Ai | A[j]
-                u3 = u2[None, :] | A[j + 1:]
-                sizes = u3.sum(axis=1)
-                # subtract members of H = {i, j, k} that land in the union
-                sizes -= (u2[i] | A[j + 1:, i]).astype(np.int64)
-                sizes -= (u2[j] | A[j + 1:, j]).astype(np.int64)
-                sizes -= u2[j + 1:].astype(np.int64)
-                k = int(np.argmin(sizes))
-                if sizes[k] < worst:
-                    worst = int(sizes[k])
-                    witness = (i, j, j + 1 + k)
-        return worst, witness
-    # generic fallback for m >= 4 (cap keeps the count manageable)
-    for combo in itertools.combinations(range(n), m):
-        size = _neighborhood_dense(A, combo)
-        if size < worst:
-            worst = size
-            witness = combo
+    for prefix in itertools.combinations(range(n - 1), m - 1):
+        lo = prefix[-1] + 1 if prefix else 0
+        u = np.zeros(n, dtype=bool)
+        for h in prefix:
+            u |= A[h]
+        sizes = (u | A[lo:]).sum(axis=1)
+        # subtract the members of H that land in the union
+        for h in prefix:
+            sizes -= u[h] | A[lo:, h]
+        sizes -= u[lo:]
+        k = int(np.argmin(sizes))
+        if sizes[k] < worst:
+            worst = int(sizes[k])
+            witness = (*prefix, lo + k)
     return worst, witness
-
-
-def _neighborhood_dense(A: np.ndarray, H) -> int:
-    mask = np.zeros(A.shape[0], dtype=bool)
-    for v in H:
-        mask |= A[v]
-    mask[list(H)] = False
-    return int(mask.sum())
 
 
 def _expansion_scan_sampled(g: Graph, m: int, samples: int, seed: int):
@@ -340,6 +314,18 @@ def _bfs(g: Graph, root: int, allowed: Optional[set], limit: int) -> List[int]:
     return order
 
 
+def ceil_eps_over_p(epsilon: float, p: float) -> int:
+    """ceil(eps/p): the L1 a giant must reach, and the size of the connected
+    set C of the outer-complement bound. Needs a finite eps > 0 and a finite
+    quotient."""
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise InvalidParameter(f"epsilon must be finite and > 0, got {epsilon}")
+    quotient = epsilon / p
+    if not math.isfinite(quotient):
+        raise InvalidParameter(f"eps/p must be finite, got {epsilon}/{p} = {quotient}")
+    return math.ceil(quotient)
+
+
 def outer_complement_check(g: Graph, C: Sequence[int], profile,
                            epsilon: float) -> LemmaReport:
     """Exact count of vertices neither in C nor adjacent to C, against
@@ -349,7 +335,7 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     tolerance). The looser variant with eps^2 instead of eps^2/2 is evaluated
     alongside and echoed in the parameters.
     """
-    require_finite(epsilon=epsilon)
+    target = ceil_eps_over_p(epsilon, profile.p)
     _require_certified(profile, need_a3=False)
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     cs = sorted({int(v) for v in C})
@@ -357,7 +343,6 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
         raise EmptySet("C must be nonempty")
     if not _is_connected_induced(g, cs):
         raise NotConnected("C does not induce a connected subgraph")
-    target = math.ceil(epsilon / p)
     if abs(len(cs) - target) > 1:
         raise SizeMismatch(f"|C| = {len(cs)}, need ceil(eps/p) = {target} (+/- 1)")
     nbhd = neighborhood_size(g, cs)

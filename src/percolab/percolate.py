@@ -2,18 +2,23 @@
 
 The explorer maintains four disjoint vertex sets: S (fully explored), T (not
 yet visited), U (the stack), W (queried and rejected). One retention bit is
-consumed per vertex, at the moment it leaves T:
+consumed per vertex, at the moment it leaves T, so exactly n bits are
+consumed in all:
 
-  * U empty: the least-index vertex of T is queried; retained vertices open
-    a new epoch, rejected ones go to W.
-  * U nonempty: the T-neighbors of the top of the stack are scanned in
-    ascending index, one bit per discovered neighbor; a top with no
-    T-neighbor moves to S.
-  * Termination when U and T are both empty; exactly n bits were consumed.
+  * Roots: a loop over the vertices in ascending index queries each one
+    still in T when U is empty; a retained root opens a new epoch, a
+    rejected one goes to W.
+  * U is a stack of neighbor-list iterators, one per retained vertex on it.
+    The top iterator yields its vertex's neighbors in ascending index and
+    queries each one still in T; the first retained one is pushed, and an
+    exhausted iterator is popped (its vertex moves to S). Because T only
+    shrinks, an iterator resumed after a pop never misses a T-neighbor.
 
 An epoch is the interval between two consecutive emptyings of U, recorded as
 (start, end) 0-based query indices; each epoch reveals exactly one connected
-component of the induced subgraph on retained vertices.
+component of the induced subgraph on retained vertices. The retained set is
+the union of the components, and the rejected set W is derived from it as the
+complement.
 
 Bit streams come in two modes. uniform_threshold (default) draws one uniform
 u_v per vertex from the root stream of the seed and retains v iff u_v < rho;
@@ -59,98 +64,65 @@ class BernoulliStream:
 @dataclass
 class PercolationOutcome:
     retained: List[int]
-    rejected: List[int]
     components: List[List[int]]
     epochs: List[Tuple[int, int]]
     bits_consumed: int
     rho: float
     seed: int = 0
 
+    @property
+    def rejected(self) -> List[int]:
+        """The queried vertices that were not retained, in ascending order."""
+        kept = set(self.retained)
+        return [v for v in range(self.bits_consumed) if v not in kept]
+
 
 def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
     """Run the four-set exploration; deterministic given (g, stream)."""
     n = g.n
-    if stream.mode == EXPLICIT_BITS:
+    explicit = stream.mode == EXPLICIT_BITS
+    if explicit:
         if len(stream.bits) != n:
             raise StreamLengthMismatch(
                 f"stream length {len(stream.bits)} != n = {n}")
-        positional = [bool(b) for b in stream.bits]
-        vertex_bits = None
+        bits = [bool(b) for b in stream.bits]  # indexed by query number
     else:
-        positional = None
-        vertex_bits = (uniforms(stream.seed, n) < stream.rho).tolist()
+        bits = (uniforms(stream.seed, n) < stream.rho).tolist()  # indexed by vertex
 
     offsets = g.offsets
     nbrs = g.neighbors
     in_t = [True] * n
-    retained: List[int] = []
-    rejected: List[int] = []
     components: List[List[int]] = []
     epochs: List[Tuple[int, int]] = []
-    stack_v: List[int] = []
-    stack_adj: List[list] = []
-    stack_cur: List[int] = []
-    cur_comp: List[int] = []
-    cur_start = 0
     q = 0  # queries so far = bits consumed
-    t_cursor = 0
-
-    while True:
-        if not stack_v:
-            while t_cursor < n and not in_t[t_cursor]:
-                t_cursor += 1
-            if t_cursor >= n:
-                break
-            v = t_cursor
-            in_t[v] = False
-            bit = positional[q] if positional is not None else vertex_bits[v]
-            q += 1
-            if bit:
-                retained.append(v)
-                cur_comp = [v]
-                cur_start = q - 1
-                stack_v.append(v)
-                stack_adj.append(nbrs[offsets[v]:offsets[v + 1]].tolist())
-                stack_cur.append(0)
+    for r in range(n):
+        if not in_t[r]:
+            continue
+        in_t[r] = False
+        start = q
+        q += 1
+        if not bits[start if explicit else r]:
+            continue
+        comp = [r]
+        stack = [iter(nbrs[offsets[r]:offsets[r + 1]].tolist())]
+        while stack:
+            for w in stack[-1]:
+                if in_t[w]:
+                    in_t[w] = False
+                    q += 1
+                    if bits[q - 1 if explicit else w]:
+                        comp.append(w)
+                        stack.append(iter(nbrs[offsets[w]:offsets[w + 1]].tolist()))
+                        break
             else:
-                rejected.append(v)
-        else:
-            adj = stack_adj[-1]
-            cur = stack_cur[-1]
-            la = len(adj)
-            # skip neighbors no longer in T; T only shrinks, so the skipped
-            # prefix never becomes valid again and the cursor is safe to keep
-            while cur < la and not in_t[adj[cur]]:
-                cur += 1
-            if cur < la:
-                w = adj[cur]
-                stack_cur[-1] = cur + 1
-                in_t[w] = False
-                bit = positional[q] if positional is not None else vertex_bits[w]
-                q += 1
-                if bit:
-                    retained.append(w)
-                    cur_comp.append(w)
-                    stack_v.append(w)
-                    stack_adj.append(nbrs[offsets[w]:offsets[w + 1]].tolist())
-                    stack_cur.append(0)
-                else:
-                    rejected.append(w)
-            else:
-                stack_v.pop()
-                stack_adj.pop()
-                stack_cur.pop()
-                if not stack_v:
-                    cur_comp.sort()
-                    components.append(cur_comp)
-                    epochs.append((cur_start, q - 1))
-                    cur_comp = []
-
-    retained.sort()
-    rejected.sort()
+                stack.pop()
+        comp.sort()
+        components.append(comp)
+        epochs.append((start, q - 1))
+    retained = sorted(v for comp in components for v in comp)
     return PercolationOutcome(
-        retained=retained, rejected=rejected, components=components,
-        epochs=epochs, bits_consumed=q, rho=stream.rho, seed=stream.seed)
+        retained=retained, components=components, epochs=epochs,
+        bits_consumed=q, rho=stream.rho, seed=stream.seed)
 
 
 class _UnionFind:

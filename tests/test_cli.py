@@ -308,6 +308,7 @@ BAD_INPUT = {
     "xi-alpha-nan": f"lemma --which xi {GEN} --p 0.1 --alpha nan",  # exit 1, NaN in JSON
     "expansion-alpha0-nan": f"lemma --which expansion {GEN} --p 0.1 --alpha0 nan",
     "outer-epsilon-nan": f"lemma --which outer {GEN} --p 0.1 --epsilon nan",
+    "outer-epsilon-0": f"lemma --which outer {GEN} --p 0.1 --epsilon 0",  # exit 0, vacuous bound
     "seeds-count-0": f"sweep {GEN} --p 0.1 --grid 1 --seeds 5:0",  # bare ValueError
     "gen-n-not-int": "certify --gen gnp:n=abc,p=0.1,seed=1 --p 0.1",
     "gen-p-not-float": "certify --gen gnp:n=50,p=x,seed=1 --p 0.1",
@@ -315,6 +316,11 @@ BAD_INPUT = {
     "percolate-seed-negative": f"percolate {GEN} --rho 0.5 --seed -1",
     "grid-not-float": f"sweep {GEN} --p 0.1 --grid 1,x",
     "h-not-int": f"lemma --which incl-excl {GEN} --p 0.1 --h 0,x",
+    "sweep-epsilon-1e-200": f"sweep {GEN} --p 0.1 --grid 1 --epsilon 1e-200",  # ZeroDivisionError
+    "sweep-epsilon-1e-160": f"sweep {GEN} --p 0.1 --grid 1 --epsilon 1e-160",  # inf L2 bound
+    "sub-epsilon-1e300": f"trial sub {GEN} --p 0.1 --epsilon 1e300",  # OverflowError in eps**2
+    "trial-p-1e-310": f"trial super {GEN} --p 1e-310",  # OverflowError in ceil(eps/p)
+    "expansion-alpha0-1e308": f"lemma --which expansion {GEN} --p 0.1 --alpha0 1e308",  # -inf
 }
 
 

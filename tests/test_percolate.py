@@ -265,7 +265,7 @@ def test_oracle_components_against_bfs():
 
 def test_largest_two():
     def wrap(comps):
-        return PercolationOutcome(retained=[], rejected=[], components=comps,
+        return PercolationOutcome(retained=[], components=comps,
                                   epochs=[], bits_consumed=0, rho=0.0)
     assert largest_two(wrap([[0, 1], [3]])) == (2, 1)
     assert largest_two(wrap([])) == (0, 0)
@@ -347,13 +347,19 @@ def percolation_cases(draw):
     return g, lo, hi, draw(st.integers(0, 2 ** 32 - 1))
 
 
+def whole(out):
+    return out.retained, out.rejected, out.components, out.epochs, out.bits_consumed
+
+
 @settings(max_examples=200, deadline=None)
-@given(percolation_cases())
-def test_dfs_matches_oracles_and_nests_across_rho(case):
+@given(percolation_cases(), st.data())
+def test_dfs_matches_oracles_and_nests_across_rho(case, data):
     g, lo, hi, seed = case
     edges = edge_set(g)
+    u = u01(seed, g.n)
     runs = [dfs_percolate(g, BernoulliStream(rho=rho, seed=seed)) for rho in (lo, hi)]
-    for out in runs:
+    for rho, out in zip((lo, hi), runs):
+        assert whole(out) == reference_percolate(g, lambda v, _q: bool(u[v] < rho))
         assert out.bits_consumed == g.n
         assert out.components == oracle_components(g, out.retained)
         kept = set(out.retained)
@@ -362,3 +368,6 @@ def test_dfs_matches_oracles_and_nests_across_rho(case):
         induced.add_edges_from(e for e in edges if kept.issuperset(e))
         assert out.components == sorted(sorted(c) for c in nx.connected_components(induced))
     assert set(runs[0].retained) <= set(runs[1].retained)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
+    out = dfs_percolate(g, BernoulliStream(rho=lo, mode="explicit_bits", bits=bits))
+    assert whole(out) == reference_percolate(g, lambda _v, q: bool(bits[q]))
