@@ -18,14 +18,15 @@ worst ratio max_{v in U} d(v, U) / (p|U|). "falsified" is a sound verdict;
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from . import graph
 from .errors import (InvalidParameter, SampledModeUnavailable, SubsetTooSmall,
                      require_density, require_finite)
-from .graph import EXACT_CODEGREE_CAP, CoDegreeResult, Graph, degrees_into, max_co_degree
+from .graph import CoDegreeResult, Graph, degrees_into, max_co_degree
 from .rng import derived
 
 
@@ -43,58 +44,48 @@ class PseudoRandomProfile:
     a2: Optional[bool]  # None in sampled mode: not falsified, not decided
     a3: bool
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "p": self.p,
-                "a_n": self.a_n,
-                "b_n": self.b_n,
-                "min_degree": self.min_degree,
-                "max_degree": self.max_degree,
-                "max_codegree": self.max_codegree,
-                "codegree_mode": self.codegree_mode,
-                "a1": self.a1,
-                "a2": self.a2,
-                "a3": self.a3,
-            },
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def certify(g: Graph, p: float, a_n: float, b_n: float,
-            exact_cap: int = EXACT_CODEGREE_CAP) -> PseudoRandomProfile:
+def certify(g: Graph, p: float, a_n: float, b_n: float) -> PseudoRandomProfile:
     """Measure degree/co-degree extremes and evaluate the three verdicts."""
     require_density(p)
     require_finite(a_n=a_n, b_n=b_n)
-    return _verdicts(g, p, a_n, b_n, max_co_degree(g, exact_cap=exact_cap))
+    return _verdicts(g, p, a_n, b_n, max_co_degree(g))
 
 
-def estimate_slacks(g: Graph, p: float,
-                    exact_cap: int = EXACT_CODEGREE_CAP) -> Tuple[float, float]:
+def require_exact_codegree(g: Graph):
+    """Refuse a graph whose co-degree scan would be sampled: beyond
+    graph.EXACT_CODEGREE_CAP the tight slacks are undefined."""
+    if g.n > graph.EXACT_CODEGREE_CAP:
+        raise SampledModeUnavailable(
+            f"exact co-degree needs n <= {graph.EXACT_CODEGREE_CAP}, got {g.n}")
+
+
+def estimate_slacks(g: Graph, p: float) -> Tuple[float, float]:
     """Tightest (a_n, b_n) making all three verdicts strictly true.
 
     Starts from the measured gaps and nudges upward by ulps until the strict
     inequalities hold, so certify(g, p, a_n, b_n) round-trips to all-true.
     """
     require_density(p)
-    if g.n > exact_cap:
-        raise SampledModeUnavailable(
-            f"exact co-degree needs n <= {exact_cap}, got {g.n}")
-    return _slacks(g, p, max_co_degree(g, exact_cap=exact_cap))
+    require_exact_codegree(g)
+    return _slacks(g, p, max_co_degree(g))
 
 
-def tightest_profile(g: Graph, p: float,
-                     exact_cap: int = EXACT_CODEGREE_CAP) -> PseudoRandomProfile:
+def tightest_profile(g: Graph, p: float) -> PseudoRandomProfile:
     """certify(g, p, *estimate_slacks(g, p)) from one co-degree scan.
 
-    Beyond exact_cap the scan is sampled: b_n is then fitted to a lower bound
-    of the maximum co-degree, and a2 comes out None (not falsified).
+    Beyond graph.EXACT_CODEGREE_CAP the scan is sampled: b_n is then fitted
+    to a lower bound of the maximum co-degree, and a2 comes out None (not
+    falsified).
     """
     require_density(p)
-    co = max_co_degree(g, exact_cap=exact_cap)
+    co = max_co_degree(g)
     a_n, b_n = _slacks(g, p, co)
     return _verdicts(g, p, a_n, b_n, co)
 

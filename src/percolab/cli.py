@@ -4,17 +4,19 @@ Subcommands: generate, certify, percolate, lemma, sweep, trial. Graphs come
 either from an edge-list file (--graph) or a compact generator spec (--gen),
 e.g. --gen gnp:n=2000,p=0.05,seed=7 or --gen paley:q=13. Seed blocks are
 either comma lists (--seeds 1,2,3) or base:count (--seeds 1000:200). All JSON
-artifacts carry a top-level "schema": "percolab/1".
+artifacts carry a top-level "schema": "percolab/1". Exit code 2 means an
+input error, a file that cannot be read or written included; exit code 1
+means a lemma check evaluated false.
 """
 
 import argparse
-import json
 import sys
 
 from . import experiment, graph, lemmas, percolate
 from .certify import certify as run_certify
-from .certify import tightest_profile
-from .errors import InvalidParameter, PercolabError, SampledModeUnavailable
+from .certify import require_exact_codegree, tightest_profile
+from .errors import InvalidParameter, PercolabError
+from .experiment import write_json
 from .rng import derived
 
 _INT_FIELDS = {"n", "q", "seed"}
@@ -32,8 +34,6 @@ def parse_gen(text: str) -> graph.GeneratorSpec:
                 kwargs[key] = _number(int, val, f"--gen {key}")
             elif key == "p":
                 kwargs[key] = _number(float, val, "--gen p")
-            elif key == "path":
-                kwargs[key] = val
             else:
                 raise PercolabError(f"unknown --gen key {key!r}")
     return graph.GeneratorSpec(kind=kind, **kwargs)
@@ -61,21 +61,10 @@ def _load_graph(args) -> graph.Graph:
     raise PercolabError("need --graph or --gen")
 
 
-def _emit(payload: dict, out):
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _profile_for(args, g):
     if args.a is not None and args.b is not None:
         return run_certify(g, args.p, args.a, args.b)
-    if g.n > graph.EXACT_CODEGREE_CAP:
-        raise SampledModeUnavailable(
-            f"exact co-degree needs n <= {graph.EXACT_CODEGREE_CAP}, got {g.n}")
+    require_exact_codegree(g)
     return tightest_profile(g, args.p)
 
 
@@ -109,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pc)
     pc.add_argument("--rho", type=float, required=True)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--emit", help="write components JSON here")
 
     lm = sp.add_parser("lemma", help="bound checks with witnesses")
     _add_common(lm, p=True, epsilon=True)
@@ -151,7 +139,7 @@ def cmd_generate(args) -> int:
 def cmd_certify(args) -> int:
     g = _load_graph(args)
     profile = _profile_for(args, g)
-    _emit(json.loads(profile.to_json()), args.out)
+    write_json(profile.to_dict(), args.out)
     return 0
 
 
@@ -168,12 +156,10 @@ def cmd_percolate(args) -> int:
         "components": outcome.components,
         "epochs": [list(e) for e in outcome.epochs],
     }
-    if args.emit:
-        _emit(payload, args.emit)
+    if args.out:
+        write_json(payload, args.out)
     sys.stdout.write(f"retained {len(outcome.retained)} of {g.n}, "
                      f"L1 = {l1}, L2 = {l2}, components = {len(outcome.components)}\n")
-    if args.out:
-        _emit(payload, args.out)
     return 0
 
 
@@ -203,8 +189,7 @@ def cmd_lemma(args) -> int:
             raise PercolabError("incl-excl needs --h v1,v2,...")
         H = [_number(int, v, "--h") for v in args.h.split(",")]
         report = lemmas.inclusion_exclusion_check(g, H)
-    payload = dict(report.to_dict(), schema=experiment.SCHEMA)
-    _emit(payload, args.out)
+    write_json(dict(report.to_dict(), schema=experiment.SCHEMA), args.out)
     return 0 if report.passed else 1
 
 
@@ -212,9 +197,8 @@ def cmd_sweep(args) -> int:
     grid = [_number(float, c, "--grid") for c in args.grid.split(",")]
     out = args.out or "sweep"
     cfg = experiment.SweepConfig(
-        source=args.graph if args.graph else parse_gen(args.gen),
-        p=args.p, rho_grid=grid, seeds=args.seeds, epsilon=args.epsilon,
-        clip_rho=args.clip_rho, out=out)
+        source=_load_graph(args), p=args.p, rho_grid=grid, seeds=args.seeds,
+        epsilon=args.epsilon, clip_rho=args.clip_rho, out=out)
     result = experiment.run_sweep(cfg)
     stars = "none" if result.c_star is None else repr(result.c_star)
     sys.stdout.write(f"{len(result.rows)} runs -> {out}.csv / {out}.json "
@@ -232,7 +216,7 @@ def cmd_trial(args) -> int:
         beta = args.beta if args.beta is not None else args.epsilon ** 5
         summary = experiment.hd_uniqueness_trial(g, args.p, args.epsilon, beta,
                                                  args.seeds)
-    _emit(summary.to_dict(), args.out)
+    write_json(summary.to_dict(), args.out)
     return 0
 
 
@@ -250,7 +234,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PercolabError as exc:
+    except (PercolabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

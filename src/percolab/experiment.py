@@ -20,12 +20,13 @@ emitted artifact embeds the certification profile it ran under.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .certify import PseudoRandomProfile, hd_check, tightest_profile
 from .errors import InvalidParameter, NotCertified, RhoOutOfRange, require_density, require_finite
-from .graph import Graph, GeneratorSpec, generate, load_edge_list
+from .graph import Graph
 from .lemmas import ceil_eps_over_p, grow_connected_set, outer_complement_check
 from .percolate import BernoulliStream, PercolationOutcome, dfs_percolate, largest_two
 
@@ -45,14 +46,6 @@ def seed_block(seeds: Union[Sequence[int], Tuple[int, int]]) -> List[int]:
     return out
 
 
-def resolve_graph(source: Union[GeneratorSpec, str, Graph]) -> Graph:
-    if isinstance(source, Graph):
-        return source
-    if isinstance(source, GeneratorSpec):
-        return generate(source)
-    return load_edge_list(source)
-
-
 def derive_profile(g: Graph, p: float) -> PseudoRandomProfile:
     """Certification attached to every experiment: tightest slacks when the
     exact co-degree scan is feasible, measured-lower-bound slacks (sampled
@@ -62,7 +55,7 @@ def derive_profile(g: Graph, p: float) -> PseudoRandomProfile:
 
 @dataclass
 class SweepConfig:
-    source: Union[GeneratorSpec, str, Graph]
+    source: Graph
     p: float
     rho_grid: List[float]  # multipliers c, rho = c/(np)
     seeds: Union[Sequence[int], Tuple[int, int]]
@@ -151,7 +144,7 @@ def aggregate_rows(rows: List[SweepRow], giant_size: int, l2_bound: float) -> Di
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    g = resolve_graph(cfg.source)
+    g = cfg.source
     giant_size, l2_bound = _thresholds(g.n, cfg.p, cfg.epsilon)
     seeds = seed_block(cfg.seeds)
     rhos = [_rho_for(c, g.n, cfg.p, cfg.clip_rho) for c in cfg.rho_grid]
@@ -193,9 +186,9 @@ def emit_json(result: SweepResult, path):
         "l2_bound": result.l2_bound,
         "aggregates": {repr(c): a for c, a in result.aggregates.items()},
         "c_star": result.c_star,
-        "profile": json.loads(result.profile.to_json()),
+        "profile": result.profile.to_dict(),
     }
-    _write_json(payload, path)
+    write_json(payload, path)
 
 
 @dataclass
@@ -241,7 +234,7 @@ class TrialSummary:
             "frac_small": self.frac_small,
             "max_L1": self.max_L1,
             "frac_outer_ok": self.frac_outer_ok,
-            "profile": json.loads(self.profile.to_json()),
+            "profile": self.profile.to_dict(),
             "rows": [[r.seed, r.retained, r.L1, r.L2, r.outer_ok] for r in self.rows],
         }
         if self.kind == "hd":
@@ -323,9 +316,15 @@ def _trial(kind: str, g: Graph, p: float, epsilon: float, seeds, profile, check_
 
 
 def emit_trial_json(summary: TrialSummary, path):
-    _write_json(summary.to_dict(), path)
+    write_json(summary.to_dict(), path)
 
 
-def _write_json(payload: dict, path):
+def write_json(payload: dict, path=None):
+    """The one writer of JSON artifacts: strict (NaN and inf raise ValueError),
+    keys sorted, indented, newline-terminated; stdout when no path is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        fh.write(text)

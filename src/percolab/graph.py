@@ -30,6 +30,7 @@ from .errors import (
 from .rng import derived, generator
 
 # Expected-edge ceiling for generators; n**2 bits ceiling for exact co-degree.
+# Both are read at call time, so a caller may rebind them on this module.
 DEFAULT_EDGE_CAP = 50_000_000
 EXACT_CODEGREE_CAP = 20_000
 
@@ -82,7 +83,6 @@ class GeneratorSpec:
     p: Optional[float] = None
     q: Optional[int] = None
     seed: Optional[int] = None
-    path: Optional[str] = None
 
 
 _KIND_FIELDS = {
@@ -90,7 +90,6 @@ _KIND_FIELDS = {
     "complete": {"n"},
     "paley": {"q"},
     "near_regular_perturbed": {"n", "p", "seed"},
-    "from_file": {"path"},
 }
 
 
@@ -98,7 +97,7 @@ def _validate_spec(spec: GeneratorSpec):
     if spec.kind not in _KIND_FIELDS:
         raise InvalidSpec(f"unknown kind {spec.kind!r}")
     needed = _KIND_FIELDS[spec.kind]
-    given = {f for f in ("n", "p", "q", "seed", "path") if getattr(spec, f) is not None}
+    given = {f for f in ("n", "p", "q", "seed") if getattr(spec, f) is not None}
     if given != needed:
         raise InvalidSpec(f"kind {spec.kind!r} needs exactly {sorted(needed)}, got {sorted(given)}")
     if "n" in needed and spec.n < 0:
@@ -125,30 +124,29 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def generate(spec: GeneratorSpec, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
-    """Build the graph described by `spec`; pure function of its parameters."""
+def generate(spec: GeneratorSpec) -> Graph:
+    """Build the graph described by `spec`; pure function of its parameters.
+    Refused when the expected edge count exceeds DEFAULT_EDGE_CAP."""
     _validate_spec(spec)
     if spec.kind == "gnp":
-        _check_cap(spec.n * (spec.n - 1) / 2 * spec.p, edge_cap)
+        _check_cap(spec.n * (spec.n - 1) / 2 * spec.p)
         eu, ev = _gnp_pairs(spec.n, spec.p, spec.seed)
         return _from_edge_arrays(spec.n, eu, ev)
     if spec.kind == "complete":
-        _check_cap(spec.n * (spec.n - 1) / 2, edge_cap)
+        _check_cap(spec.n * (spec.n - 1) / 2)
         eu, ev = _complete_pairs(spec.n)
         return _from_edge_arrays(spec.n, eu, ev)
     if spec.kind == "paley":
-        _check_cap(spec.q * (spec.q - 1) / 4, edge_cap)
+        _check_cap(spec.q * (spec.q - 1) / 4)
         eu, ev = _paley_pairs(spec.q)
         return _from_edge_arrays(spec.q, eu, ev)
-    if spec.kind == "near_regular_perturbed":
-        _check_cap(spec.n * (spec.n - 1) / 2 * spec.p, edge_cap)
-        return _near_regular_perturbed(spec.n, spec.p, spec.seed)
-    return load_edge_list(spec.path)
+    _check_cap(spec.n * (spec.n - 1) / 2 * spec.p)
+    return _near_regular_perturbed(spec.n, spec.p, spec.seed)
 
 
-def _check_cap(expected_edges: float, cap: int):
-    if expected_edges > cap:
-        raise ResourceLimit(f"expected {expected_edges:.3g} edges exceeds cap {cap}")
+def _check_cap(expected_edges: float):
+    if expected_edges > DEFAULT_EDGE_CAP:
+        raise ResourceLimit(f"expected {expected_edges:.3g} edges exceeds cap {DEFAULT_EDGE_CAP}")
 
 
 def _from_edge_arrays(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
@@ -264,21 +262,21 @@ class CoDegreeResult:
     mode: str  # "exact" | "sampled"
 
 
-def max_co_degree(g: Graph, exact_cap: int = EXACT_CODEGREE_CAP,
-                  sample_pairs: int = 50_000) -> CoDegreeResult:
+def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     """Maximum co-degree over unordered pairs, with one attaining pair.
 
-    Exact strategy (n <= exact_cap): one packed bitset row per vertex (n**2
-    bits total) and popcounted row ANDs; runtime grows like n**3, several
-    minutes near the default cap. Beyond the cap: exact intersection counts
-    over `sample_pairs` sampled pairs plus all pairs among the top-degree 1%
-    of vertices, mode flagged "sampled" (a lower bound on the true maximum).
+    Exact strategy (n <= EXACT_CODEGREE_CAP): one packed bitset row per
+    vertex (n**2 bits total) and popcounted row ANDs; runtime grows like
+    n**3, several minutes near the default cap. Beyond the cap: exact
+    intersection counts over `sample_pairs` sampled pairs plus all pairs
+    among the top-degree 1% of vertices, mode flagged "sampled" (a lower
+    bound on the true maximum).
     Deterministic for a given graph; the sampling stream is keyed by
     (n, edge_count).
     """
     if g.n < 2:
         raise GraphTooSmall("max_co_degree needs n >= 2")
-    if g.n <= exact_cap:
+    if g.n <= EXACT_CODEGREE_CAP:
         value, pair = _max_codegree_among(g, np.arange(g.n))
         return CoDegreeResult(value=value, pair=pair, mode="exact")
     value, pair = _max_codegree_sampled(g, sample_pairs)

@@ -117,12 +117,12 @@ def _require_certified(profile, need_a3: bool):
 
 def expansion_check(g: Graph, profile, m: int, alpha0: float,
                     mode: str = "exhaustive", c: float = 1e-3,
-                    samples: int = 10_000, seed: int = 0,
-                    set_cap: int = EXHAUSTIVE_SET_CAP) -> LemmaReport:
+                    samples: int = 10_000, seed: int = 0) -> LemmaReport:
     """No vertex set H with |H| = m has |N_G(H)| < (1-alpha0)(npm - np^2 m^2/2).
 
     Requires c < m*p <= 1/3 for the supplied c in (0, 1/3). Exhaustive mode
-    proves the verdict over all C(n, m) sets (refused above `set_cap`);
+    proves the verdict over all C(n, m) sets (refused above
+    EXHAUSTIVE_SET_CAP, read at call time);
     sampled mode tries `samples` random sets plus one greedy adversarial set
     and can only falsify.
     """
@@ -139,8 +139,8 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
 
     if mode == "exhaustive":
         total = math.comb(n, m)
-        if total > set_cap:
-            raise CombinationOverflow(f"C({n},{m}) = {total} exceeds cap {set_cap}")
+        if total > EXHAUSTIVE_SET_CAP:
+            raise CombinationOverflow(f"C({n},{m}) = {total} exceeds cap {EXHAUSTIVE_SET_CAP}")
         worst, witness_set = _expansion_scan_all(g, m)
         checked = total
     elif mode == "sampled":
@@ -241,10 +241,12 @@ def variance_bound_check(g: Graph, U: Sequence[int], profile) -> LemmaReport:
     u = len(us)
     rhs = (p * (1 - p) * u + u * (a - b) / n + (b / n) * u * u
            + 2 * (a * p / n) * u - (a * a * u * u) / (n * n)) if n else 0.0
+    require_finite(bound=rhs)
     remark_rhs = None
     remark_passed = None
     if n and 2 * u >= n:
         remark_rhs = 2 * p * u + (3 * b / n) * u * u
+        require_finite(remark_bound=remark_rhs)
         remark_passed = bool(var <= remark_rhs)
     passed = var <= rhs
     params = {"p": p, "a_n": a, "b_n": b, "u_size": u,
@@ -266,12 +268,16 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
         raise USmall(f"|U| = {len(us)} < n/2 = {n / 2}")
     if a > alpha * p * n / 2:
         raise SlackTooLarge(f"a_n = {a} > alpha*p*n/2 = {alpha * p * n / 2}")
+    threshold = (1 + alpha) * p * len(us)
+    try:
+        bound = 4.0 / (alpha * p) ** 2 * (4 * p + 12 * b)
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidParameter(f"(alpha p)^2 overflows or underflows at alpha = {alpha}") from None
+    require_finite(threshold=threshold, bound=bound)
     mask = np.zeros(n, dtype=bool)
     mask[us] = True
     d = degrees_into(g, mask)
-    threshold = (1 + alpha) * p * len(us)
     xi = int((d >= threshold).sum())
-    bound = 4.0 / (alpha * p) ** 2 * (4 * p + 12 * b)
     passed = xi <= bound
     witness = None
     if not passed:
@@ -350,6 +356,7 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     l_n = a / n + (epsilon / 2) * b / (n * p * p)
     bound_proof = n * (1 - epsilon + epsilon ** 2 / 2 + epsilon * l_n)
     bound_statement = n * (1 - epsilon + epsilon ** 2 + epsilon * l_n)
+    require_finite(l_n=l_n, bound=bound_proof, bound_statement=bound_statement)
     passed = outer <= bound_proof
     params = {"p": p, "a_n": a, "b_n": b, "epsilon": epsilon, "l_n": l_n,
               "c_size": len(cs), "c_size_target": target,

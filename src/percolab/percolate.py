@@ -125,43 +125,45 @@ def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
         bits_consumed=q, rho=stream.rho, seed=stream.seed)
 
 
-class _UnionFind:
-    """Array union-find with path halving; used only as the oracle."""
-
-    def __init__(self, items):
-        self.parent = {v: v for v in items}
-
-    def find(self, v):
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def oracle_components(g: Graph, retained) -> List[List[int]]:
     """Connected components of G[retained] by union-find, ordered by minimum
-    vertex, each sorted. Independent of the DFS code path."""
+    vertex, each sorted. Independent of the DFS code path.
+
+    Vectorized over the CSR rows of the retained vertices: every round hooks
+    the larger root of each retained edge under the smaller one and then
+    compresses the pointers to fixed points, until every edge joins one root.
+    Pointers only go down, so each root is its component's minimum vertex.
+    """
     ret = sorted({int(v) for v in retained})
-    for v in ret:
+    for v in ret[:1] + ret[-1:]:
         if not 0 <= v < g.n:
             raise VertexOutOfRange(f"vertex {v} not in 0..{g.n - 1}")
+    if not ret:
+        return []
+    ret = np.array(ret, dtype=np.int64)
+    deg = g.offsets[ret + 1] - g.offsets[ret]
+    slots = np.arange(int(deg.sum())) + np.repeat(g.offsets[ret] - (np.cumsum(deg) - deg), deg)
+    u, v = np.repeat(ret, deg), g.neighbors[slots]
     in_r = np.zeros(g.n, dtype=bool)
     in_r[ret] = True
-    uf = _UnionFind(ret)
-    for v in ret:
-        for w in g.neighbors_of(v):
-            if w > v and in_r[w]:
-                uf.union(v, int(w))
-    groups = {}
-    for v in ret:
-        groups.setdefault(uf.find(v), []).append(v)
-    return sorted(groups.values(), key=lambda c: c[0])
+    keep = (u < v) & in_r[v]
+    u, v = u[keep], v[keep]
+    root = np.arange(g.n)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            hop = root[root]
+            if np.array_equal(hop, root):
+                break
+            root = hop
+    labels = root[ret]
+    order = np.argsort(labels, kind="stable")
+    members, labels = ret[order].tolist(), labels[order]
+    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(members)]
+    return [members[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def largest_two(outcome: PercolationOutcome) -> Tuple[int, int]:

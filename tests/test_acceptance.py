@@ -343,7 +343,7 @@ def test_criterion_11_determinism_and_coupling(tmp_path):
     emitted = []
     for tag in ("one", "two"):
         prefix = tmp_path / tag
-        run_sweep(SweepConfig(source=spec, p=0.01, rho_grid=[0.5, 1.0, 1.5],
+        run_sweep(SweepConfig(source=generate(spec), p=0.01, rho_grid=[0.5, 1.0, 1.5],
                               seeds=(11, 10), out=str(prefix)))
         emitted.append(((tmp_path / (tag + ".csv")).read_bytes(),
                         (tmp_path / (tag + ".json")).read_bytes()))

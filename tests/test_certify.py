@@ -107,18 +107,20 @@ def test_estimate_slacks_are_tight():
     assert shrunk.a2 is False
 
 
-def test_certify_sampled_mode_undecided_and_refuted():
+def test_certify_sampled_mode_undecided_and_refuted(monkeypatch):
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)
     g = star_graph(50)
-    prof = certify(g, 0.5, a_n=30.0, b_n=10.0, exact_cap=10)
+    prof = certify(g, 0.5, a_n=30.0, b_n=10.0)
     assert prof.codegree_mode == "sampled"
     assert prof.a2 is None  # lower bound 1 cannot refute 12.5 + 10
-    prof = certify(g, 0.5, a_n=30.0, b_n=-12.0, exact_cap=10)
+    prof = certify(g, 0.5, a_n=30.0, b_n=-12.0)
     assert prof.a2 is False  # even the sampled lower bound breaks 12.5 - 12
 
 
-def test_estimate_slacks_refuses_sampled_mode():
+def test_estimate_slacks_refuses_sampled_mode(monkeypatch):
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)
     with pytest.raises(SampledModeUnavailable):
-        estimate_slacks(star_graph(50), 0.5, exact_cap=10)
+        estimate_slacks(star_graph(50), 0.5)
 
 
 def test_profile_json_round_trip():

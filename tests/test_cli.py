@@ -128,10 +128,8 @@ def test_certify_without_graph_exits_2(capsys):
 
 def test_percolate_payload(tmp_path, capsys):
     out = tmp_path / "run.json"
-    emit = tmp_path / "emit.json"
     rc = cli.main(["percolate", "--gen", "gnp:n=400,p=0.05,seed=2",
-                   "--rho", "0.5", "--seed", "3",
-                   "--out", str(out), "--emit", str(emit)])
+                   "--rho", "0.5", "--seed", "3", "--out", str(out)])
     assert rc == 0
     g = generate(parse_gen("gnp:n=400,p=0.05,seed=2"))
     outcome = dfs_percolate(g, BernoulliStream(rho=0.5, seed=3))
@@ -144,7 +142,6 @@ def test_percolate_payload(tmp_path, capsys):
         "epochs": [list(e) for e in outcome.epochs],
     }
     assert json.loads(out.read_text()) == expected
-    assert json.loads(emit.read_text()) == expected
     assert f"retained {len(outcome.retained)} of 400" in capsys.readouterr().out
 
 
@@ -235,21 +232,27 @@ def test_lemma_outer_fail_exits_1(tmp_path):
 
 
 def test_sweep_files_match_direct_run(tmp_path, capsys):
-    cli_prefix = tmp_path / "cliout"
-    rc = cli.main(["sweep", "--gen", "gnp:n=200,p=0.05,seed=2", "--p", "0.05",
-                   "--grid", "0.5,1.5", "--seeds", "5:4", "--out", str(cli_prefix)])
+    sweep = ["sweep", "--p", "0.05", "--grid", "0.5,1.5", "--seeds", "5:4"]
+    rc = cli.main([*sweep, "--gen", "gnp:n=200,p=0.05,seed=2",
+                   "--out", str(tmp_path / "cliout")])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "8 runs ->" in stdout and "(c* =" in stdout
 
-    direct_prefix = tmp_path / "direct"
-    cfg = SweepConfig(source=GeneratorSpec(kind="gnp", n=200, p=0.05, seed=2),
-                      p=0.05, rho_grid=[0.5, 1.5], seeds=(5, 4),
-                      out=str(direct_prefix))
+    # the same host saved as an edge list and swept from the file
+    g = generate(GeneratorSpec(kind="gnp", n=200, p=0.05, seed=2))
+    save_edge_list(g, str(tmp_path / "host.txt"))
+    rc = cli.main([*sweep, "--graph", str(tmp_path / "host.txt"),
+                   "--out", str(tmp_path / "fileout")])
+    assert rc == 0
+
+    cfg = SweepConfig(source=g, p=0.05, rho_grid=[0.5, 1.5], seeds=(5, 4),
+                      out=str(tmp_path / "direct"))
     run_sweep(cfg)
     for ext in (".csv", ".json"):
-        cli_bytes = (tmp_path / ("cliout" + ext)).read_bytes()
-        assert cli_bytes == (tmp_path / ("direct" + ext)).read_bytes()
+        direct_bytes = (tmp_path / ("direct" + ext)).read_bytes()
+        assert (tmp_path / ("cliout" + ext)).read_bytes() == direct_bytes
+        assert (tmp_path / ("fileout" + ext)).read_bytes() == direct_bytes
 
 
 def test_trial_super_matches_library(tmp_path):
@@ -321,6 +324,12 @@ BAD_INPUT = {
     "sub-epsilon-1e300": f"trial sub {GEN} --p 0.1 --epsilon 1e300",  # OverflowError in eps**2
     "trial-p-1e-310": f"trial super {GEN} --p 1e-310",  # OverflowError in ceil(eps/p)
     "expansion-alpha0-1e308": f"lemma --which expansion {GEN} --p 0.1 --alpha0 1e308",  # -inf
+    "graph-missing": "certify --graph missing.txt --p 0.1",  # FileNotFoundError
+    "graph-is-directory": "certify --graph . --p 0.1",  # IsADirectoryError
+    "out-dir-missing": f"trial super {GEN} --p 0.1 --out missing/x.json",  # FileNotFoundError
+    "xi-alpha-1e308": f"lemma --which xi {GEN} --p 0.1 --alpha 1e308",  # OverflowError
+    "variance-slacks-1e308": f"lemma --which variance {GEN} --p 0.1 --a 1e308 --b 1e308",  # NaN
+    "outer-slacks-1e308": f"lemma --which outer {GEN} --p 0.1 --a 1e308 --b 1e308",  # inf
 }
 
 

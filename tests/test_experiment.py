@@ -28,7 +28,7 @@ from percolab import (
 from percolab.errors import InvalidParameter, NotCertified, RhoOutOfRange
 from percolab.experiment import derive_profile, emit_trial_json, seed_block
 
-G2000 = GeneratorSpec(kind="gnp", n=2000, p=0.01, seed=5)
+G2000 = generate(GeneratorSpec(kind="gnp", n=2000, p=0.01, seed=5))
 SWEEP = dict(p=0.01, rho_grid=[0.5, 1.0, 1.5], seeds=(11, 20))
 
 
@@ -55,12 +55,12 @@ def test_derive_profile_fallback_when_exact_unavailable(monkeypatch):
     g = generate(GeneratorSpec(kind="gnp", n=300, p=0.05, seed=6))
     scans = []
 
-    def sampled_only(g_, exact_cap):
-        scans.append(exact_cap)
-        return max_co_degree(g_, exact_cap=10)  # as if n were beyond the cap
+    def counted(g_):
+        scans.append(g_.n)
+        return max_co_degree(g_)
 
-    monkeypatch.setattr(importlib.import_module("percolab.certify"), "max_co_degree",
-                        sampled_only)
+    monkeypatch.setattr(importlib.import_module("percolab.certify"), "max_co_degree", counted)
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)  # n is beyond the cap
     prof = derive_profile(g, 0.05)
     assert len(scans) == 1  # one scan feeds both the slacks and the verdicts
     assert prof.codegree_mode == "sampled"
@@ -103,7 +103,7 @@ def test_sweep_rows_and_aggregates(tmp_path):
 
     # one row replayed directly through the percolation engine
     r = res.rows[7]
-    outcome = dfs_percolate(generate(G2000), BernoulliStream(rho=r.rho, seed=r.seed))
+    outcome = dfs_percolate(G2000, BernoulliStream(rho=r.rho, seed=r.seed))
     l1, l2 = largest_two(outcome)
     assert (len(outcome.retained), l1, l2) == (r.retained, r.L1, r.L2)
 
@@ -219,7 +219,7 @@ def test_trial_rho_range():
         subcritical_trial(g, 0.2, epsilon=1.2, seeds=[1])    # rho < 0
 
 
-def test_trial_gating():
+def test_trial_gating(monkeypatch):
     star = star_graph(50)
     bad = certify(star, 0.5, a_n=1.0, b_n=30.0)  # a1 and a3 both false
     assert bad.a1 is False and bad.a3 is False
@@ -227,7 +227,8 @@ def test_trial_gating():
         supercritical_trial(star, 0.5, 0.3, seeds=[1], profile=bad)
     with pytest.raises(NotCertified):
         subcritical_trial(star, 0.5, 0.3, seeds=[1], profile=bad)
-    refuted = certify(star, 0.5, a_n=100.0, b_n=-12.0, exact_cap=10)
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)
+    refuted = certify(star, 0.5, a_n=100.0, b_n=-12.0)
     assert refuted.a2 is False
     with pytest.raises(NotCertified):
         supercritical_trial(star, 0.5, 0.3, seeds=[1], profile=refuted)
@@ -346,10 +347,9 @@ PINNED = {
 
 
 def test_artifacts_are_pinned_bytes(tmp_path):
-    spec = GeneratorSpec(kind="gnp", n=300, p=0.05, seed=8)
-    run_sweep(SweepConfig(source=spec, p=0.05, rho_grid=[0.5, 1.0, 1.5], seeds=(0, 5),
+    g = generate(GeneratorSpec(kind="gnp", n=300, p=0.05, seed=8))
+    run_sweep(SweepConfig(source=g, p=0.05, rho_grid=[0.5, 1.0, 1.5], seeds=(0, 5),
                           out=str(tmp_path / "sweep")))
-    g = generate(spec)
     emit_trial_json(supercritical_trial(g, 0.05, 0.3, (0, 5)), str(tmp_path / "super.json"))
     emit_trial_json(subcritical_trial(g, 0.05, 0.3, (0, 5)), str(tmp_path / "sub.json"))
     hd = hd_uniqueness_trial(g, 0.05, 0.3, 0.3, (0, 5))

@@ -212,11 +212,12 @@ def test_invalid_specs(spec):
         generate(spec)
 
 
-def test_edge_cap():
+def test_edge_cap(monkeypatch):
     with pytest.raises(ResourceLimit):
         generate(GeneratorSpec(kind="complete", n=100_000))
+    monkeypatch.setattr("percolab.graph.DEFAULT_EDGE_CAP", 10)
     with pytest.raises(ResourceLimit):
-        generate(GeneratorSpec(kind="gnp", n=1000, p=0.5, seed=0), edge_cap=10)
+        generate(GeneratorSpec(kind="gnp", n=1000, p=0.5, seed=0))
 
 
 # --- queries ---
@@ -272,10 +273,11 @@ def test_max_codegree_matches_naive():
     assert co_degree(g, *r.pair) == r.value
 
 
-def test_max_codegree_sampled_lower_bound():
+def test_max_codegree_sampled_lower_bound(monkeypatch):
     g = generate(GeneratorSpec(kind="gnp", n=50, p=0.3, seed=1))
     exact = max_co_degree(g)
-    sampled = max_co_degree(g, exact_cap=10)
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)
+    sampled = max_co_degree(g)
     assert exact.mode == "exact" and sampled.mode == "sampled"
     assert sampled.value <= exact.value
     assert co_degree(g, *sampled.pair) == sampled.value
@@ -283,7 +285,7 @@ def test_max_codegree_sampled_lower_bound():
     assert sampled.value == exact.value == 12
 
 
-def test_codegree_kernel_keeps_first_attaining_pair():
+def test_codegree_kernel_keeps_first_attaining_pair(monkeypatch):
     # both modes report the first pair, in (u, v) order, attaining the maximum
     paley = generate(GeneratorSpec(kind="paley", q=101))  # many pairs tie at 25
     assert naive_max_codegree(paley) == (25, (0, 2))
@@ -297,10 +299,10 @@ def test_codegree_kernel_keeps_first_attaining_pair():
             if c > best:
                 best, pair = c, (u, v)
     # sample_pairs=0 leaves only the all-pairs scan of the top-degree 1%
-    assert max_co_degree(g, exact_cap=100, sample_pairs=0) == CoDegreeResult(
-        best, pair, "sampled")
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 100)
+    assert max_co_degree(g, sample_pairs=0) == CoDegreeResult(best, pair, "sampled")
     assert (best, pair) == (11, (206, 244))
-    assert max_co_degree(g, exact_cap=100) == CoDegreeResult(12, (118, 407), "sampled")
+    assert max_co_degree(g) == CoDegreeResult(12, (118, 407), "sampled")
 
 
 def test_degrees_into_hand_cases():

@@ -150,11 +150,12 @@ def test_expansion_worst_set_matches_naive(n, p, seed, m):
     assert rep.measured == worst
 
 
-def test_expansion_set_cap():
+def test_expansion_set_cap(monkeypatch):
     g = generate(GeneratorSpec(kind="gnp", n=60, p=0.1, seed=3))
     prof = certified(g, 0.1)
+    monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", 100)
     with pytest.raises(CombinationOverflow):
-        expansion_check(g, prof, m=3, alpha0=0.5, set_cap=100)
+        expansion_check(g, prof, m=3, alpha0=0.5)
 
 
 def test_expansion_sampled_mode_is_a_lower_scan():
@@ -204,20 +205,22 @@ def test_variance_matches_two_pass():
         assert rep.passed  # certified tight profile: the bound is a theorem
 
 
-def test_variance_requires_certification():
+def test_variance_requires_certification(monkeypatch):
     g = star_graph(5)
     bad = certify(g, 0.5, a_n=1.0, b_n=3.0)  # a1 and a3 false
     with pytest.raises(AssumptionsNotCertified):
         variance_bound_check(g, [1, 2], bad)
-    refuted = certify(star_graph(50), 0.5, a_n=30.0, b_n=-12.0, exact_cap=10)
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)
+    refuted = certify(star_graph(50), 0.5, a_n=30.0, b_n=-12.0)
     assert refuted.a2 is False
     with pytest.raises(AssumptionsNotCertified):
         variance_bound_check(star_graph(50), [1, 2], refuted)
 
 
-def test_variance_accepts_sampled_undecided_a2():
+def test_variance_accepts_sampled_undecided_a2(monkeypatch):
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)
     g = star_graph(50)
-    prof = certify(g, 0.5, a_n=30.0, b_n=10.0, exact_cap=10)
+    prof = certify(g, 0.5, a_n=30.0, b_n=10.0)
     assert prof.a2 is None
     rep = variance_bound_check(g, range(25), prof)
     assert rep.parameters["codegree_mode"] == "sampled"
