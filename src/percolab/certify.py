@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import graph
-from .errors import (InvalidParameter, SampledModeUnavailable, SubsetTooSmall,
+from .errors import (InvalidParameter, NotCertified, SampledModeUnavailable, SubsetTooSmall,
                      require_density, require_finite)
 from .graph import CoDegreeResult, Graph, degrees_into, max_co_degree
 from .rng import derived
@@ -46,6 +46,15 @@ class PseudoRandomProfile:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def require(self, *verdicts: str):
+        """Raise NotCertified naming each of `verdicts` ("a1", "a2", "a3") that
+        is False. A verdict holds unless it is False, so a sampled a2 = None
+        (not falsified) passes."""
+        failed = [v for v in verdicts if getattr(self, v) is False]
+        if failed:
+            raise NotCertified(f"profile falsifies {', '.join(failed)} "
+                               f"(need {', '.join(verdicts)} not falsified)")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)

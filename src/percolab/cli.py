@@ -54,9 +54,11 @@ def parse_seeds(text: str):
 
 
 def _load_graph(args) -> graph.Graph:
-    if getattr(args, "gen", None):
+    if args.gen and args.graph:
+        raise PercolabError("give --graph or --gen, not both")
+    if args.gen:
         return graph.generate(parse_gen(args.gen))
-    if getattr(args, "graph", None):
+    if args.graph:
         return graph.load_edge_list(args.graph)
     raise PercolabError("need --graph or --gen")
 
@@ -68,10 +70,9 @@ def _profile_for(args, g):
     return tightest_profile(g, args.p)
 
 
-def _add_common(sub, graph_source=True, p=False, epsilon=False, seeds=False):
-    if graph_source:
-        sub.add_argument("--graph", help="edge-list file")
-        sub.add_argument("--gen", help="generator spec kind:key=val,...")
+def _add_common(sub, p=False, epsilon=False, seeds=False):
+    sub.add_argument("--graph", help="edge-list file")
+    sub.add_argument("--gen", help="generator spec kind:key=val,...")
     if p:
         sub.add_argument("--p", type=float, required=True, help="target density")
     if epsilon:
@@ -164,6 +165,10 @@ def cmd_percolate(args) -> int:
 
 
 def _random_u(g, size, seed):
+    if not 0 <= size <= g.n:
+        raise InvalidParameter(f"--u-size must be in [0, {g.n}], got {size}")
+    if seed < 0:
+        raise InvalidParameter(f"--u-seed must be >= 0, got {seed}")
     return derived(seed, 0xA).choice(g.n, size=size, replace=False).tolist()
 
 

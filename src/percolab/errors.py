@@ -80,6 +80,11 @@ class SubsetTooSmall(PercolabError):
     """hd_check subset_fraction below the 0.9 floor."""
 
 
+class NotCertified(PercolabError):
+    """A profile falsifies a verdict that a trial or a lemma bound needs, or
+    was certified for another n or p."""
+
+
 # --- percolation ---
 
 class StreamLengthMismatch(PercolabError):
@@ -108,10 +113,6 @@ class CombinationOverflow(PercolabError):
     """Exhaustive enumeration would exceed the subset cap."""
 
 
-class AssumptionsNotCertified(PercolabError):
-    """Profile does not certify the assumptions the bound is derived from."""
-
-
 class USmall(PercolabError):
     """|U| < n/2 where the bound needs |U| >= n/2."""
 
@@ -126,9 +127,3 @@ class NotConnected(PercolabError):
 
 class SizeMismatch(PercolabError):
     """|C| differs from ceil(eps/p) by more than the rounding tolerance."""
-
-
-# --- experiments ---
-
-class NotCertified(PercolabError):
-    """Trial requires assumption verdicts the profile does not provide."""

@@ -3,7 +3,8 @@
 Sweeps run the DFS explorer over a grid of retention multipliers c (so
 rho = c/(np)) and a block of seeds, with vertex-indexed uniforms giving exact
 monotone coupling across the grid for a fixed seed. Trials package the three
-standard single-rho measurements:
+standard single-rho measurements, each a one-column sweep through the same
+run loop:
 
   super: rho = (1+eps)/(np); fraction of seeds with L1 >= ceil(eps/p) and
          fraction with L2 <= (4/eps^2)(ln n)^2, plus a per-run check that the
@@ -22,13 +23,17 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .certify import PseudoRandomProfile, hd_check, tightest_profile
+from .certify import PseudoRandomProfile, hd_check
+# the certification every experiment attaches: tightest slacks when the exact
+# co-degree scan is feasible, measured-lower-bound slacks (sampled mode, a2
+# undecided) beyond the cap
+from .certify import tightest_profile as derive_profile
 from .errors import InvalidParameter, NotCertified, RhoOutOfRange, require_density, require_finite
 from .graph import Graph
 from .lemmas import ceil_eps_over_p, grow_connected_set, outer_complement_check
-from .percolate import BernoulliStream, PercolationOutcome, dfs_percolate, largest_two
+from .percolate import BernoulliStream, dfs_percolate, largest_two
 
 SCHEMA = "percolab/1"
 
@@ -46,13 +51,6 @@ def seed_block(seeds: Union[Sequence[int], Tuple[int, int]]) -> List[int]:
     return out
 
 
-def derive_profile(g: Graph, p: float) -> PseudoRandomProfile:
-    """Certification attached to every experiment: tightest slacks when the
-    exact co-degree scan is feasible, measured-lower-bound slacks (sampled
-    mode, a2 undecided) beyond the cap."""
-    return tightest_profile(g, p)
-
-
 @dataclass
 class SweepConfig:
     source: Graph
@@ -65,18 +63,20 @@ class SweepConfig:
 
 
 @dataclass
-class SweepRow:
+class Run:
+    """One percolation run: a sweep CSV row, or a trial row with its outer check."""
     c: float
     rho: float
     seed: int
     retained: int
     L1: int
     L2: int
+    outer_ok: Optional[bool] = None
 
 
 @dataclass
 class SweepResult:
-    rows: List[SweepRow]
+    rows: List[Run]
     aggregates: Dict[float, dict]
     c_star: Optional[float]
     giant_size: int
@@ -115,15 +115,30 @@ def _thresholds(n: int, p: float, epsilon: float) -> Tuple[int, float]:
     return giant_size, l2_bound
 
 
-def _measure(g: Graph, rho: float, seed: int) -> Tuple[PercolationOutcome, int, int]:
-    """One percolation run at (rho, seed): the outcome and its (L1, L2)."""
-    outcome = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
-    return (outcome, *largest_two(outcome))
+def _runs(g: Graph, grid: Sequence[float], rhos: Sequence[float], seeds: List[int],
+          outer: Optional[Callable[[List[int]], Optional[bool]]] = None) -> List[Run]:
+    """One percolation run per (c, seed), grid-major: the CSV row order. With
+    `outer`, each run's outer_ok is outer(its largest component)."""
+    runs = []
+    for c, rho in zip(grid, rhos):
+        for seed in seeds:
+            outcome = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
+            run = Run(c, rho, seed, len(outcome.retained), *largest_two(outcome))
+            if outer is not None:
+                run.outer_ok = outer(max(outcome.components, key=len, default=[]))
+            runs.append(run)
+    return runs
 
 
-def aggregate_rows(rows: List[SweepRow], giant_size: int, l2_bound: float) -> Dict[float, dict]:
+def _median(xs: List[int]):
+    """Median of a sorted list: the middle value, or the mean of the middle two."""
+    k = len(xs)
+    return xs[k // 2] if k % 2 else (xs[k // 2 - 1] + xs[k // 2]) / 2
+
+
+def aggregate_rows(rows: List[Run], giant_size: int, l2_bound: float) -> Dict[float, dict]:
     """Per-multiplier aggregates, recomputable from the CSV rows."""
-    by_c: Dict[float, List[SweepRow]] = {}
+    by_c: Dict[float, List[Run]] = {}
     for r in rows:
         by_c.setdefault(r.c, []).append(r)
     out = {}
@@ -134,9 +149,9 @@ def aggregate_rows(rows: List[SweepRow], giant_size: int, l2_bound: float) -> Di
         out[c] = {
             "runs": k,
             "mean_L1": sum(l1s) / k,
-            "median_L1": (l1s[k // 2] if k % 2 else (l1s[k // 2 - 1] + l1s[k // 2]) / 2),
+            "median_L1": _median(l1s),
             "mean_L2": sum(l2s) / k,
-            "median_L2": (l2s[k // 2] if k % 2 else (l2s[k // 2 - 1] + l2s[k // 2]) / 2),
+            "median_L2": _median(l2s),
             "giant_freq": sum(r.L1 >= giant_size for r in rs) / k,
             "l2_bound_freq": sum(r.L2 <= l2_bound for r in rs) / k,
         }
@@ -149,11 +164,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     seeds = seed_block(cfg.seeds)
     rhos = [_rho_for(c, g.n, cfg.p, cfg.clip_rho) for c in cfg.rho_grid]
     profile = derive_profile(g, cfg.p)
-    rows = []
-    for c, rho in zip(cfg.rho_grid, rhos):
-        for seed in seeds:
-            outcome, l1, l2 = _measure(g, rho, seed)
-            rows.append(SweepRow(c, rho, seed, len(outcome.retained), l1, l2))
+    rows = _runs(g, cfg.rho_grid, rhos, seeds)
     aggregates = aggregate_rows(rows, giant_size, l2_bound)
     c_star = next((c for c in sorted(aggregates) if aggregates[c]["giant_freq"] >= 0.5), None)
     result = SweepResult(rows=rows, aggregates=aggregates, c_star=c_star, giant_size=giant_size,
@@ -173,31 +184,17 @@ def emit_csv(result: SweepResult, path):
             fh.write(f"{r.c!r},{r.rho!r},{r.seed},{r.retained},{r.L1},{r.L2}\n")
 
 
+def _header(kind: str, result) -> dict:
+    """The keys every sweep and trial artifact shares."""
+    return {"schema": SCHEMA, "kind": kind, "n": result.n, "p": result.p,
+            "epsilon": result.epsilon, "giant_size": result.giant_size,
+            "l2_bound": result.l2_bound, "profile": result.profile.to_dict()}
+
+
 def emit_json(result: SweepResult, path):
-    payload = {
-        "schema": SCHEMA,
-        "kind": "sweep",
-        "n": result.n,
-        "p": result.p,
-        "epsilon": result.epsilon,
-        "grid": result.grid,
-        "seeds": result.seeds,
-        "giant_size": result.giant_size,
-        "l2_bound": result.l2_bound,
-        "aggregates": {repr(c): a for c, a in result.aggregates.items()},
-        "c_star": result.c_star,
-        "profile": result.profile.to_dict(),
-    }
-    write_json(payload, path)
-
-
-@dataclass
-class TrialRow:
-    seed: int
-    retained: int
-    L1: int
-    L2: int
-    outer_ok: Optional[bool] = None
+    write_json(dict(_header("sweep", result), grid=result.grid, seeds=result.seeds,
+                    aggregates={repr(c): a for c, a in result.aggregates.items()},
+                    c_star=result.c_star), path)
 
 
 @dataclass
@@ -207,7 +204,7 @@ class TrialSummary:
     p: float
     epsilon: float
     rho: float
-    rows: List[TrialRow]
+    rows: List[Run]
     giant_size: int
     l2_bound: float
     frac_giant: float
@@ -220,23 +217,11 @@ class TrialSummary:
     hd_falsified: Optional[bool] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "schema": SCHEMA,
-            "kind": f"trial_{self.kind}",
-            "n": self.n,
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "rho": self.rho,
-            "giant_size": self.giant_size,
-            "l2_bound": self.l2_bound,
-            "frac_giant": self.frac_giant,
-            "frac_l2_bound": self.frac_l2_bound,
-            "frac_small": self.frac_small,
-            "max_L1": self.max_L1,
-            "frac_outer_ok": self.frac_outer_ok,
-            "profile": self.profile.to_dict(),
-            "rows": [[r.seed, r.retained, r.L1, r.L2, r.outer_ok] for r in self.rows],
-        }
+        d = dict(_header(f"trial_{self.kind}", self), rho=self.rho,
+                 frac_giant=self.frac_giant, frac_l2_bound=self.frac_l2_bound,
+                 frac_small=self.frac_small, max_L1=self.max_L1,
+                 frac_outer_ok=self.frac_outer_ok,
+                 rows=[[r.seed, r.retained, r.L1, r.L2, r.outer_ok] for r in self.rows])
         if self.kind == "hd":
             d["hd_falsified"] = self.hd_falsified
             if self.hd_report is not None:
@@ -261,20 +246,19 @@ def subcritical_trial(g: Graph, p: float, epsilon: float, seeds,
 
 def hd_uniqueness_trial(g: Graph, p: float, epsilon: float, beta: float, seeds,
                         profile: Optional[PseudoRandomProfile] = None,
-                        hd_trials: int = 10, hd_seed: int = 0,
                         check_outer: bool = True) -> TrialSummary:
     """The super measurement under the hereditary-degree hypothesis set (no
-    a3 requirement); a falsified HD check flags the summary with a witness
-    and the measurement still runs."""
-    return _trial("hd", g, p, epsilon, seeds, profile, check_outer,
-                  beta=beta, hd_trials=hd_trials, hd_seed=hd_seed)
+    a3 requirement); a falsified HD check (10 subsets, seed 0) flags the
+    summary with a witness and the measurement still runs."""
+    return _trial("hd", g, p, epsilon, seeds, profile, check_outer, beta=beta)
 
 
 def _trial(kind: str, g: Graph, p: float, epsilon: float, seeds, profile, check_outer: bool,
-           beta=None, hd_trials=None, hd_seed=None) -> TrialSummary:
-    """The trial of `kind`: sub needs a3 and runs at rho = (1-eps)/(np); super and hd
-    need a1 and a2 not falsified and run at (1+eps)/(np), hd after a hereditary-degree
-    check. A given profile must be certified for g.n and p."""
+           beta=None) -> TrialSummary:
+    """The trial of `kind`, a one-column sweep: sub needs a3 and runs at
+    c = 1 - eps; super and hd need a1 and a2 not falsified and run at
+    c = 1 + eps, hd after a hereditary-degree check. A given profile must be
+    certified for g.n and p."""
     giant_size, l2_bound = _thresholds(g.n, p, epsilon)
     if kind == "hd":
         require_finite(beta=beta)
@@ -283,29 +267,30 @@ def _trial(kind: str, g: Graph, p: float, epsilon: float, seeds, profile, check_
         profile = derive_profile(g, p)
     elif (profile.n, profile.p) != (g.n, p):
         raise NotCertified(f"profile is for n={profile.n}, p={profile.p}, not n={g.n}, p={p}")
-    if kind == "sub" and not profile.a3:
-        raise NotCertified(f"need a3, got a3={profile.a3}")
-    if kind != "sub" and (not profile.a1 or profile.a2 is False):
-        raise NotCertified(f"need a1 and a2 not falsified, got a1={profile.a1} a2={profile.a2}")
-    rho = _rho_for(1 - epsilon if kind == "sub" else 1 + epsilon, g.n, p, clip=False)
-    report = hd_check(g, beta=beta, subset_fraction=0.9, trials=hd_trials, seed=hd_seed,
-                      p=p) if kind == "hd" else None
-    rows = []
-    for seed in seeds:
-        outcome, l1, l2 = _measure(g, rho, seed)
-        outer_ok = None
-        if check_outer and l1 >= giant_size >= 1:
-            comp = max(outcome.components, key=len)
-            c_set = grow_connected_set(g, comp[0], giant_size, within=comp)
-            outer_ok = outer_complement_check(g, c_set, profile, epsilon).passed
-        rows.append(TrialRow(seed, len(outcome.retained), l1, l2, outer_ok))
+    if kind == "sub":
+        profile.require("a3")
+    else:
+        profile.require("a1", "a2")
+    c = 1 - epsilon if kind == "sub" else 1 + epsilon
+    rho = _rho_for(c, g.n, p, clip=False)
+    report = hd_check(g, beta=beta, trials=10, p=p) if kind == "hd" else None
+
+    def outer(comp: List[int]) -> Optional[bool]:
+        # a witness set C of size ceil(eps/p) grown inside the largest component
+        if len(comp) < giant_size:
+            return None
+        c_set = grow_connected_set(g, comp[0], giant_size, within=comp)
+        return outer_complement_check(g, c_set, profile, epsilon).passed
+
+    rows = _runs(g, [c], [rho], seeds, outer if check_outer else None)
+    column = aggregate_rows(rows, giant_size, l2_bound)[c]
     k = len(rows)
     checked = [r.outer_ok for r in rows if r.outer_ok is not None]
     return TrialSummary(
         kind=kind, n=g.n, p=p, epsilon=epsilon, rho=rho, rows=rows,
         giant_size=giant_size, l2_bound=l2_bound,
-        frac_giant=sum(r.L1 >= giant_size for r in rows) / k,
-        frac_l2_bound=sum(r.L2 <= l2_bound for r in rows) / k,
+        frac_giant=column["giant_freq"],
+        frac_l2_bound=column["l2_bound_freq"],
         # integer L1 < eps/p is equivalent to L1 < ceil(eps/p); the integer
         # form avoids float noise when eps/p lands on an integer
         frac_small=sum(r.L1 < giant_size for r in rows) / k,

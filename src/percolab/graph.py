@@ -35,6 +35,10 @@ DEFAULT_EDGE_CAP = 50_000_000
 EXACT_CODEGREE_CAP = 20_000
 
 _GNP_BATCH = 1 << 16
+# neighbors are int32, so n and every id stay below 2**31 - 1
+_MAX_N = int(np.iinfo(np.int32).max)
+# near_regular_perturbed toggles one pair at each of ceil(fraction * n) vertices
+_PERTURB_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -100,15 +104,15 @@ def _validate_spec(spec: GeneratorSpec):
     given = {f for f in ("n", "p", "q", "seed") if getattr(spec, f) is not None}
     if given != needed:
         raise InvalidSpec(f"kind {spec.kind!r} needs exactly {sorted(needed)}, got {sorted(given)}")
-    if "n" in needed and spec.n < 0:
-        raise InvalidSpec(f"n must be >= 0, got {spec.n}")
+    if "n" in needed and not 0 <= spec.n <= _MAX_N:
+        raise InvalidSpec(f"n must be in [0, {_MAX_N}], got {spec.n}")
     if "seed" in needed and spec.seed < 0:
         raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
     if "p" in needed and not 0.0 < spec.p < 1.0:
         raise InvalidSpec(f"p must be in (0,1), got {spec.p}")
-    if "q" in needed:
-        if spec.q < 5 or not _is_prime(spec.q) or spec.q % 4 != 1:
-            raise InvalidSpec(f"q must be a prime = 1 mod 4, got {spec.q}")
+    # q is paley's vertex count; bounding it first keeps trial division short
+    if "q" in needed and not (5 <= spec.q <= _MAX_N and spec.q % 4 == 1 and _is_prime(spec.q)):
+        raise InvalidSpec(f"q must be a prime = 1 mod 4 in [5, {_MAX_N}], got {spec.q}")
 
 
 def _is_prime(q: int) -> bool:
@@ -230,12 +234,12 @@ def _paley_pairs(q: int):
     return eu, ev
 
 
-def _near_regular_perturbed(n: int, p: float, seed: int, fraction: float = 0.01) -> Graph:
+def _near_regular_perturbed(n: int, p: float, seed: int) -> Graph:
     eu, ev = _gnp_pairs(n, p, seed)
     if n < 2:
         return _from_edge_arrays(n, eu, ev)  # no pair to toggle
     rng = derived(seed, 1)
-    k = max(1, int(np.ceil(fraction * n)))
+    k = max(1, int(np.ceil(_PERTURB_FRACTION * n)))
     x = rng.choice(n, size=min(k, n), replace=False)
     y = rng.integers(0, n - 1, size=len(x))
     y += y >= x  # uniform over [n] \ {x}
@@ -327,8 +331,6 @@ def _max_codegree_sampled(g: Graph, sample_pairs: int):
 
 
 _HEADER_PREFIX = "# n="
-# neighbors are int32, so n and every id stay below 2**31 - 1
-_MAX_N = int(np.iinfo(np.int32).max)
 _MAX_DIGITS = 18  # longest id token parsed without int64 overflow
 # the bytes that bytes.split() treats as whitespace
 _SPACE = np.zeros(256, dtype=bool)

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    AssumptionsNotCertified,
     CombinationOverflow,
     EmptySet,
     InvalidEpsilon,
@@ -31,6 +30,7 @@ from .graph import Graph, co_degree, degrees_into
 from .rng import derived
 
 EXHAUSTIVE_SET_CAP = 5_000_000
+EXPANSION_SAMPLES = 10_000  # random sets of sampled-mode expansion_check
 
 LEMMA_IDS = (
     "expansion",
@@ -106,25 +106,15 @@ def inclusion_exclusion_check(g: Graph, H: Sequence[int]) -> LemmaReport:
                        witness=None, parameters={"H": hs}, measured=measured, bound=bound)
 
 
-def _require_certified(profile, need_a3: bool):
-    # a2 = None means the sampled co-degree scan did not falsify the bound;
-    # the derived inequalities are then evidence-based, which we accept and
-    # echo via codegree_mode in the parameters.
-    if not profile.a1 or profile.a2 is False or (need_a3 and not profile.a3):
-        raise AssumptionsNotCertified(
-            f"profile verdicts a1={profile.a1} a2={profile.a2} a3={profile.a3}")
-
-
 def expansion_check(g: Graph, profile, m: int, alpha0: float,
-                    mode: str = "exhaustive", c: float = 1e-3,
-                    samples: int = 10_000, seed: int = 0) -> LemmaReport:
+                    mode: str = "exhaustive", c: float = 1e-3) -> LemmaReport:
     """No vertex set H with |H| = m has |N_G(H)| < (1-alpha0)(npm - np^2 m^2/2).
 
     Requires c < m*p <= 1/3 for the supplied c in (0, 1/3). Exhaustive mode
     proves the verdict over all C(n, m) sets (refused above
-    EXHAUSTIVE_SET_CAP, read at call time);
-    sampled mode tries `samples` random sets plus one greedy adversarial set
-    and can only falsify.
+    EXHAUSTIVE_SET_CAP); sampled mode tries EXPANSION_SAMPLES random sets
+    (stream seed 0) plus one greedy adversarial set and can only falsify.
+    Both constants are read at call time.
     """
     require_finite(alpha0=alpha0, c=c)
     n, p = g.n, profile.p
@@ -144,7 +134,8 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
         worst, witness_set = _expansion_scan_all(g, m)
         checked = total
     elif mode == "sampled":
-        worst, witness_set = _expansion_scan_sampled(g, m, samples, seed)
+        samples = EXPANSION_SAMPLES
+        worst, witness_set = _expansion_scan_sampled(g, m, samples)
         checked = samples + 1
     else:
         raise InvalidParameter(f"unknown mode {mode!r}")
@@ -188,11 +179,11 @@ def _expansion_scan_all(g: Graph, m: int):
     return worst, witness
 
 
-def _expansion_scan_sampled(g: Graph, m: int, samples: int, seed: int):
+def _expansion_scan_sampled(g: Graph, m: int, samples: int):
     worst = g.n + 1
     witness = ()
     for k in range(samples):
-        H = derived(seed, k).choice(g.n, size=m, replace=False)
+        H = derived(0, k).choice(g.n, size=m, replace=False)
         size = neighborhood_size(g, H)
         if size < worst:
             worst = size
@@ -229,7 +220,7 @@ def variance_bound_check(g: Graph, U: Sequence[int], profile) -> LemmaReport:
 
     and additionally the coarse bound 2p|U| + (3 b_n / n)|U|^2 when |U| >= n/2.
     """
-    _require_certified(profile, need_a3=True)
+    profile.require("a1", "a2", "a3")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     us = sorted({int(v) for v in U})
     mask = np.zeros(n, dtype=bool)
@@ -261,7 +252,7 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
     """Exact count of vertices with d(v, U) >= (1+alpha) p |U| against
     4/(alpha p)^2 * (4p + 12 b_n). Needs |U| >= n/2 and a_n <= alpha p n / 2."""
     require_finite(alpha=alpha)
-    _require_certified(profile, need_a3=True)
+    profile.require("a1", "a2", "a3")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     us = sorted({int(v) for v in U})
     if 2 * len(us) < n:
@@ -342,7 +333,7 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     alongside and echoed in the parameters.
     """
     target = ceil_eps_over_p(epsilon, profile.p)
-    _require_certified(profile, need_a3=False)
+    profile.require("a1", "a2")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     cs = sorted({int(v) for v in C})
     if not cs:
@@ -370,8 +361,7 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
 
 
 def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
-                          seed: int, max_failure_rate: float = 0.01,
-                          bits: Optional[Sequence[int]] = None) -> LemmaReport:
+                          seed: int, bits: Optional[Sequence[int]] = None) -> LemmaReport:
     """Monte Carlo check of the three prefix-sum tail predicates for i.i.d.
     Bernoulli(rho) bits Y_1..Y_n, under the parameterization rho = (1+eps)/(np)
     (so p is implied by rho):
@@ -383,9 +373,10 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
 
     Only the ceil(eps*n) prefix of each stream is drawn. Item (3) is checked
     at every integer t via one cumulative-sum pass. passed means every item's
-    empirical failure frequency is <= max_failure_rate. `bits` injects one
-    explicit stream (trials is then ignored).
+    empirical failure frequency is <= max_failure_rate = 0.01. `bits` injects
+    one explicit stream (trials is then ignored).
     """
+    max_failure_rate = 0.01
     eps = float(epsilon)
     if eps ** 3 * n < 1:
         raise InvalidEpsilon(f"need eps^3 * n >= 1, got {eps ** 3 * n:.3g}")

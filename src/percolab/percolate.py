@@ -20,11 +20,11 @@ component of the induced subgraph on retained vertices. The retained set is
 the union of the components, and the rejected set W is derived from it as the
 complement.
 
-Bit streams come in two modes. uniform_threshold (default) draws one uniform
-u_v per vertex from the root stream of the seed and retains v iff u_v < rho;
-because the uniform is attached to the vertex rather than the query position,
-runs with the same seed are exactly coupled: retained(rho1) is a subset of
-retained(rho2) whenever rho1 <= rho2. explicit_bits consumes a supplied 0/1
+A stream without explicit bits draws one uniform u_v per vertex from the
+root stream of the seed and retains v iff u_v < rho; because the uniform is
+attached to the vertex rather than the query position, runs with the same
+seed are exactly coupled: retained(rho1) is a subset of retained(rho2)
+whenever rho1 <= rho2. A stream with explicit `bits` consumes that 0/1
 sequence positionally, in query order (test injection).
 """
 
@@ -37,28 +37,21 @@ from .errors import InvalidParameter, RhoOutOfRange, StreamLengthMismatch, Verte
 from .graph import Graph
 from .rng import uniforms
 
-UNIFORM_THRESHOLD = "uniform_threshold"
-EXPLICIT_BITS = "explicit_bits"
-
 
 @dataclass(frozen=True)
 class BernoulliStream:
-    """Retention-bit source for one percolation run."""
+    """Retention-bit source for one percolation run: explicit `bits` in query
+    order when given, else the per-vertex uniforms of `seed` against rho."""
 
     rho: float
     seed: int = 0
-    mode: str = UNIFORM_THRESHOLD
     bits: Optional[Sequence[int]] = None
 
     def __post_init__(self):
-        if self.mode not in (UNIFORM_THRESHOLD, EXPLICIT_BITS):
-            raise InvalidParameter(f"unknown stream mode {self.mode!r}")
         if self.seed < 0:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.rho <= 1.0:
             raise RhoOutOfRange(f"rho must be in [0, 1], got {self.rho}")
-        if self.mode == EXPLICIT_BITS and self.bits is None:
-            raise StreamLengthMismatch("explicit_bits mode requires bits")
 
 
 @dataclass
@@ -80,7 +73,7 @@ class PercolationOutcome:
 def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
     """Run the four-set exploration; deterministic given (g, stream)."""
     n = g.n
-    explicit = stream.mode == EXPLICIT_BITS
+    explicit = stream.bits is not None
     if explicit:
         if len(stream.bits) != n:
             raise StreamLengthMismatch(

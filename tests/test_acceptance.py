@@ -140,7 +140,7 @@ def test_criterion_01_oracle_equivalence():
                                      seed=int(rng.integers(1 << 30)))
         else:
             bits = (rng.random(g.n) < rng.random()).astype(int).tolist()
-            stream = BernoulliStream(rho=0.5, mode="explicit_bits", bits=bits)
+            stream = BernoulliStream(rho=0.5, bits=bits)
         out = dfs_percolate(g, stream)
         bad_bits += out.bits_consumed != g.n
         mismatches += out.components != oracle_components(g, out.retained)

@@ -9,7 +9,7 @@ import pytest
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from percolab import GeneratorSpec, certify, estimate_slacks, generate, hd_check, max_co_degree
 from percolab.certify import tightest_profile
-from percolab.errors import InvalidParameter, SampledModeUnavailable, SubsetTooSmall
+from percolab.errors import InvalidParameter, NotCertified, SampledModeUnavailable, SubsetTooSmall
 
 GNP_CASES = [(200, 0.1, 5), (500, 0.05, 6), (300, 0.3, 7)]
 
@@ -37,6 +37,17 @@ def test_certify_ties_fail():
     assert prof.a1 is False   # 3 > 4 - 1 is a tie
     assert prof.a2 is False   # 2 < 4 - 2 is a tie
     assert prof.a3 is True    # 3 < 4 + 1
+
+
+def test_require_names_each_falsified_verdict(monkeypatch):
+    prof = certify(complete_graph(4), p=1.0, a_n=1.0, b_n=-2.0)  # a1, a2 False
+    prof.require("a3")
+    with pytest.raises(NotCertified, match=r"falsifies a1, a2 \(need a1, a2, a3"):
+        prof.require("a1", "a2", "a3")
+    monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 2)
+    sampled = tightest_profile(complete_graph(4), 1.0)
+    assert sampled.a2 is None  # undecided, so not falsified: it passes
+    sampled.require("a1", "a2", "a3")
 
 
 def test_certify_chernoff_slacks():

@@ -8,6 +8,7 @@ import importlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -282,13 +283,18 @@ def test_trial_hd_default_beta(tmp_path):
 
 
 def run_cli(args, cwd, timeout=60):
-    """The CLI in a fresh process: a hang fails at the timeout instead of
-    stalling the suite."""
+    """The CLI in a fresh process with 2 GiB of address space and one BLAS
+    thread: a hang fails at the timeout and an oversized allocation fails
+    fast, instead of stalling the suite or exhausting the machine."""
     src = os.path.dirname(os.path.dirname(percolab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     return subprocess.run([sys.executable, "-m", "percolab.cli", *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=timeout)
+                          env=env, capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=limit)
 
 
 GEN = "--gen gnp:n=50,p=0.1,seed=1"
@@ -330,6 +336,14 @@ BAD_INPUT = {
     "xi-alpha-1e308": f"lemma --which xi {GEN} --p 0.1 --alpha 1e308",  # OverflowError
     "variance-slacks-1e308": f"lemma --which variance {GEN} --p 0.1 --a 1e308 --b 1e308",  # NaN
     "outer-slacks-1e308": f"lemma --which outer {GEN} --p 0.1 --a 1e308 --b 1e308",  # inf
+    "variance-u-size-above-n": f"lemma --which variance {GEN} --p 0.1 --u-size 1000",  # ValueError
+    "xi-u-size-negative": f"lemma --which xi {GEN} --p 0.1 --u-size -1",  # ValueError
+    "graph-and-gen": f"certify --graph missing.txt {GEN} --p 0.1",  # exit 0, --graph ignored
+    # int32 neighbor ids: a 16 GiB MemoryError, or silently wrapped ids
+    "gen-n-above-int32": "generate --gen gnp:n=2147483700,p=1e-20,seed=1 --out g.txt",
+    "u-seed-negative": f"lemma --which variance {GEN} --p 0.1 --u-seed -1",  # ValueError
+    # a prime near 1e18: trial division never returned
+    "gen-q-above-int32": "generate --gen paley:q=1000000000000000009 --out g.txt",
 }
 
 

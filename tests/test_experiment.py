@@ -204,6 +204,21 @@ def test_trial_fractions_recompute_from_rows():
     assert s.frac_outer_ok == (sum(checked) / len(checked) if checked else None)
 
 
+@pytest.mark.parametrize("n,p,seed", [(300, 0.05, 8), (400, 0.1, 3), (800, 0.01, 4)])
+def test_trial_is_a_one_column_sweep(n, p, seed):
+    g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=seed))
+    eps, seeds = 0.3, (7, 12)
+    trials = {1 + eps: supercritical_trial(g, p, eps, seeds, check_outer=False),
+              1 - eps: subcritical_trial(g, p, eps, seeds)}
+    for c, trial in trials.items():
+        sweep = run_sweep(SweepConfig(source=g, p=p, rho_grid=[c], seeds=seeds, epsilon=eps))
+        assert ([(r.seed, r.rho, r.retained, r.L1, r.L2) for r in trial.rows]
+                == [(r.seed, r.rho, r.retained, r.L1, r.L2) for r in sweep.rows])
+        column = sweep.aggregates[c]
+        assert trial.frac_giant == column["giant_freq"]
+        assert trial.frac_l2_bound == column["l2_bound_freq"]
+
+
 def test_trial_outer_check_toggles():
     g = generate(GeneratorSpec(kind="gnp", n=400, p=0.1, seed=3))
     s = supercritical_trial(g, 0.1, epsilon=0.3, seeds=(10, 10), check_outer=False)

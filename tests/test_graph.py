@@ -8,6 +8,7 @@ tests draw their inputs with hypothesis.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -447,7 +448,8 @@ def perturbed_reference(n, p, seed, fraction):
        fraction=st.sampled_from([0.01, 0.2, 1.0]))
 def test_perturbed_matches_toggle_reference(n, p, seed, fraction):
     # fraction 1.0 on small n draws many pairs twice: those keep their state
-    g = _near_regular_perturbed(n, p, seed, fraction)
+    with mock.patch("percolab.graph._PERTURB_FRACTION", fraction):
+        g = _near_regular_perturbed(n, p, seed)
     assert edge_set(g) == perturbed_reference(n, p, seed, fraction)
     check_invariants(g)
 

@@ -23,10 +23,10 @@ from percolab import (
     xi_count_check,
 )
 from percolab.errors import (
-    AssumptionsNotCertified,
     CombinationOverflow,
     EmptySet,
     InvalidParameter,
+    NotCertified,
     NotConnected,
     PreconditionViolated,
     SizeMismatch,
@@ -158,11 +158,12 @@ def test_expansion_set_cap(monkeypatch):
         expansion_check(g, prof, m=3, alpha0=0.5)
 
 
-def test_expansion_sampled_mode_is_a_lower_scan():
+def test_expansion_sampled_mode_is_a_lower_scan(monkeypatch):
     g = generate(GeneratorSpec(kind="gnp", n=300, p=0.05, seed=2))
     prof = certified(g, 0.05)
     full = expansion_check(g, prof, m=2, alpha0=0.9)
-    sampled = expansion_check(g, prof, m=2, alpha0=0.9, mode="sampled", samples=300)
+    monkeypatch.setattr("percolab.lemmas.EXPANSION_SAMPLES", 300)
+    sampled = expansion_check(g, prof, m=2, alpha0=0.9, mode="sampled")
     assert sampled.parameters["mode"] == "sampled"
     assert sampled.checked_count == 301
     assert sampled.measured >= full.measured  # sampling can only miss minima
@@ -208,12 +209,12 @@ def test_variance_matches_two_pass():
 def test_variance_requires_certification(monkeypatch):
     g = star_graph(5)
     bad = certify(g, 0.5, a_n=1.0, b_n=3.0)  # a1 and a3 false
-    with pytest.raises(AssumptionsNotCertified):
+    with pytest.raises(NotCertified):
         variance_bound_check(g, [1, 2], bad)
     monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)
     refuted = certify(star_graph(50), 0.5, a_n=30.0, b_n=-12.0)
     assert refuted.a2 is False
-    with pytest.raises(AssumptionsNotCertified):
+    with pytest.raises(NotCertified):
         variance_bound_check(star_graph(50), [1, 2], refuted)
 
 

@@ -106,7 +106,7 @@ def bfs_components(g, retained):
 
 def test_all_bits_zero_rejects_everything():
     g = star_graph(10)
-    out = dfs_percolate(g, BernoulliStream(rho=0.0, mode="explicit_bits", bits=[0] * 10))
+    out = dfs_percolate(g, BernoulliStream(rho=0.0, bits=[0] * 10))
     assert out.retained == [] and out.components == [] and out.epochs == []
     assert out.rejected == list(range(10))
     assert out.bits_consumed == 10
@@ -114,14 +114,14 @@ def test_all_bits_zero_rejects_everything():
 
 def test_all_bits_one_recovers_the_graph():
     g = build_graph(6, [(0, 1), (1, 2), (4, 5)])  # vertex 3 isolated
-    out = dfs_percolate(g, BernoulliStream(rho=1.0, mode="explicit_bits", bits=[1] * 6))
+    out = dfs_percolate(g, BernoulliStream(rho=1.0, bits=[1] * 6))
     assert out.retained == list(range(6))
     assert out.components == [[0, 1, 2], [3], [4, 5]]
     assert out.bits_consumed == 6
 
 
 def test_triangle_split(triangle):
-    out = dfs_percolate(triangle, BernoulliStream(rho=0.0, mode="explicit_bits", bits=[1, 0, 1]))
+    out = dfs_percolate(triangle, BernoulliStream(rho=0.0, bits=[1, 0, 1]))
     assert out.retained == [0, 2]
     assert out.rejected == [1]
     assert out.components == [[0, 2]]
@@ -131,7 +131,7 @@ def test_triangle_split(triangle):
 
 def test_singleton_epoch():
     g = build_graph(1, [])
-    out = dfs_percolate(g, BernoulliStream(rho=1.0, mode="explicit_bits", bits=[1]))
+    out = dfs_percolate(g, BernoulliStream(rho=1.0, bits=[1]))
     assert out.components == [[0]] and out.epochs == [(0, 0)]
 
 
@@ -151,12 +151,6 @@ def test_stream_validation():
         BernoulliStream(rho=1.5)
     with pytest.raises(RhoOutOfRange):
         BernoulliStream(rho=-0.1)
-    with pytest.raises(ValueError):
-        BernoulliStream(rho=0.5, mode="biased_coin")
-    with pytest.raises(InvalidParameter):
-        BernoulliStream(rho=0.5, mode="biased_coin")
-    with pytest.raises(StreamLengthMismatch):
-        BernoulliStream(rho=0.5, mode="explicit_bits")
     with pytest.raises(RhoOutOfRange):
         BernoulliStream(rho=math.nan)
     with pytest.raises(InvalidParameter):  # SeedSequence refuses negative seeds
@@ -164,7 +158,7 @@ def test_stream_validation():
 
 
 def test_bits_length_must_match_n(triangle):
-    stream = BernoulliStream(rho=0.0, mode="explicit_bits", bits=[1, 0])
+    stream = BernoulliStream(rho=0.0, bits=[1, 0])
     with pytest.raises(StreamLengthMismatch):
         dfs_percolate(triangle, stream)
 
@@ -200,7 +194,7 @@ def test_uniform_mode_matches_reference(gi, seed, rho):
 def test_explicit_mode_matches_reference(gi):
     g = REF_GRAPHS[gi]
     bits = (u01(1000 + gi, g.n) < 0.5).astype(int).tolist()
-    out = dfs_percolate(g, BernoulliStream(rho=0.5, mode="explicit_bits", bits=bits))
+    out = dfs_percolate(g, BernoulliStream(rho=0.5, bits=bits))
     ret, rej, comps, epochs, q = reference_percolate(g, lambda _v, q: bool(bits[q]))
     assert (out.retained, out.rejected, out.components, out.epochs) == (ret, rej, comps, epochs)
     assert out.bits_consumed == q == g.n
@@ -369,5 +363,5 @@ def test_dfs_matches_oracles_and_nests_across_rho(case, data):
         assert out.components == sorted(sorted(c) for c in nx.connected_components(induced))
     assert set(runs[0].retained) <= set(runs[1].retained)
     bits = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
-    out = dfs_percolate(g, BernoulliStream(rho=lo, mode="explicit_bits", bits=bits))
+    out = dfs_percolate(g, BernoulliStream(rho=lo, bits=bits))
     assert whole(out) == reference_percolate(g, lambda _v, q: bool(bits[q]))
