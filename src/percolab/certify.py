@@ -23,11 +23,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import graph
-from .errors import (InvalidParameter, NotCertified, SampledModeUnavailable, SubsetTooSmall,
-                     require_density, require_finite)
-from .graph import CoDegreeResult, Graph, degrees_into, max_co_degree
+from .errors import InvalidParameter, NotCertified, SubsetTooSmall, require_density, require_finite
+from .graph import CoDegreeResult, Graph, degrees_into, max_co_degree, require_exact_codegree
 from .rng import derived
+
+HD_SUBSET_FRACTION = 0.9  # |U| / n for every hd_check subset
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,6 @@ def certify(g: Graph, p: float, a_n: float, b_n: float) -> PseudoRandomProfile:
     return _verdicts(g, p, a_n, b_n, max_co_degree(g))
 
 
-def require_exact_codegree(g: Graph):
-    """Refuse a graph whose co-degree scan would be sampled: beyond
-    graph.EXACT_CODEGREE_CAP the tight slacks are undefined."""
-    if g.n > graph.EXACT_CODEGREE_CAP:
-        raise SampledModeUnavailable(
-            f"exact co-degree needs n <= {graph.EXACT_CODEGREE_CAP}, got {g.n}")
-
-
 def estimate_slacks(g: Graph, p: float) -> Tuple[float, float]:
     """Tightest (a_n, b_n) making all three verdicts strictly true.
 
@@ -89,9 +81,8 @@ def estimate_slacks(g: Graph, p: float) -> Tuple[float, float]:
 def tightest_profile(g: Graph, p: float) -> PseudoRandomProfile:
     """certify(g, p, *estimate_slacks(g, p)) from one co-degree scan.
 
-    Beyond graph.EXACT_CODEGREE_CAP the scan is sampled: b_n is then fitted
-    to a lower bound of the maximum co-degree, and a2 comes out None (not
-    falsified).
+    Where max_co_degree samples, b_n is fitted to a lower bound of the
+    maximum co-degree, and a2 comes out None (not falsified).
     """
     require_density(p)
     co = max_co_degree(g)
@@ -149,39 +140,32 @@ class HDReport:
     witness: Optional[Tuple[object, int]]  # (subset label, vertex)
 
 
-def hd_check(g: Graph, beta: float, subset_fraction: float = 0.9,
-             trials: int = 50, seed: int = 0, p: Optional[float] = None) -> HDReport:
+def hd_check(g: Graph, beta: float, p: float, trials: int = 50, seed: int = 0) -> HDReport:
     """Sample-falsify max_{v in U} d(v, U) < (1 + beta) * p|U| over large U.
 
-    Tests `trials` uniform subsets of size floor(subset_fraction * n) plus one
-    greedy adversarial subset. p defaults to the empirical density
-    2*edge_count / (n*(n-1)); pass it explicitly when certifying against a
-    target density. Per-trial subsets use derived streams (seed, trial), so
-    the report is independent of evaluation order.
+    Tests `trials` uniform subsets of size floor(HD_SUBSET_FRACTION * n) plus
+    one greedy adversarial subset, against the target density p. Per-trial
+    subsets use derived streams (seed, trial), so the report is independent
+    of evaluation order.
     """
-    if p is None:
-        p = 2 * g.edge_count / (g.n * (g.n - 1)) if g.n > 1 else 0.0
-    if not 0.9 <= subset_fraction <= 1.0:
-        raise SubsetTooSmall(f"subset_fraction must be in [0.9, 1], got {subset_fraction}")
+    require_density(p)
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
-    size = int(subset_fraction * g.n)
+    size = int(HD_SUBSET_FRACTION * g.n)
     if size < 1:
         raise SubsetTooSmall(f"subset of size {size} from n={g.n}")
     worst = 0.0
-    witness = None
-    falsified = False
+    witness = None  # the first subset and vertex that falsify
 
     def consider(label, in_u):
-        nonlocal worst, witness, falsified
+        nonlocal worst, witness
         d = degrees_into(g, in_u)
         d[~in_u] = -1
         v = int(np.argmax(d))
-        ratio = float(d[v]) / (p * size) if p > 0 and size > 0 else 0.0
+        ratio = float(d[v]) / (p * size)
         if ratio > worst:
             worst = ratio
-        if ratio >= 1.0 + beta and not falsified:
-            falsified = True
+        if ratio >= 1.0 + beta and witness is None:
             witness = (label, v)
 
     for t in range(trials):
@@ -201,5 +185,5 @@ def hd_check(g: Graph, beta: float, subset_fraction: float = 0.9,
         in_u[drop] = False
     consider("adversarial", in_u)
 
-    return HDReport(beta=beta, subset_fraction=subset_fraction, trials=trials,
-                    worst_ratio=worst, falsified=falsified, witness=witness)
+    return HDReport(beta=beta, subset_fraction=HD_SUBSET_FRACTION, trials=trials,
+                    worst_ratio=worst, falsified=witness is not None, witness=witness)

@@ -14,7 +14,7 @@ import sys
 
 from . import experiment, graph, lemmas, percolate
 from .certify import certify as run_certify
-from .certify import require_exact_codegree, tightest_profile
+from .certify import tightest_profile
 from .errors import InvalidParameter, PercolabError
 from .experiment import write_json
 from .rng import derived
@@ -64,9 +64,11 @@ def _load_graph(args) -> graph.Graph:
 
 
 def _profile_for(args, g):
-    if args.a is not None and args.b is not None:
+    if (args.a is None) != (args.b is None):
+        raise PercolabError("give both --a and --b, or neither")
+    if args.a is not None:
         return run_certify(g, args.p, args.a, args.b)
-    require_exact_codegree(g)
+    graph.require_exact_codegree(g)
     return tightest_profile(g, args.p)
 
 

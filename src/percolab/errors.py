@@ -77,7 +77,7 @@ class SampledModeUnavailable(PercolabError):
 
 
 class SubsetTooSmall(PercolabError):
-    """hd_check subset_fraction below the 0.9 floor."""
+    """hd_check subset of floor(0.9 n) vertices is empty (n = 1)."""
 
 
 class NotCertified(PercolabError):

@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
     SameVertex,
+    SampledModeUnavailable,
     VertexOutOfRange,
 )
 from .rng import derived, generator
@@ -51,9 +52,7 @@ class Graph:
     edge_count: int
 
     def degree(self, v) -> int:
-        if not 0 <= v < self.n:
-            raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
-        return int(self.offsets[v + 1] - self.offsets[v])
+        return len(self.neighbors_of(v))
 
     def neighbors_of(self, v) -> np.ndarray:
         if not 0 <= v < self.n:
@@ -69,13 +68,30 @@ class Graph:
         return i < len(row) and row[i] == v
 
 
+def vertex_set(g: Graph, vertices) -> np.ndarray:
+    """The distinct ids int(v) of `vertices`, ascending, as int64. Raises
+    VertexOutOfRange for an id outside 0..n-1."""
+    ids = sorted({int(v) for v in vertices})
+    for v in ids[:1] + ids[-1:]:
+        if not 0 <= v < g.n:
+            raise VertexOutOfRange(f"vertex {v} not in 0..{g.n - 1}")
+    return np.array(ids, dtype=np.int64)
+
+
+def adjacency_rows(g: Graph, rows) -> Tuple[np.ndarray, np.ndarray]:
+    """Every neighbor w[k] of rows[i[k]], row by row, each row ascending.
+    `rows` holds valid ids, in any order and possibly repeated."""
+    rows = np.asarray(rows, dtype=np.int64)
+    deg = g.offsets[rows + 1] - g.offsets[rows]
+    i = np.repeat(np.arange(len(rows)), deg)
+    return i, g.neighbors[np.arange(len(i)) + (g.offsets[rows] - np.cumsum(deg) + deg)[i]]
+
+
 def co_degree(g: Graph, u, v) -> int:
     """Number of common neighbors |N_u ∩ N_v|; symmetric in (u, v)."""
     if u == v:
         raise SameVertex(f"co_degree needs u != v, got {u}")
-    a = g.neighbors_of(u)
-    b = g.neighbors_of(v)
-    return int(np.intersect1d(a, b, assume_unique=True).size)
+    return int(np.intersect1d(g.neighbors_of(u), g.neighbors_of(v), assume_unique=True).size)
 
 
 @dataclass(frozen=True)
@@ -266,6 +282,17 @@ class CoDegreeResult:
     mode: str  # "exact" | "sampled"
 
 
+def _codegree_is_exact(g: Graph) -> bool:
+    return g.n <= EXACT_CODEGREE_CAP
+
+
+def require_exact_codegree(g: Graph):
+    """Refuse a graph whose co-degree scan would be sampled."""
+    if not _codegree_is_exact(g):
+        raise SampledModeUnavailable(
+            f"exact co-degree needs n <= {EXACT_CODEGREE_CAP}, got {g.n}")
+
+
 def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     """Maximum co-degree over unordered pairs, with one attaining pair.
 
@@ -280,27 +307,25 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     """
     if g.n < 2:
         raise GraphTooSmall("max_co_degree needs n >= 2")
-    if g.n <= EXACT_CODEGREE_CAP:
+    if _codegree_is_exact(g):
         value, pair = _max_codegree_among(g, np.arange(g.n))
         return CoDegreeResult(value=value, pair=pair, mode="exact")
     value, pair = _max_codegree_sampled(g, sample_pairs)
     return CoDegreeResult(value=value, pair=pair, mode="sampled")
 
 
-def _packed_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
+def _bit_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """Row i is np.packbits of the neighbor mask of rows[i]."""
+    i, w = adjacency_rows(g, rows)
     out = np.zeros((len(rows), (g.n + 7) // 8), dtype=np.uint8)
-    block = np.zeros((1, g.n), dtype=bool)
-    for i, v in enumerate(rows):
-        block[0, :] = False
-        block[0, g.neighbors_of(int(v))] = True
-        out[i] = np.packbits(block, axis=1)[0]
+    np.bitwise_or.at(out, (i, w >> 3), (0x80 >> (w & 7)).astype(np.uint8))
     return out
 
 
 def _max_codegree_among(g: Graph, rows: np.ndarray):
     """Largest co-degree over the pairs of the ascending vertex array `rows`,
     with the first pair attaining it, by popcounted ANDs of packed rows."""
-    packed = _packed_rows(g, rows)
+    packed = _bit_rows(g, rows)
     best = -1
     pair = (0, 1)
     for i in range(len(rows) - 1):
@@ -323,7 +348,7 @@ def _max_codegree_sampled(g: Graph, sample_pairs: int):
     vs = rng.integers(0, g.n - 1, size=sample_pairs)
     vs = vs + (vs >= us)
     for u, v in zip(us.tolist(), vs.tolist()):
-        c = int(np.intersect1d(g.neighbors_of(u), g.neighbors_of(v), assume_unique=True).size)
+        c = co_degree(g, u, v)
         if c > best:
             best = c
             pair = (min(u, v), max(u, v))

@@ -26,7 +26,7 @@ from .errors import (
     USmall,
     require_finite,
 )
-from .graph import Graph, co_degree, degrees_into
+from .graph import Graph, adjacency_rows, co_degree, degrees_into, vertex_set
 from .rng import derived
 
 EXHAUSTIVE_SET_CAP = 5_000_000
@@ -110,14 +110,16 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
                     mode: str = "exhaustive", c: float = 1e-3) -> LemmaReport:
     """No vertex set H with |H| = m has |N_G(H)| < (1-alpha0)(npm - np^2 m^2/2).
 
-    Requires c < m*p <= 1/3 for the supplied c in (0, 1/3). Exhaustive mode
-    proves the verdict over all C(n, m) sets (refused above
+    Requires 1 <= m <= n and c < m*p <= 1/3 for the supplied c in (0, 1/3).
+    Exhaustive mode proves the verdict over all C(n, m) sets (refused above
     EXHAUSTIVE_SET_CAP); sampled mode tries EXPANSION_SAMPLES random sets
     (stream seed 0) plus one greedy adversarial set and can only falsify.
     Both constants are read at call time.
     """
     require_finite(alpha0=alpha0, c=c)
     n, p = g.n, profile.p
+    if not 1 <= m <= n:
+        raise InvalidParameter(f"m must be in [1, {n}], got {m}")
     if not 0.0 < c < 1.0 / 3.0:
         raise PreconditionViolated(f"c must be in (0, 1/3), got {c}")
     if not c < m * p <= 1.0 / 3.0:
@@ -147,19 +149,13 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
                        params, measured=worst, bound=bound)
 
 
-def _dense_adjacency(g: Graph) -> np.ndarray:
-    A = np.zeros((g.n, g.n), dtype=bool)
-    for v in range(g.n):
-        A[v, g.neighbors_of(v)] = True
-    return A
-
-
 def _expansion_scan_all(g: Graph, m: int):
     """min |N(H)| over all |H| = m and its first lexicographic witness. Each
     (m-1)-prefix ORs its rows once; the last member ranges over the later
     vertices in one vectorized step."""
     n = g.n
-    A = _dense_adjacency(g)
+    A = np.zeros((n, n), dtype=bool)
+    A[adjacency_rows(g, np.arange(n))] = True
     worst = n + 1
     witness = ()
     for prefix in itertools.combinations(range(n - 1), m - 1):
@@ -189,23 +185,20 @@ def _expansion_scan_sampled(g: Graph, m: int, samples: int):
             worst = size
             witness = tuple(int(v) for v in H)
     # adversarial: grow greedily from the minimum-degree vertex, always adding
-    # the vertex that keeps the running neighborhood smallest
-    deg = g.degrees()
-    H = [int(np.argmin(deg))]
+    # the vertex that keeps the running neighborhood smallest, taken from that
+    # neighborhood unless H already covers it (a component smaller than m)
+    H = [int(np.argmin(g.degrees()))]
     mask = np.zeros(g.n, dtype=bool)
-    mask[g.neighbors_of(H[0])] = True
-    while len(H) < m:
-        best_v, best_gain = -1, g.n + 1
-        candidates = np.flatnonzero(mask) if mask.any() else np.arange(g.n)
-        for v in candidates:
-            v = int(v)
-            if v in H:
-                continue
-            gain = int((~mask[g.neighbors_of(v)]).sum())
-            if gain < best_gain:
-                best_gain, best_v = gain, v
-        H.append(best_v)
-        mask[g.neighbors_of(best_v)] = True
+    outside = np.ones(g.n, dtype=bool)
+    while True:
+        mask[g.neighbors_of(H[-1])] = True
+        outside[H[-1]] = False
+        if len(H) == m:
+            break
+        near = mask & outside
+        candidates = np.flatnonzero(near if near.any() else outside)
+        gains = [int((~mask[g.neighbors_of(v)]).sum()) for v in candidates.tolist()]
+        H.append(int(candidates[np.argmin(gains)]))
     size = neighborhood_size(g, H)
     if size < worst:
         worst = size
@@ -222,7 +215,7 @@ def variance_bound_check(g: Graph, U: Sequence[int], profile) -> LemmaReport:
     """
     profile.require("a1", "a2", "a3")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
-    us = sorted({int(v) for v in U})
+    us = vertex_set(g, U)
     mask = np.zeros(n, dtype=bool)
     mask[us] = True
     d = degrees_into(g, mask)
@@ -254,7 +247,7 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
     require_finite(alpha=alpha)
     profile.require("a1", "a2", "a3")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
-    us = sorted({int(v) for v in U})
+    us = vertex_set(g, U)
     if 2 * len(us) < n:
         raise USmall(f"|U| = {len(us)} < n/2 = {n / 2}")
     if a > alpha * p * n / 2:
@@ -335,7 +328,7 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     target = ceil_eps_over_p(epsilon, profile.p)
     profile.require("a1", "a2")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
-    cs = sorted({int(v) for v in C})
+    cs = vertex_set(g, C).tolist()
     if not cs:
         raise EmptySet("C must be nonempty")
     if not _is_connected_induced(g, cs):

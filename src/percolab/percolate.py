@@ -33,8 +33,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, RhoOutOfRange, StreamLengthMismatch, VertexOutOfRange
-from .graph import Graph
+from .errors import InvalidParameter, RhoOutOfRange, StreamLengthMismatch
+from .graph import Graph, adjacency_rows, vertex_set
 from .rng import uniforms
 
 
@@ -127,16 +127,11 @@ def oracle_components(g: Graph, retained) -> List[List[int]]:
     compresses the pointers to fixed points, until every edge joins one root.
     Pointers only go down, so each root is its component's minimum vertex.
     """
-    ret = sorted({int(v) for v in retained})
-    for v in ret[:1] + ret[-1:]:
-        if not 0 <= v < g.n:
-            raise VertexOutOfRange(f"vertex {v} not in 0..{g.n - 1}")
-    if not ret:
+    ret = vertex_set(g, retained)
+    if not len(ret):
         return []
-    ret = np.array(ret, dtype=np.int64)
-    deg = g.offsets[ret + 1] - g.offsets[ret]
-    slots = np.arange(int(deg.sum())) + np.repeat(g.offsets[ret] - (np.cumsum(deg) - deg), deg)
-    u, v = np.repeat(ret, deg), g.neighbors[slots]
+    i, v = adjacency_rows(g, ret)
+    u = ret[i]
     in_r = np.zeros(g.n, dtype=bool)
     in_r[ret] = True
     keep = (u < v) & in_r[v]

@@ -183,27 +183,18 @@ def test_hd_gnp_threshold():
     assert not high.falsified and high.witness is None
 
 
-def test_hd_full_subset_bounded_by_max_degree():
-    g = generate(GeneratorSpec(kind="gnp", n=500, p=0.05, seed=13))
-    # with U = V the ratio is max_degree/(p*n) < 1 + beta for beta = 1
-    assert g.degrees().max() < 2 * 0.05 * 500
-    rep = hd_check(g, beta=1.0, subset_fraction=1.0, p=0.05)
-    assert not rep.falsified
-
-
-def test_hd_default_p_is_empirical_density():
-    g = complete_graph(50)
-    assert hd_check(g, beta=0.1).worst_ratio == hd_check(g, beta=0.1, p=1.0).worst_ratio
-
-
 def test_hd_validation():
     g = complete_graph(10)
+    assert hd_check(g, beta=0.1, p=1.0).subset_fraction == 0.9
     with pytest.raises(SubsetTooSmall):
-        hd_check(g, beta=0.1, subset_fraction=0.5)
+        hd_check(complete_graph(1), beta=0.1, p=1.0)  # floor(0.9 * 1) = 0
     with pytest.raises(ValueError):
-        hd_check(g, beta=0.1, trials=0)
+        hd_check(g, beta=0.1, p=1.0, trials=0)
     with pytest.raises(InvalidParameter):
-        hd_check(g, beta=0.1, trials=0)
+        hd_check(g, beta=0.1, p=1.0, trials=0)
+    for p in (math.nan, 0.0, -0.1, 1.5):  # a NaN or non-positive p used to read ratio 0
+        with pytest.raises(InvalidParameter):
+            hd_check(g, beta=0.1, p=p)
 
 
 def test_hd_deterministic():

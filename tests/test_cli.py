@@ -9,8 +9,10 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +234,33 @@ def test_lemma_outer_fail_exits_1(tmp_path):
     assert payload["measured"] == 55
 
 
+def test_lemma_sampled_expansion_beside_a_small_component(tmp_path, monkeypatch):
+    # the greedy set starts in the component {0, 1}, smaller than m = 3; it
+    # used to add vertex -1 and exit 2 with "vertex -1 not in 0..5"
+    path = tmp_path / "g.txt"
+    path.write_text("# n=6\n0 1\n2 3\n3 4\n4 5\n2 5\n2 4\n")
+    monkeypatch.setattr(lemmas, "EXPANSION_SAMPLES", 100)
+    out = tmp_path / "exp.json"
+    rc = cli.main(["lemma", "--which", "expansion", "--mode", "sampled", "--graph", str(path),
+                   "--p", "0.05", "--m", "3", "--out", str(out)])
+    payload = json.loads(out.read_text())
+    assert rc == (0 if payload["passed"] else 1)
+    assert payload["checked_count"] == 101 and payload["measured"] == 1
+
+
+def test_readme_cli_lines_parse():
+    # every command in the README's CLI block, continuations joined, is one
+    # the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(lines) >= 6
+    for line in lines:
+        words = shlex.split(line)
+        assert words[0] == "percolab", line
+        cli.build_parser().parse_args(words[1:])
+
+
 def test_sweep_files_match_direct_run(tmp_path, capsys):
     sweep = ["sweep", "--p", "0.05", "--grid", "0.5,1.5", "--seeds", "5:4"]
     rc = cli.main([*sweep, "--gen", "gnp:n=200,p=0.05,seed=2",
@@ -344,6 +373,11 @@ BAD_INPUT = {
     "u-seed-negative": f"lemma --which variance {GEN} --p 0.1 --u-seed -1",  # ValueError
     # a prime near 1e18: trial division never returned
     "gen-q-above-int32": "generate --gen paley:q=1000000000000000009 --out g.txt",
+    # numpy ValueError in sampled mode; a vacuous pass over C(5, 10) = 0 sets otherwise
+    "expansion-m-above-n": "lemma --which expansion --mode sampled "
+                           "--gen gnp:n=5,p=0.01,seed=1 --p 0.01 --m 10",
+    "certify-a-without-b": f"certify {GEN} --p 0.1 --a 5",  # exit 0, a_n estimated
+    "lemma-b-without-a": f"lemma --which variance {GEN} --p 0.1 --b 5",  # exit 0, b_n estimated
 }
 
 

@@ -35,7 +35,15 @@ from percolab.errors import (
     SameVertex,
     VertexOutOfRange,
 )
-from percolab.graph import _from_edge_arrays, _near_regular_perturbed, _is_prime, degrees_into
+from percolab.graph import (
+    _bit_rows,
+    _from_edge_arrays,
+    _is_prime,
+    _near_regular_perturbed,
+    adjacency_rows,
+    degrees_into,
+    vertex_set,
+)
 from percolab.rng import derived
 
 
@@ -414,6 +422,46 @@ def test_builder_matches_lexsort_reference(case):
     assert np.array_equal(g.offsets, offsets)
     assert np.array_equal(g.neighbors, neighbors)
     assert not g.offsets.flags.writeable and not g.neighbors.flags.writeable
+
+
+@st.composite
+def graphs_and_rows(draw):
+    """A random graph and a row array into it: empty, repeated or unsorted."""
+    n, pairs = draw(edge_sets())
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []
+    return _from_edge_arrays(n, *pair_arrays(pairs)), np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_and_rows())
+def test_adjacency_rows_is_the_per_row_neighbor_concatenation(case):
+    g, rows = case
+    i, w = adjacency_rows(g, rows)
+    per_row = [g.neighbors_of(int(v)) for v in rows]
+    assert np.array_equal(i, np.repeat(np.arange(len(rows)), [len(r) for r in per_row]))
+    assert np.array_equal(w, np.concatenate([np.zeros(0, dtype=np.int32), *per_row]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_and_rows())
+def test_bit_rows_are_packed_boolean_rows(case):
+    g, rows = case
+    block = np.zeros((len(rows), g.n), dtype=bool)
+    for k, v in enumerate(rows.tolist()):
+        block[k, g.neighbors_of(v)] = True
+    packed = _bit_rows(g, rows)
+    assert packed.dtype == np.uint8
+    assert np.array_equal(packed, np.packbits(block, axis=1))
+
+
+def test_vertex_set_sorts_dedups_and_range_checks(k4):
+    ids = vertex_set(k4, [3, np.int32(1), 3, 0])
+    assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 3]
+    empty = vertex_set(k4, [])
+    assert empty.dtype == np.int64 and empty.tolist() == []
+    for bad in (-1, 4, 2 ** 70):
+        with pytest.raises(VertexOutOfRange):
+            vertex_set(k4, [0, bad])
 
 
 PALEY_Q = [q for q in range(5, 400) if q % 4 == 1 and _is_prime(q)]

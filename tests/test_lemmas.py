@@ -18,6 +18,7 @@ from percolab import (
     inclusion_exclusion_check,
     inclusion_exclusion_lower_bound,
     neighborhood_size,
+    oracle_components,
     outer_complement_check,
     variance_bound_check,
     xi_count_check,
@@ -32,8 +33,14 @@ from percolab.errors import (
     SizeMismatch,
     SlackTooLarge,
     USmall,
+    VertexOutOfRange,
 )
-from percolab.lemmas import LEMMA_IDS, _is_connected_induced, grow_connected_set
+from percolab.lemmas import (
+    LEMMA_IDS,
+    _expansion_scan_sampled,
+    _is_connected_induced,
+    grow_connected_set,
+)
 
 
 def certified(g, p):
@@ -167,6 +174,48 @@ def test_expansion_sampled_mode_is_a_lower_scan(monkeypatch):
     assert sampled.parameters["mode"] == "sampled"
     assert sampled.checked_count == 301
     assert sampled.measured >= full.measured  # sampling can only miss minima
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("m", [0, 6, 10])
+def test_expansion_m_outside_1_to_n_is_rejected(mode, m):
+    # exhaustive mode used to prove the bound over the C(5, 10) = 0 sets
+    g = generate(GeneratorSpec(kind="gnp", n=5, p=0.01, seed=1))
+    prof = forced_profile(g, 0.01, 1.0, 1.0)
+    with pytest.raises(InvalidParameter):
+        expansion_check(g, prof, m=m, alpha0=0.5, mode=mode)
+
+
+def test_sampled_expansion_greedy_set_leaves_a_small_component(monkeypatch):
+    # the greedy set starts at vertex 0, whose component {0, 1} is smaller
+    # than m = 3; it used to append vertex -1 once H held its neighborhood
+    g = build_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5), (2, 4)])
+    worst, H = _expansion_scan_sampled(g, 3, 0)
+    assert len(set(H)) == 3 and all(0 <= v < 6 for v in H)
+    assert worst == nbhd_oracle(g, H) == 2
+    monkeypatch.setattr("percolab.lemmas.EXPANSION_SAMPLES", 50)
+    rep = expansion_check(g, forced_profile(g, 0.05, 1.0, 1.0), m=3, alpha0=0.5,
+                          mode="sampled")
+    assert rep.checked_count == 51
+    assert rep.measured == min(nbhd_oracle(g, S) for S in itertools.combinations(range(6), 3))
+
+
+# --- vertex sets ---
+
+
+@pytest.mark.parametrize("bad", [-1, 40])
+@pytest.mark.parametrize("check", [
+    lambda g, prof, vs: oracle_components(g, vs),
+    lambda g, prof, vs: variance_bound_check(g, vs, prof),
+    lambda g, prof, vs: xi_count_check(g, vs, prof, alpha=0.5),
+    lambda g, prof, vs: outer_complement_check(g, vs, prof, epsilon=0.5),
+], ids=["oracle", "variance", "xi", "outer"])
+def test_vertex_ids_outside_0_to_n_are_rejected(check, bad):
+    # variance and xi used to read id -1 as n-1 and raise IndexError at n
+    g = complete_graph(40)
+    prof = certify(g, 1.0, a_n=2.0, b_n=3.0)
+    with pytest.raises(VertexOutOfRange):
+        check(g, prof, [*range(30), bad])
 
 
 # --- variance ---
