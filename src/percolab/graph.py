@@ -13,6 +13,7 @@ consumed prefix is identical whether drawn one at a time or in batches, so an
 independent scalar re-implementation reproduces the edge set exactly.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -40,6 +41,20 @@ _GNP_BATCH = 1 << 16
 _MAX_N = int(np.iinfo(np.int32).max)
 # near_regular_perturbed toggles one pair at each of ceil(fraction * n) vertices
 _PERTURB_FRACTION = 0.01
+# Co-degree kernels (see max_co_degree), measured on a 2-vCPU Xeon VM with
+# numpy 2.4.6. One wedge key cost 20-48 ns and one ANDed packed byte
+# 0.69-1.10 ns on gnp hosts from n=1000, p=0.1 to n=8000, p=0.002: a key
+# costs 18-69 bytes.
+_WEDGE_KEY_BYTES = 50
+# Sampled pairs whose two rows hold fewer entries than this on average are
+# counted in one sort: 0.3 us a pair against 6 us for co_degree at 10
+# entries, 7.6 against 8.8 us at 400, but 10.0 against 9.0 us at 600 and
+# 38 against 19 us at 1800 (gnp n=10000).
+_BATCH_ROW_LEN = 400
+# Keys made and sorted at once by either counting kernel. On gnp n=20000,
+# p=0.002 (16M wedges) 2**17 took 0.51 s and 36 MB over the graph; 2**21
+# took 0.84 s and 144 MB, one chunk 0.85 s and 408 MB.
+_CODEGREE_CHUNK_KEYS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -294,14 +309,21 @@ def require_exact_codegree(g: Graph):
 
 
 def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
-    """Maximum co-degree over unordered pairs, with one attaining pair.
+    """Maximum co-degree over unordered pairs, with the first pair (in
+    (u, v) order) attaining it.
 
-    Exact strategy (n <= EXACT_CODEGREE_CAP): one packed bitset row per
-    vertex (n**2 bits total) and popcounted row ANDs; runtime grows like
-    n**3, several minutes near the default cap. Beyond the cap: exact
-    intersection counts over `sample_pairs` sampled pairs plus all pairs
-    among the top-degree 1% of vertices, mode flagged "sampled" (a lower
-    bound on the true maximum).
+    Exact mode (n <= EXACT_CODEGREE_CAP) scans all pairs; beyond the cap,
+    mode "sampled" scans all pairs among the top-degree 1% of vertices plus
+    `sample_pairs` sampled pairs, a lower bound on the true maximum.
+
+    An all-pairs scan over t rows uses one of two kernels, both exact:
+    popcounted ANDs of packed bit rows, C(t, 2) * ceil(n/8) bytes, or a
+    wedge count, one key per pair of rows sharing a neighbor w, sum over w
+    of C(s_w, 2) keys where s_w is the number of the rows adjacent to w. It
+    takes the wedge count when the keys times the cost of one key (about
+    _WEDGE_KEY_BYTES ANDed bytes) are fewer than the packed bytes: sparse
+    hosts count wedges, dense hosts AND rows. The sampled pairs are counted
+    in one sort when their rows are short, one pair at a time otherwise.
     Deterministic for a given graph; the sampling stream is keyed by
     (n, edge_count).
     """
@@ -323,8 +345,19 @@ def _bit_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
 
 
 def _max_codegree_among(g: Graph, rows: np.ndarray):
-    """Largest co-degree over the pairs of the ascending vertex array `rows`,
-    with the first pair attaining it, by popcounted ANDs of packed rows."""
+    """Largest co-degree over the pairs of the ascending vertex array `rows`
+    (at least two), with the first pair attaining it; the kernel with the
+    smaller estimated work does the scan."""
+    i, w = adjacency_rows(g, rows)
+    s = np.bincount(w, minlength=g.n)
+    wedges = int((s * (s - 1) // 2).sum())
+    if wedges * _WEDGE_KEY_BYTES < math.comb(len(rows), 2) * ((g.n + 7) // 8):
+        return _max_codegree_wedges(rows, i, w, s)
+    return _max_codegree_packed(g, rows)
+
+
+def _max_codegree_packed(g: Graph, rows: np.ndarray):
+    """The scan of _max_codegree_among by popcounted ANDs of packed rows."""
     packed = _bit_rows(g, rows)
     best = -1
     pair = (0, 1)
@@ -337,22 +370,91 @@ def _max_codegree_among(g: Graph, rows: np.ndarray):
     return best, pair
 
 
+def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.ndarray):
+    """The scan of _max_codegree_among by counting wedges. (i, w) are the
+    incidences of adjacency_rows(g, rows) and s[w] the number of rows
+    adjacent to w. Each pair a < b of rows adjacent to one w gives the key
+    a*t + b; the number of equal keys is the co-degree of the pair. Keys
+    are made and counted in chunks of whole rows a, in row order, so the
+    first largest count is the first attaining pair."""
+    t = len(rows)
+    by_w = np.argsort(w, kind="stable")  # grouped by w, rows ascending in a group
+    row_at = i[by_w]
+    slot = np.empty(len(w), dtype=np.int64)
+    slot[by_w] = np.arange(len(w))
+    # incidence k owns one key for each later slot of its w group
+    owns = np.cumsum(s)[w] - slot - 1
+    owned = np.concatenate(([0], np.cumsum(owns)))
+    row_start = np.searchsorted(i, np.arange(t + 1))
+    best, pair = 0, (int(rows[0]), int(rows[1]))
+    for a0, a1 in _chunks(owned[row_start]):
+        r0, r1 = row_start[a0], row_start[a1]
+        if owned[r1] == owned[r0]:
+            continue
+        count = owns[r0:r1]
+        partner = np.repeat(slot[r0:r1] + 1 - (np.cumsum(count) - count), count)
+        partner += np.arange(len(partner))
+        keys = np.repeat(i[r0:r1] * t, count)
+        keys += row_at[partner]
+        keys, runs = np.unique(keys, return_counts=True)
+        k = int(np.argmax(runs))
+        if runs[k] > best:
+            best = int(runs[k])
+            a, b = divmod(int(keys[k]), t)
+            pair = (int(rows[a]), int(rows[b]))
+    return best, pair
+
+
 def _max_codegree_sampled(g: Graph, sample_pairs: int):
     # All pairs among the top-degree 1% (ties broken by index): high-degree
     # vertices dominate the maximum.
+    deg = g.degrees()
     t = max(2, g.n // 100)
-    top = np.sort(np.argsort(-g.degrees(), kind="stable")[:t])
+    top = np.sort(np.argsort(-deg, kind="stable")[:t])
     best, pair = _max_codegree_among(g, top)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0xC0DE6, g.n, g.edge_count))))
     us = rng.integers(0, g.n, size=sample_pairs)
     vs = rng.integers(0, g.n - 1, size=sample_pairs)
     vs = vs + (vs >= us)
+    lengths = deg[us] + deg[vs]
+    if sample_pairs and lengths.mean() < _BATCH_ROW_LEN:
+        co = _sampled_codegrees(g, us, vs, lengths)
+        k = int(np.argmax(co))
+        if co[k] > best:
+            best, pair = int(co[k]), (int(min(us[k], vs[k])), int(max(us[k], vs[k])))
+        return best, pair
     for u, v in zip(us.tolist(), vs.tolist()):
         c = co_degree(g, u, v)
         if c > best:
             best = c
             pair = (min(u, v), max(u, v))
     return best, pair
+
+
+def _sampled_codegrees(g: Graph, us: np.ndarray, vs: np.ndarray, lengths: np.ndarray):
+    """co_degree(g, us[k], vs[k]) for every k, where pair k has `lengths[k]`
+    neighbors in all. The neighbors w of both rows of pair k become keys
+    k*n + w, sorted in chunks of whole pairs; a key that repeats is a common
+    neighbor."""
+    co = np.zeros(len(us), dtype=np.int64)
+    for k0, k1 in _chunks(np.concatenate(([0], np.cumsum(lengths)))):
+        i, w = adjacency_rows(g, np.stack((us[k0:k1], vs[k0:k1]), axis=1).ravel())
+        keys = (i >> 1) * g.n + w
+        keys.sort()
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        co[k0:k1] = np.bincount(repeated // g.n, minlength=k1 - k0)
+    return co
+
+
+def _chunks(before: np.ndarray):
+    """Consecutive ranges [a, b) that cover items 0..len(before)-2, where
+    item k makes before[k+1] - before[k] keys: each range makes at most
+    _CODEGREE_CHUNK_KEYS keys, or is one item."""
+    a = 0
+    while a < len(before) - 1:
+        b = max(a + 1, int(np.searchsorted(before, before[a] + _CODEGREE_CHUNK_KEYS, "right")) - 1)
+        yield a, b
+        a = b
 
 
 _HEADER_PREFIX = "# n="

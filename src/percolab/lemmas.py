@@ -86,8 +86,9 @@ def neighborhood_size(g: Graph, H: Sequence[int]) -> int:
 
 def inclusion_exclusion_lower_bound(g: Graph, H: Sequence[int]) -> int:
     """Signed lower bound sum(deg) - sum(pairwise co-degree) - |H|; always
-    <= the exact external neighborhood size (Bonferroni)."""
-    hs = [int(v) for v in H]
+    <= the exact external neighborhood size (Bonferroni). H is read as a
+    set of vertex ids."""
+    hs = vertex_set(g, H).tolist()
     if not hs:
         raise EmptySet("H must be nonempty")
     total = sum(g.degree(v) for v in hs)
@@ -97,9 +98,9 @@ def inclusion_exclusion_lower_bound(g: Graph, H: Sequence[int]) -> int:
 
 
 def inclusion_exclusion_check(g: Graph, H: Sequence[int]) -> LemmaReport:
-    """The exact external neighborhood size of H against its inclusion-exclusion
-    lower bound; passed means measured >= bound."""
-    hs = [int(v) for v in H]
+    """The exact external neighborhood size of the vertex set H against its
+    inclusion-exclusion lower bound; passed means measured >= bound."""
+    hs = vertex_set(g, H).tolist()
     bound = inclusion_exclusion_lower_bound(g, hs)
     measured = neighborhood_size(g, hs)
     return LemmaReport("inclusion_exclusion", passed=measured >= bound, checked_count=1,
@@ -150,10 +151,15 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
 
 
 def _expansion_scan_all(g: Graph, m: int):
-    """min |N(H)| over all |H| = m and its first lexicographic witness. Each
-    (m-1)-prefix ORs its rows once; the last member ranges over the later
-    vertices in one vectorized step."""
+    """min |N(H)| over all |H| = m and its first lexicographic witness. For
+    m = 1 that is the minimum degree. Otherwise each (m-1)-prefix ORs its
+    rows of the n x n adjacency matrix once; the last member ranges over the
+    later vertices in one vectorized step."""
     n = g.n
+    if m == 1:
+        deg = g.degrees()
+        v = int(np.argmin(deg))
+        return int(deg[v]), (v,)
     A = np.zeros((n, n), dtype=bool)
     A[adjacency_rows(g, np.arange(n))] = True
     worst = n + 1

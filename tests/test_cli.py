@@ -405,3 +405,30 @@ def test_lemma_incl_excl_matches_library(tmp_path):
                                               [0, 1, 5, 9])
     assert rc == (0 if report.passed else 1)
     assert json.loads(out.read_text()) == dict(report.to_dict(), schema="percolab/1")
+
+
+def test_lemma_incl_excl_reads_h_as_a_set(tmp_path, capsys):
+    # --h 3,3 used to exit 2 with co_degree's "co_degree needs u != v, got 3"
+    for h in ("3,3", "3"):
+        rc = cli.main(["lemma", "--which", "incl-excl", *GEN.split(), "--p", "0.1",
+                       "--h", h, "--out", str(tmp_path / f"{h}.json")])
+        assert rc in (0, 1)
+    assert (tmp_path / "3,3.json").read_text() == (tmp_path / "3.json").read_text()
+    capsys.readouterr()
+    assert cli.main(["lemma", "--which", "incl-excl", *GEN.split(), "--p", "0.1",
+                     "--h", "3,50"]) == 2
+    assert capsys.readouterr().err == "error: vertex 50 not in 0..49\n"
+
+
+def test_lemma_expansion_at_m1_reads_the_degrees(tmp_path):
+    # n = 40000 has 40000 sets of size 1, within EXHAUSTIVE_SET_CAP; the scan
+    # used to build a 1.6 GB adjacency matrix plus a temporary of that size
+    gen = "gnp:n=40000,p=0.002,seed=1"
+    done = run_cli(["lemma", "--which", "expansion", "--gen", gen, "--p", "0.002",
+                    "--a", "80", "--b", "10", "--m", "1", "--alpha0", "0.7",
+                    "--out", "exp.json"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "exp.json").read_text())
+    deg = generate(parse_gen(gen)).degrees()
+    assert report["checked_count"] == 40000 and report["passed"]
+    assert report["measured"] == deg.min()

@@ -8,6 +8,9 @@ tests draw their inputs with hypothesis.
 """
 
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -21,6 +24,7 @@ from percolab import (
     GeneratorSpec,
     co_degree,
     generate,
+    graph,
     load_edge_list,
     max_co_degree,
     save_edge_list,
@@ -39,6 +43,7 @@ from percolab.graph import (
     _bit_rows,
     _from_edge_arrays,
     _is_prime,
+    _max_codegree_packed,
     _near_regular_perturbed,
     adjacency_rows,
     degrees_into,
@@ -312,6 +317,103 @@ def test_codegree_kernel_keeps_first_attaining_pair(monkeypatch):
     assert max_co_degree(g, sample_pairs=0) == CoDegreeResult(best, pair, "sampled")
     assert (best, pair) == (11, (206, 244))
     assert max_co_degree(g) == CoDegreeResult(12, (118, 407), "sampled")
+
+
+@st.composite
+def codegree_hosts(draw):
+    """A small host: gnp of several densities, a star, hubs joined to most
+    of a sparse gnp, or a graph without a wedge (disjoint edges)."""
+    kind = draw(st.sampled_from(["gnp", "star", "hubs", "no_wedge"]))
+    n = draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "gnp":
+        p = draw(st.sampled_from([0.02, 0.1, 0.3, 0.8]))
+        return generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=seed))
+    if kind == "star":
+        return star_graph(n)
+    order = derived(seed, 0).permutation(n).tolist()
+    if kind == "no_wedge":
+        k = draw(st.integers(0, n // 2))
+        return build_graph(n, [(order[2 * j], order[2 * j + 1]) for j in range(k)])
+    hubs = order[:draw(st.integers(1, 3))]
+    joined = derived(seed, 1).random((len(hubs), n)) < 0.7
+    base = edge_set(generate(GeneratorSpec(kind="gnp", n=n, p=0.05, seed=seed)))
+    return build_graph(n, base | {(min(h, v), max(h, v)) for k, h in enumerate(hubs)
+                                  for v in range(n) if v != h and joined[k, v]})
+
+
+def codegree_with(g, sample_pairs=50_000, **constants):
+    """max_co_degree with the module constants of `graph` rebound."""
+    with mock.patch.multiple("percolab.graph", **constants):
+        return max_co_degree(g, sample_pairs)
+
+
+def refuse(*args):
+    raise AssertionError("the other kernel was forced")
+
+
+@settings(max_examples=200, deadline=None)
+@given(codegree_hosts())
+def test_wedge_and_packed_kernels_equal_the_naive_scan(g):
+    best, pair = naive_max_codegree(g)
+    want = CoDegreeResult(best, pair, "exact")
+    # a key cost of 0 forces the wedge count, a huge one the packed rows,
+    # except on a host without wedges, where the wedge count has no work
+    wedges = {"_WEDGE_KEY_BYTES": 0, "_max_codegree_packed": refuse}
+    assert codegree_with(g, **wedges) == want
+    assert codegree_with(g, **wedges, _CODEGREE_CHUNK_KEYS=1) == want
+    assert codegree_with(g, _WEDGE_KEY_BYTES=10 ** 18) == want
+    assert _max_codegree_packed(g, np.arange(g.n)) == (best, pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codegree_hosts(), st.sampled_from([0, 1, 7, 300]))
+def test_batched_sampled_pairs_equal_the_per_pair_loop(g, sample_pairs):
+    sampled = {"EXACT_CODEGREE_CAP": 1}
+    loop = codegree_with(g, sample_pairs, **sampled, _BATCH_ROW_LEN=0)
+    assert loop.mode == "sampled"
+    batched = {"_BATCH_ROW_LEN": 10 ** 9, "co_degree": refuse} if sample_pairs else {}
+    assert codegree_with(g, sample_pairs, **sampled, **batched) == loop
+    assert codegree_with(g, sample_pairs, **sampled, **batched, _CODEGREE_CHUNK_KEYS=1) == loop
+
+
+@pytest.mark.parametrize("spec, kernel", [
+    (GeneratorSpec(kind="gnp", n=3000, p=0.002, seed=1), "_max_codegree_wedges"),
+    (GeneratorSpec(kind="gnp", n=400, p=0.2, seed=1), "_max_codegree_packed"),
+    (GeneratorSpec(kind="paley", q=101), "_max_codegree_packed"),
+])
+def test_kernel_follows_the_estimated_work(spec, kernel):
+    # sparse: 45k wedges against 1.7e9 packed bytes; dense: 1.3M wedges
+    # (6e7 bytes at 50 a key) against 4e6 bytes
+    g = generate(spec)
+    with mock.patch(f"percolab.graph.{kernel}", wraps=getattr(graph, kernel)) as spy:
+        r = max_co_degree(g)
+    assert spy.call_count == 1 and r.mode == "exact"
+    assert co_degree(g, *r.pair) == r.value
+
+
+def test_sparse_exact_scan_is_fast_and_chunked():
+    # gnp n=20000, p=0.002 holds about 16M wedges. The packed rows would AND
+    # 5e11 bytes (not done in 150 s); counting every key at once grew the
+    # peak by about 400 MB.
+    script = (
+        "import resource\n"
+        "from percolab import GeneratorSpec, co_degree, generate, max_co_degree\n"
+        "g = generate(GeneratorSpec(kind='gnp', n=20000, p=0.002, seed=1))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "r = max_co_degree(g)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(r.mode, r.value, *r.pair, co_degree(g, *r.pair), grown // 1024)\n")
+    src = os.path.dirname(os.path.dirname(graph.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    mode, value, u, v, check, grown_mb = done.stdout.split()
+    assert (mode, int(value), (int(u), int(v))) == ("exact", 5, (4767, 9188))
+    assert int(check) == int(value)
+    assert int(grown_mb) < 256
 
 
 def test_degrees_into_hand_cases():

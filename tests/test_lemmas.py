@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from percolab import (
@@ -37,6 +39,7 @@ from percolab.errors import (
 )
 from percolab.lemmas import (
     LEMMA_IDS,
+    _expansion_scan_all,
     _expansion_scan_sampled,
     _is_connected_induced,
     grow_connected_set,
@@ -155,6 +158,15 @@ def test_expansion_worst_set_matches_naive(n, p, seed, m):
     rep = expansion_check(g, prof, m=m, alpha0=0.9)
     worst = min(nbhd_oracle(g, H) for H in itertools.combinations(range(n), m))
     assert rep.measured == worst
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.sets(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120))
+def test_expansion_scan_at_m1_is_the_first_minimum_degree(n, pairs):
+    # m = 1 reads the degrees instead of an n x n matrix
+    g = build_graph(n, {(min(e), max(e)) for e in pairs if e[0] != e[1] and max(e) < n})
+    sizes = [nbhd_oracle(g, [v]) for v in range(n)]
+    assert _expansion_scan_all(g, 1) == (min(sizes), (sizes.index(min(sizes)),))
 
 
 def test_expansion_set_cap(monkeypatch):
@@ -457,6 +469,17 @@ def test_inclusion_exclusion_check(k4):
     rep = inclusion_exclusion_check(g, H)
     assert rep.bound == inclusion_exclusion_lower_bound(g, H) <= rep.measured
     assert rep.measured == neighborhood_size(g, H) and rep.passed
+
+
+def test_inclusion_exclusion_reads_h_as_a_vertex_set():
+    g = generate(GeneratorSpec(kind="gnp", n=50, p=0.1, seed=1))
+    # a repeated id used to reach co_degree(g, 3, 3), which raises SameVertex
+    assert inclusion_exclusion_lower_bound(g, [3, 3]) == inclusion_exclusion_lower_bound(g, [3])
+    assert inclusion_exclusion_check(g, [3, 3]) == inclusion_exclusion_check(g, [3])
+    assert inclusion_exclusion_check(g, [9, 3, 9]) == inclusion_exclusion_check(g, [3, 9])
+    for bad in ([0, 50], [-1, 3]):
+        with pytest.raises(VertexOutOfRange):
+            inclusion_exclusion_check(g, bad)
 
 
 def test_non_finite_lemma_parameters_are_rejected(k4):
