@@ -42,10 +42,26 @@ _MAX_N = int(np.iinfo(np.int32).max)
 # near_regular_perturbed toggles one pair at each of ceil(fraction * n) vertices
 _PERTURB_FRACTION = 0.01
 # Co-degree kernels (see max_co_degree), measured on a 2-vCPU Xeon VM with
-# numpy 2.4.6. One wedge key cost 20-48 ns and one ANDed packed byte
-# 0.69-1.10 ns on gnp hosts from n=1000, p=0.1 to n=8000, p=0.002: a key
-# costs 18-69 bytes.
-_WEDGE_KEY_BYTES = 50
+# numpy 2.4.6 and OpenBLAS 0.3.31, in float32 multiply-adds. One wedge key
+# cost 8-37 ns. The dense scan fitted 2 ps per multiply-add of C(t, 2) * cols
+# plus 1.4 ns per tile cell built and streamed; thin tiles cost most per
+# cell. Over gnp n=500..4000, p=0.005..0.2, Paley 1009 and the top-1% rows
+# of gnp 30000/0.03 and 50000/2e-4, these two picked the faster kernel on
+# every host (the top-1% rows of gnp 30000/0.03: 33 ms counting wedges, 66
+# ms with tiles).
+_WEDGE_KEY_MADDS = 3000
+_TILE_CELL_MADDS = 200
+# Bytes of one float32 tile of the dense kernel. The scan holds two row
+# tiles and their product, or one row per tile when a row is larger; a row
+# of the columns it counts is smaller than the incidence arrays the scan
+# already holds. On certify_exact 4 MB tiles ran the batch in 0.56 s at a
+# peak RSS of 102.7 MB, 2 MB in 0.61 s at 99.8 MB and 1 MB in 0.67 s at
+# 99.5 MB.
+_DENSE_TILE_BYTES = 1 << 21
+# float32 holds every integer up to 2**24 exactly, so the dense kernel runs
+# only while no count it sums can pass that: every row of the scan has fewer
+# neighbors. A loaded edge list may hold a hub of more.
+_FLOAT32_EXACT = 1 << 24
 # Sampled pairs whose two rows hold fewer entries than this on average are
 # counted in one sort: 0.3 us a pair against 6 us for co_degree at 10
 # entries, 7.6 against 8.8 us at 400, but 10.0 against 9.0 us at 600 and
@@ -316,14 +332,19 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     mode "sampled" scans all pairs among the top-degree 1% of vertices plus
     `sample_pairs` sampled pairs, a lower bound on the true maximum.
 
-    An all-pairs scan over t rows uses one of two kernels, both exact:
-    popcounted ANDs of packed bit rows, C(t, 2) * ceil(n/8) bytes, or a
-    wedge count, one key per pair of rows sharing a neighbor w, sum over w
-    of C(s_w, 2) keys where s_w is the number of the rows adjacent to w. It
-    takes the wedge count when the keys times the cost of one key (about
-    _WEDGE_KEY_BYTES ANDed bytes) are fewer than the packed bytes: sparse
-    hosts count wedges, dense hosts AND rows. The sampled pairs are counted
-    in one sort when their rows are short, one pair at a time otherwise.
+    An all-pairs scan over t rows uses one of two kernels, both exact. A
+    wedge count makes one key per pair of rows sharing a neighbor w, sum
+    over w of C(s_w, 2) keys where s_w is the number of the rows adjacent to
+    w. The dense kernel multiplies float32 0/1 tiles of the rows with BLAS
+    over the `cols` vertices with s_w >= 2, C(t, 2) * cols multiply-adds
+    plus building and streaming the tiles. The wedge count scans when its
+    keys times the cost of one key (_WEDGE_KEY_MADDS multiply-adds) are at
+    most the dense work: sparse hosts count wedges, dense hosts multiply
+    tiles. float32 sums integers exactly only up to 2**24, so the dense
+    kernel also needs every row to have fewer neighbors than that; a row
+    with more sends the scan to the wedge count. The sampled pairs are
+    counted in one sort when their rows are short, one pair at a time
+    otherwise.
     Deterministic for a given graph; the sampling stream is keyed by
     (n, edge_count).
     """
@@ -336,14 +357,6 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     return CoDegreeResult(value=value, pair=pair, mode="sampled")
 
 
-def _bit_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """Row i is np.packbits of the neighbor mask of rows[i]."""
-    i, w = adjacency_rows(g, rows)
-    out = np.zeros((len(rows), (g.n + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(out, (i, w >> 3), (0x80 >> (w & 7)).astype(np.uint8))
-    return out
-
-
 def _max_codegree_among(g: Graph, rows: np.ndarray):
     """Largest co-degree over the pairs of the ascending vertex array `rows`
     (at least two), with the first pair attaining it; the kernel with the
@@ -351,22 +364,73 @@ def _max_codegree_among(g: Graph, rows: np.ndarray):
     i, w = adjacency_rows(g, rows)
     s = np.bincount(w, minlength=g.n)
     wedges = int((s * (s - 1) // 2).sum())
-    if wedges * _WEDGE_KEY_BYTES < math.comb(len(rows), 2) * ((g.n + 7) // 8):
+    shared = s > 1
+    cols = int(np.count_nonzero(shared))
+    t = len(rows)
+    k = _tile_rows(t, cols)
+    tiles_built = math.comb(-(-t // k) + 1, 2)
+    dense = math.comb(t, 2) * cols + _TILE_CELL_MADDS * tiles_built * k * cols
+    if wedges * _WEDGE_KEY_MADDS <= dense or g.degrees()[rows].max() >= _FLOAT32_EXACT:
         return _max_codegree_wedges(rows, i, w, s)
-    return _max_codegree_packed(g, rows)
+    return _max_codegree_dense(rows, i, w, shared, k)
 
 
-def _max_codegree_packed(g: Graph, rows: np.ndarray):
-    """The scan of _max_codegree_among by popcounted ANDs of packed rows."""
-    packed = _bit_rows(g, rows)
-    best = -1
-    pair = (0, 1)
-    for i in range(len(rows) - 1):
-        counts = np.bitwise_count(packed[i] & packed[i + 1:]).sum(axis=1, dtype=np.int64)
-        j = int(np.argmax(counts))
-        if counts[j] > best:
-            best = int(counts[j])
-            pair = (int(rows[i]), int(rows[i + 1 + j]))
+def _tile_rows(t: int, cols: int) -> int:
+    """Rows per tile of the dense kernel: a tile of `cols` float32 columns
+    and the product of two tiles each fit in _DENSE_TILE_BYTES, or a tile
+    is one row."""
+    cells = _DENSE_TILE_BYTES // 4
+    return max(1, min(t, math.isqrt(cells), cells // max(1, cols)))
+
+
+def _max_codegree_dense(rows: np.ndarray, i: np.ndarray, w: np.ndarray, shared: np.ndarray,
+                        k: int):
+    """The scan of _max_codegree_among by float32 products of 0/1 row
+    tiles. (i, w) are the incidences of adjacency_rows(g, rows); the columns
+    are the vertices w with shared[w], those adjacent to two or more rows,
+    the only ones a co-degree counts. Tile s holds rows s*k .. s*k+k-1 in
+    one of two reused buffers. Strip a of the product is tile a times every
+    tile b >= a, with the pairs of rows b <= a masked; in (a, b) order the
+    first largest count wins. Every count is at most the largest degree of
+    the rows, so it is exact while that is below _FLOAT32_EXACT."""
+    t = len(rows)
+    col = np.cumsum(shared) - 1
+    cols = int(col[-1]) + 1
+    size = k * cols
+    # the cell of each incidence in its tile, or the spare cell past every
+    # tile for a vertex that is no column
+    cell = (i % k * cols + col[w]).astype(np.int32)
+    cell[~shared[w]] = size
+    bounds = np.searchsorted(i, np.arange(0, t + k, k))
+    left, right = np.zeros((2, size + 1), dtype=np.float32)
+
+    def tile(buf, s, value):
+        """Set the cells of tile s in buf to value; the rows of the tile."""
+        buf[cell[bounds[s]:bounds[s + 1]]] = value
+        return buf[:size].reshape(k, cols)[:min(k, t - s * k)]
+
+    best, pair = -1, (int(rows[0]), int(rows[1]))
+    for a in range(len(bounds) - 1):
+        tile_a = tile(left, a, 1)
+        top = np.full(len(tile_a), -1, dtype=np.float32)  # largest count in row a
+        arg = np.zeros(len(tile_a), dtype=np.int64)  # first row b attaining it
+        for b in range(a, len(bounds) - 1):
+            if b == a:
+                counts = tile_a @ tile_a.T
+                counts[np.tri(len(tile_a), dtype=bool)] = -1
+            else:
+                counts = tile_a @ tile(right, b, 1).T
+                tile(right, b, 0)
+            j = counts.argmax(axis=1)
+            found = counts[np.arange(len(j)), j]
+            better = found > top
+            top[better] = found[better]
+            arg[better] = b * k + j[better]
+        tile(left, a, 0)
+        r = int(top.argmax())
+        if top[r] > best:
+            best = int(top[r])
+            pair = (int(rows[a * k + r]), int(rows[arg[r]]))
     return best, pair
 
 

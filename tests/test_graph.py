@@ -40,10 +40,9 @@ from percolab.errors import (
     VertexOutOfRange,
 )
 from percolab.graph import (
-    _bit_rows,
     _from_edge_arrays,
     _is_prime,
-    _max_codegree_packed,
+    _max_codegree_among,
     _near_regular_perturbed,
     adjacency_rows,
     degrees_into,
@@ -256,12 +255,15 @@ def test_neighbors_of_range_check(k4):
         k4.neighbors_of(-1)
 
 
-def naive_max_codegree(g):
-    best, pair = -1, (0, 1)
-    rows = [set(g.neighbors_of(v).tolist()) for v in range(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            c = len(rows[u] & rows[v])
+def naive_max_codegree(g, rows=None):
+    """Largest co-degree over the pairs of `rows` (default: every vertex),
+    with the first pair in (u, v) order attaining it."""
+    rows = list(range(g.n)) if rows is None else rows
+    nbrs = {v: set(g.neighbors_of(v).tolist()) for v in rows}
+    best, pair = -1, None
+    for x, u in enumerate(rows):
+        for v in rows[x + 1:]:
+            c = len(nbrs[u] & nbrs[v])
             if c > best:
                 best, pair = c, (u, v)
     return best, pair
@@ -352,18 +354,59 @@ def refuse(*args):
     raise AssertionError("the other kernel was forced")
 
 
+def forced_kernels(best):
+    """Constants of `graph` that force each all-pairs kernel: the wedge
+    count (a key cost of 0), also at one-key chunks, and the dense tiles (a
+    huge key cost) at tiles of one row, of 7 to 21 rows (fewer on a small
+    host) and of the whole host. `best` is the scan's maximum: where it is 0 the rows share no
+    neighbor, and the wedge count, with no work, scans anyway."""
+    wedges = {"_WEDGE_KEY_MADDS": 0, "_max_codegree_dense": refuse}
+    dense = {"_WEDGE_KEY_MADDS": 10 ** 18, **({"_max_codegree_wedges": refuse} if best else {})}
+    return [wedges, {**wedges, "_CODEGREE_CHUNK_KEYS": 1},
+            *({**dense, "_DENSE_TILE_BYTES": budget} for budget in (4, 4 * 448, 1 << 21))]
+
+
 @settings(max_examples=200, deadline=None)
 @given(codegree_hosts())
-def test_wedge_and_packed_kernels_equal_the_naive_scan(g):
+def test_wedge_and_dense_kernels_equal_the_naive_scan(g):
     best, pair = naive_max_codegree(g)
-    want = CoDegreeResult(best, pair, "exact")
-    # a key cost of 0 forces the wedge count, a huge one the packed rows,
-    # except on a host without wedges, where the wedge count has no work
-    wedges = {"_WEDGE_KEY_BYTES": 0, "_max_codegree_packed": refuse}
-    assert codegree_with(g, **wedges) == want
-    assert codegree_with(g, **wedges, _CODEGREE_CHUNK_KEYS=1) == want
-    assert codegree_with(g, _WEDGE_KEY_BYTES=10 ** 18) == want
-    assert _max_codegree_packed(g, np.arange(g.n)) == (best, pair)
+    for constants in forced_kernels(best):
+        assert codegree_with(g, **constants) == CoDegreeResult(best, pair, "exact")
+
+
+@settings(max_examples=100, deadline=None)
+@given(codegree_hosts(), st.data())
+def test_kernels_scan_ascending_row_subsets(g, data):
+    # the sampled mode scans the top-degree 1% of vertices, ascending
+    rows = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2)))
+    best, pair = naive_max_codegree(g, rows)
+    for constants in forced_kernels(best):
+        with mock.patch.multiple("percolab.graph", **constants):
+            assert _max_codegree_among(g, np.array(rows, dtype=np.int64)) == (best, pair)
+
+
+@pytest.mark.parametrize("budget, rows_per_tile", [(4, 1), (4 * 707, 7), (4 * 5050, 50),
+                                                   (1 << 21, 101)])
+def test_dense_tiles_keep_the_first_of_many_ties(budget, rows_per_tile):
+    # Paley 101 has co-degrees 24 and 25 only; 101 rows are no multiple of 7
+    # or 50, so the last tile is short
+    g = generate(GeneratorSpec(kind="paley", q=101))
+    with mock.patch.multiple("percolab.graph", _DENSE_TILE_BYTES=budget):
+        assert graph._tile_rows(g.n, g.n) == rows_per_tile
+        assert max_co_degree(g) == CoDegreeResult(25, (0, 2), "exact")
+
+
+def test_float32_limit_sends_the_scan_to_the_wedge_count():
+    # gnp 400/0.2 scans with tiles; with the limit at its largest degree a
+    # count could reach it, so the wedge count scans and finds the same
+    g = generate(GeneratorSpec(kind="gnp", n=400, p=0.2, seed=1))
+    top = int(g.degrees().max())
+    want = max_co_degree(g)
+    with mock.patch("percolab.graph._max_codegree_wedges", wraps=graph._max_codegree_wedges) as spy:
+        assert codegree_with(g, _FLOAT32_EXACT=top + 1) == want
+        assert spy.call_count == 0
+        assert codegree_with(g, _FLOAT32_EXACT=top) == want
+        assert spy.call_count == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -379,12 +422,12 @@ def test_batched_sampled_pairs_equal_the_per_pair_loop(g, sample_pairs):
 
 @pytest.mark.parametrize("spec, kernel", [
     (GeneratorSpec(kind="gnp", n=3000, p=0.002, seed=1), "_max_codegree_wedges"),
-    (GeneratorSpec(kind="gnp", n=400, p=0.2, seed=1), "_max_codegree_packed"),
-    (GeneratorSpec(kind="paley", q=101), "_max_codegree_packed"),
+    (GeneratorSpec(kind="gnp", n=400, p=0.2, seed=1), "_max_codegree_dense"),
+    (GeneratorSpec(kind="paley", q=101), "_max_codegree_dense"),
 ])
 def test_kernel_follows_the_estimated_work(spec, kernel):
-    # sparse: 45k wedges against 1.7e9 packed bytes; dense: 1.3M wedges
-    # (6e7 bytes at 50 a key) against 4e6 bytes
+    # in multiply-adds: sparse, 53k wedges (1.6e8) against 2.9e10 for the
+    # tiles; dense, 1.3M wedges (3.8e9) against 6.4e7 for the tiles
     g = generate(spec)
     with mock.patch(f"percolab.graph.{kernel}", wraps=getattr(graph, kernel)) as spy:
         r = max_co_degree(g)
@@ -392,14 +435,13 @@ def test_kernel_follows_the_estimated_work(spec, kernel):
     assert co_degree(g, *r.pair) == r.value
 
 
-def test_sparse_exact_scan_is_fast_and_chunked():
-    # gnp n=20000, p=0.002 holds about 16M wedges. The packed rows would AND
-    # 5e11 bytes (not done in 150 s); counting every key at once grew the
-    # peak by about 400 MB.
+def exact_scan_in_subprocess(n, p):
+    """max_co_degree of gnp(n, p, seed 1) in a fresh interpreter: mode,
+    value, pair, the pair's co_degree, and the growth of ru_maxrss in MB."""
     script = (
         "import resource\n"
         "from percolab import GeneratorSpec, co_degree, generate, max_co_degree\n"
-        "g = generate(GeneratorSpec(kind='gnp', n=20000, p=0.002, seed=1))\n"
+        f"g = generate(GeneratorSpec(kind='gnp', n={n}, p={p}, seed=1))\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "r = max_co_degree(g)\n"
         "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
@@ -411,9 +453,27 @@ def test_sparse_exact_scan_is_fast_and_chunked():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     mode, value, u, v, check, grown_mb = done.stdout.split()
-    assert (mode, int(value), (int(u), int(v))) == ("exact", 5, (4767, 9188))
-    assert int(check) == int(value)
-    assert int(grown_mb) < 256
+    return mode, int(value), (int(u), int(v)), int(check), int(grown_mb)
+
+
+def test_sparse_exact_scan_is_fast_and_chunked():
+    # gnp n=20000, p=0.002 holds about 16M wedges. Dense tiles would take
+    # about 4e12 multiply-adds; counting every key at once grew the peak by
+    # about 400 MB.
+    mode, value, pair, check, grown_mb = exact_scan_in_subprocess(20000, 0.002)
+    assert (mode, value, pair) == ("exact", 5, (4767, 9188))
+    assert check == value
+    assert grown_mb < 256
+
+
+def test_dense_exact_scan_is_tiled():
+    # gnp n=6000, p=0.1 scans with 2 MB tiles of 87 rows. Its 3.6M
+    # incidences take about 58 MB as row, neighbor and cell arrays (8, 4
+    # and 4 bytes each) and three tiles about 6 MB. A float32 copy of all
+    # rows would take 144 MB, and their product as much again.
+    mode, value, pair, check, grown_mb = exact_scan_in_subprocess(6000, 0.1)
+    assert mode == "exact" and check == value
+    assert grown_mb < 96
 
 
 def test_degrees_into_hand_cases():
@@ -542,18 +602,6 @@ def test_adjacency_rows_is_the_per_row_neighbor_concatenation(case):
     per_row = [g.neighbors_of(int(v)) for v in rows]
     assert np.array_equal(i, np.repeat(np.arange(len(rows)), [len(r) for r in per_row]))
     assert np.array_equal(w, np.concatenate([np.zeros(0, dtype=np.int32), *per_row]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(graphs_and_rows())
-def test_bit_rows_are_packed_boolean_rows(case):
-    g, rows = case
-    block = np.zeros((len(rows), g.n), dtype=bool)
-    for k, v in enumerate(rows.tolist()):
-        block[k, g.neighbors_of(v)] = True
-    packed = _bit_rows(g, rows)
-    assert packed.dtype == np.uint8
-    assert np.array_equal(packed, np.packbits(block, axis=1))
 
 
 def test_vertex_set_sorts_dedups_and_range_checks(k4):
