@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     GraphTooSmall,
+    InvalidParameter,
     InvalidSpec,
     NonSimple,
     ParseError,
@@ -62,12 +63,7 @@ _DENSE_TILE_BYTES = 1 << 21
 # only while no count it sums can pass that: every row of the scan has fewer
 # neighbors. A loaded edge list may hold a hub of more.
 _FLOAT32_EXACT = 1 << 24
-# Sampled pairs whose two rows hold fewer entries than this on average are
-# counted in one sort: 0.3 us a pair against 6 us for co_degree at 10
-# entries, 7.6 against 8.8 us at 400, but 10.0 against 9.0 us at 600 and
-# 38 against 19 us at 1800 (gnp n=10000).
-_BATCH_ROW_LEN = 400
-# Keys made and sorted at once by either counting kernel. On gnp n=20000,
+# Keys made and sorted at once by the wedge count. On gnp n=20000,
 # p=0.002 (16M wedges) 2**17 took 0.51 s and 36 MB over the graph; 2**21
 # took 0.84 s and 144 MB, one chunk 0.85 s and 408 MB.
 _CODEGREE_CHUNK_KEYS = 1 << 17
@@ -325,12 +321,15 @@ def require_exact_codegree(g: Graph):
 
 
 def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
-    """Maximum co-degree over unordered pairs, with the first pair (in
-    (u, v) order) attaining it.
+    """Maximum co-degree over unordered pairs of a row set, with the first
+    pair (in (u, v) order) attaining it.
 
-    Exact mode (n <= EXACT_CODEGREE_CAP) scans all pairs; beyond the cap,
-    mode "sampled" scans all pairs among the top-degree 1% of vertices plus
-    `sample_pairs` sampled pairs, a lower bound on the true maximum.
+    Exact mode (n <= EXACT_CODEGREE_CAP) scans all pairs of vertices.
+    Beyond the cap, mode "sampled" scans all pairs among the top-degree 1%
+    of vertices and r distinct uniform vertices, where r is the least
+    integer with C(r, 2) >= `sample_pairs` (at most n): a lower bound on
+    the true maximum that reads at least `sample_pairs` pairs of uniform
+    vertices, and every pair across the two sets.
 
     An all-pairs scan over t rows uses one of two kernels, both exact. A
     wedge count makes one key per pair of rows sharing a neighbor w, sum
@@ -342,19 +341,18 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     most the dense work: sparse hosts count wedges, dense hosts multiply
     tiles. float32 sums integers exactly only up to 2**24, so the dense
     kernel also needs every row to have fewer neighbors than that; a row
-    with more sends the scan to the wedge count. The sampled pairs are
-    counted in one sort when their rows are short, one pair at a time
-    otherwise.
+    with more sends the scan to the wedge count.
     Deterministic for a given graph; the sampling stream is keyed by
-    (n, edge_count).
+    (n, edge_count). Raises InvalidParameter for a negative `sample_pairs`.
     """
     if g.n < 2:
         raise GraphTooSmall("max_co_degree needs n >= 2")
-    if _codegree_is_exact(g):
-        value, pair = _max_codegree_among(g, np.arange(g.n))
-        return CoDegreeResult(value=value, pair=pair, mode="exact")
-    value, pair = _max_codegree_sampled(g, sample_pairs)
-    return CoDegreeResult(value=value, pair=pair, mode="sampled")
+    if sample_pairs < 0:
+        raise InvalidParameter(f"sample_pairs must be >= 0, got {sample_pairs}")
+    exact = _codegree_is_exact(g)
+    rows = np.arange(g.n) if exact else _sampled_rows(g, sample_pairs)
+    value, pair = _max_codegree_among(g, rows)
+    return CoDegreeResult(value=value, pair=pair, mode="exact" if exact else "sampled")
 
 
 def _max_codegree_among(g: Graph, rows: np.ndarray):
@@ -469,45 +467,18 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
     return best, pair
 
 
-def _max_codegree_sampled(g: Graph, sample_pairs: int):
-    # All pairs among the top-degree 1% (ties broken by index): high-degree
-    # vertices dominate the maximum.
-    deg = g.degrees()
-    t = max(2, g.n // 100)
-    top = np.sort(np.argsort(-deg, kind="stable")[:t])
-    best, pair = _max_codegree_among(g, top)
+def _sampled_rows(g: Graph, sample_pairs: int) -> np.ndarray:
+    """The rows of the sampled scan, ascending: the top-degree 1% of
+    vertices (ties broken by index), where high-degree vertices dominate
+    the maximum, and r distinct uniform vertices, r the least integer with
+    C(r, 2) >= sample_pairs (at most n), chosen without replacement from
+    the stream keyed by (n, edge_count)."""
+    top = np.argsort(-g.degrees(), kind="stable")[:max(2, g.n // 100)]
+    r = math.isqrt(2 * sample_pairs)
+    while math.comb(r, 2) < sample_pairs:
+        r += 1
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0xC0DE6, g.n, g.edge_count))))
-    us = rng.integers(0, g.n, size=sample_pairs)
-    vs = rng.integers(0, g.n - 1, size=sample_pairs)
-    vs = vs + (vs >= us)
-    lengths = deg[us] + deg[vs]
-    if sample_pairs and lengths.mean() < _BATCH_ROW_LEN:
-        co = _sampled_codegrees(g, us, vs, lengths)
-        k = int(np.argmax(co))
-        if co[k] > best:
-            best, pair = int(co[k]), (int(min(us[k], vs[k])), int(max(us[k], vs[k])))
-        return best, pair
-    for u, v in zip(us.tolist(), vs.tolist()):
-        c = co_degree(g, u, v)
-        if c > best:
-            best = c
-            pair = (min(u, v), max(u, v))
-    return best, pair
-
-
-def _sampled_codegrees(g: Graph, us: np.ndarray, vs: np.ndarray, lengths: np.ndarray):
-    """co_degree(g, us[k], vs[k]) for every k, where pair k has `lengths[k]`
-    neighbors in all. The neighbors w of both rows of pair k become keys
-    k*n + w, sorted in chunks of whole pairs; a key that repeats is a common
-    neighbor."""
-    co = np.zeros(len(us), dtype=np.int64)
-    for k0, k1 in _chunks(np.concatenate(([0], np.cumsum(lengths)))):
-        i, w = adjacency_rows(g, np.stack((us[k0:k1], vs[k0:k1]), axis=1).ravel())
-        keys = (i >> 1) * g.n + w
-        keys.sort()
-        repeated = keys[1:][keys[1:] == keys[:-1]]
-        co[k0:k1] = np.bincount(repeated // g.n, minlength=k1 - k0)
-    return co
+    return np.union1d(top, rng.choice(g.n, size=min(r, g.n), replace=False))
 
 
 def _chunks(before: np.ndarray):

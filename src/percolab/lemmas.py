@@ -26,7 +26,7 @@ from .errors import (
     USmall,
     require_finite,
 )
-from .graph import Graph, adjacency_rows, co_degree, degrees_into, vertex_set
+from .graph import Graph, adjacency_rows, degrees_into, vertex_set
 from .rng import derived
 
 EXHAUSTIVE_SET_CAP = 5_000_000
@@ -87,14 +87,14 @@ def neighborhood_size(g: Graph, H: Sequence[int]) -> int:
 def inclusion_exclusion_lower_bound(g: Graph, H: Sequence[int]) -> int:
     """Signed lower bound sum(deg) - sum(pairwise co-degree) - |H|; always
     <= the exact external neighborhood size (Bonferroni). H is read as a
-    set of vertex ids."""
-    hs = vertex_set(g, H).tolist()
-    if not hs:
+    set of vertex ids. The pairwise co-degrees sum to the wedges over H:
+    sum over w of C(s_w, 2), s_w the number of members of H adjacent to w."""
+    hs = vertex_set(g, H)
+    if not len(hs):
         raise EmptySet("H must be nonempty")
-    total = sum(g.degree(v) for v in hs)
-    for u, v in itertools.combinations(hs, 2):
-        total -= co_degree(g, u, v)
-    return total - len(hs)
+    _, w = adjacency_rows(g, hs)
+    s = np.bincount(w)
+    return len(w) - int((s * (s - 1) // 2).sum()) - len(hs)
 
 
 def inclusion_exclusion_check(g: Graph, H: Sequence[int]) -> LemmaReport:

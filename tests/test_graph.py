@@ -31,6 +31,7 @@ from percolab import (
 )
 from percolab.errors import (
     GraphTooSmall,
+    InvalidParameter,
     InvalidSpec,
     NonSimple,
     ParseError,
@@ -269,6 +270,20 @@ def naive_max_codegree(g, rows=None):
     return best, pair
 
 
+def sampled_rows_oracle(g, sample_pairs):
+    """The rows of the sampled scan, rebuilt from their documentation: the
+    top-degree 1% (ties by index) and r distinct uniform vertices, r the
+    least with C(r, 2) >= sample_pairs (at most n), chosen without
+    replacement from the stream keyed by (0xC0DE6, n, edge_count)."""
+    deg = g.degrees().tolist()
+    top = sorted(range(g.n), key=lambda v: (-deg[v], v))[:max(2, g.n // 100)]
+    r = 0
+    while r * (r - 1) // 2 < sample_pairs:
+        r += 1
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0xC0DE6, g.n, g.edge_count))))
+    return sorted(set(top) | set(rng.choice(g.n, size=min(r, g.n), replace=False).tolist()))
+
+
 def test_max_codegree_hand_cases(k4):
     r = max_co_degree(complete_graph(5))
     assert (r.value, r.mode) == (3, "exact")
@@ -307,18 +322,15 @@ def test_codegree_kernel_keeps_first_attaining_pair(monkeypatch):
     assert naive_max_codegree(paley) == (25, (0, 2))
     assert max_co_degree(paley) == CoDegreeResult(25, (0, 2), "exact")
     g = generate(GeneratorSpec(kind="gnp", n=1200, p=0.05, seed=2))
-    top = np.sort(np.argsort(-g.degrees(), kind="stable")[:12]).tolist()
-    best, pair = -1, None
-    for i, u in enumerate(top):
-        for v in top[i + 1:]:
-            c = co_degree(g, u, v)
-            if c > best:
-                best, pair = c, (u, v)
     # sample_pairs=0 leaves only the all-pairs scan of the top-degree 1%
+    top = sampled_rows_oracle(g, 0)
+    assert len(top) == 12 and naive_max_codegree(g, top) == (11, (206, 244))
+    # the default adds 317 uniform rows, among them a pair at the exact maximum
+    rows = sampled_rows_oracle(g, 50_000)
+    assert naive_max_codegree(g, rows)[0] == max_co_degree(g).value == 14
     monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 100)
-    assert max_co_degree(g, sample_pairs=0) == CoDegreeResult(best, pair, "sampled")
-    assert (best, pair) == (11, (206, 244))
-    assert max_co_degree(g) == CoDegreeResult(12, (118, 407), "sampled")
+    assert max_co_degree(g, sample_pairs=0) == CoDegreeResult(11, (206, 244), "sampled")
+    assert max_co_degree(g) == CoDegreeResult(*naive_max_codegree(g, rows), "sampled")
 
 
 @st.composite
@@ -377,7 +389,8 @@ def test_wedge_and_dense_kernels_equal_the_naive_scan(g):
 @settings(max_examples=100, deadline=None)
 @given(codegree_hosts(), st.data())
 def test_kernels_scan_ascending_row_subsets(g, data):
-    # the sampled mode scans the top-degree 1% of vertices, ascending
+    # the sampled mode scans an ascending subset: the top-degree 1% of
+    # vertices and the uniform rows
     rows = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2)))
     best, pair = naive_max_codegree(g, rows)
     for constants in forced_kernels(best):
@@ -411,13 +424,19 @@ def test_float32_limit_sends_the_scan_to_the_wedge_count():
 
 @settings(max_examples=200, deadline=None)
 @given(codegree_hosts(), st.sampled_from([0, 1, 7, 300]))
-def test_batched_sampled_pairs_equal_the_per_pair_loop(g, sample_pairs):
-    sampled = {"EXACT_CODEGREE_CAP": 1}
-    loop = codegree_with(g, sample_pairs, **sampled, _BATCH_ROW_LEN=0)
-    assert loop.mode == "sampled"
-    batched = {"_BATCH_ROW_LEN": 10 ** 9, "co_degree": refuse} if sample_pairs else {}
-    assert codegree_with(g, sample_pairs, **sampled, **batched) == loop
-    assert codegree_with(g, sample_pairs, **sampled, **batched, _CODEGREE_CHUNK_KEYS=1) == loop
+def test_sampled_mode_scans_the_top_degree_and_uniform_rows(g, sample_pairs):
+    sampled = codegree_with(g, sample_pairs, EXACT_CODEGREE_CAP=1)
+    assert sampled.mode == "sampled"
+    assert (sampled.value, sampled.pair) == naive_max_codegree(g, sampled_rows_oracle(g, sample_pairs))
+    assert sampled.value <= naive_max_codegree(g)[0]
+    assert co_degree(g, *sampled.pair) == sampled.value
+
+
+@pytest.mark.parametrize("cap", [10 ** 6, 1])
+def test_negative_sample_pairs_is_rejected_in_both_modes(cap):
+    g = generate(GeneratorSpec(kind="gnp", n=50, p=0.3, seed=1))
+    with pytest.raises(InvalidParameter):
+        codegree_with(g, -1, EXACT_CODEGREE_CAP=cap)
 
 
 @pytest.mark.parametrize("spec, kernel", [

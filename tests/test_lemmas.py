@@ -14,6 +14,7 @@ from percolab import (
     GeneratorSpec,
     PseudoRandomProfile,
     certify,
+    co_degree,
     estimate_slacks,
     expansion_check,
     generate,
@@ -106,6 +107,23 @@ def test_inclusion_exclusion_random_sets():
         m = int(rng.integers(1, 6))
         H = rng.choice(300, size=m, replace=False).tolist()
         assert inclusion_exclusion_lower_bound(g, H) <= nbhd_oracle(g, H)
+
+
+def pairwise_bound(g, H):
+    """The inclusion-exclusion bound by its definition: the degrees of H
+    minus the co-degree of every pair of H, minus |H|."""
+    hs = sorted(set(H))
+    return (sum(g.degree(v) for v in hs) - len(hs)
+            - sum(co_degree(g, u, v) for u, v in itertools.combinations(hs, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([0.05, 0.2, 0.6, 0.9]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_inclusion_exclusion_equals_the_pairwise_sum(n, p, seed, data):
+    g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=seed))
+    H = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 3))
+    assert inclusion_exclusion_lower_bound(g, H) == pairwise_bound(g, H)
 
 
 # --- expansion ---
