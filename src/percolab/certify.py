@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NotCertified, SubsetTooSmall, require_density, require_finite
+from .errors import InvalidParameter, NotCertified, require_density, require_finite
 from .graph import CoDegreeResult, Graph, degrees_into, max_co_degree, require_exact_codegree
 from .rng import derived
 
@@ -153,7 +153,7 @@ def hd_check(g: Graph, beta: float, p: float, trials: int = 50, seed: int = 0) -
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     size = int(HD_SUBSET_FRACTION * g.n)
     if size < 1:
-        raise SubsetTooSmall(f"subset of size {size} from n={g.n}")
+        raise InvalidParameter(f"subset of size {size} from n={g.n}")
     worst = 0.0
     witness = None  # the first subset and vertex that falsify
 

@@ -176,7 +176,8 @@ def _random_u(g, size, seed):
 
 def cmd_lemma(args) -> int:
     g = _load_graph(args)
-    profile = _profile_for(args, g)
+    # inclusion-exclusion reads only H, so it needs no profile
+    profile = None if args.which == "incl-excl" else _profile_for(args, g)
     if args.which == "expansion":
         report = lemmas.expansion_check(g, profile, m=args.m, alpha0=args.alpha0,
                                         mode=args.mode, c=args.c)

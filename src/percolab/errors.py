@@ -1,8 +1,11 @@
-"""Exception taxonomy shared by all percolab modules, and the parameter
-checks that every entry point shares.
+"""The six errors percolab raises, and the parameter checks entry points share.
 
-Every error raised by the library derives from PercolabError so callers can
-catch library failures without catching programming errors.
+A check of the paper's statements refuses in one of three ways: an argument
+outside the domain a statement covers (InvalidParameter), an instance too
+large to decide within a cap (ResourceLimit), or a host profile that does not
+meet a check's hypothesis (NotCertified). A bad edge-list line raises
+ParseError, or its sibling NonSimple for a self-loop or a repeated edge. All
+derive from PercolabError: catching it never catches a programming error.
 """
 
 import math
@@ -13,31 +16,19 @@ class PercolabError(Exception):
 
 
 class InvalidParameter(PercolabError, ValueError):
-    """A number that is not finite or is outside its domain, an empty seed
-    block, or an unknown mode name."""
-
-
-def require_finite(**values):
-    """Raise InvalidParameter for the first keyword whose value is NaN or inf."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise InvalidParameter(f"{name} must be finite, got {value}")
-
-
-def require_density(p):
-    """Raise InvalidParameter unless 0 < p <= 1 (NaN and inf fail too)."""
-    if not 0.0 < p <= 1.0:
-        raise InvalidParameter(f"p must be in (0, 1], got {p}")
-
-
-# --- graph construction / loading ---
-
-class InvalidSpec(PercolabError):
-    """Generator spec has missing, extra, or out-of-range parameters."""
+    """An argument outside its domain: a non-finite or out-of-range number, a
+    bad generator spec, a vertex id outside 0..n-1, an empty or too small set,
+    a stream of the wrong length or an unknown mode name."""
 
 
 class ResourceLimit(PercolabError):
-    """Expected edge count exceeds the configured cap."""
+    """Deciding the instance would exceed a cap: the expected edges of a
+    generator, the exact co-degree scan, or an exhaustive set enumeration."""
+
+
+class NotCertified(PercolabError):
+    """A profile falsifies a verdict or slack bound that a trial or a lemma
+    needs, or was certified for another n or p."""
 
 
 class ParseError(PercolabError):
@@ -56,74 +47,14 @@ class NonSimple(PercolabError):
         self.line_no = line_no
 
 
-# --- graph queries ---
-
-class VertexOutOfRange(PercolabError):
-    """Vertex id outside 0..n-1."""
-
-
-class SameVertex(PercolabError):
-    """Pair query called with u == v."""
+def require_finite(**values):
+    """Raise InvalidParameter for the first keyword whose value is NaN or inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameter(f"{name} must be finite, got {value}")
 
 
-class GraphTooSmall(PercolabError):
-    """Operation needs at least two vertices."""
-
-
-# --- certification ---
-
-class SampledModeUnavailable(PercolabError):
-    """Exact co-degree is infeasible at this n; tight slacks undefined."""
-
-
-class SubsetTooSmall(PercolabError):
-    """hd_check subset of floor(0.9 n) vertices is empty (n = 1)."""
-
-
-class NotCertified(PercolabError):
-    """A profile falsifies a verdict that a trial or a lemma bound needs, or
-    was certified for another n or p."""
-
-
-# --- percolation ---
-
-class StreamLengthMismatch(PercolabError):
-    """Explicit bit stream length differs from the vertex count."""
-
-
-class InvalidEpsilon(PercolabError):
-    """Binomial tail check requires eps^3 * n >= 1."""
-
-
-class RhoOutOfRange(PercolabError):
-    """Retention probability outside [0, 1]."""
-
-
-# --- lemma checks ---
-
-class EmptySet(PercolabError):
-    """Set argument must be nonempty."""
-
-
-class PreconditionViolated(PercolabError):
-    """m*p outside the required (c, 1/3] window."""
-
-
-class CombinationOverflow(PercolabError):
-    """Exhaustive enumeration would exceed the subset cap."""
-
-
-class USmall(PercolabError):
-    """|U| < n/2 where the bound needs |U| >= n/2."""
-
-
-class SlackTooLarge(PercolabError):
-    """a_n exceeds alpha*p*n/2, breaking the deviation step of the bound."""
-
-
-class NotConnected(PercolabError):
-    """C must induce a connected subgraph."""
-
-
-class SizeMismatch(PercolabError):
-    """|C| differs from ceil(eps/p) by more than the rounding tolerance."""
+def require_density(p):
+    """Raise InvalidParameter unless 0 < p <= 1 (NaN and inf fail too)."""
+    if not 0.0 < p <= 1.0:
+        raise InvalidParameter(f"p must be in (0, 1], got {p}")

@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from statistics import median
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .certify import PseudoRandomProfile, hd_check
@@ -30,7 +31,7 @@ from .certify import PseudoRandomProfile, hd_check
 # co-degree scan is feasible, measured-lower-bound slacks (sampled mode, a2
 # undecided) beyond the cap
 from .certify import tightest_profile as derive_profile
-from .errors import InvalidParameter, NotCertified, RhoOutOfRange, require_density, require_finite
+from .errors import InvalidParameter, NotCertified, require_density, require_finite
 from .graph import Graph
 from .lemmas import ceil_eps_over_p, grow_connected_set, outer_complement_check
 from .percolate import BernoulliStream, dfs_percolate, largest_two
@@ -91,11 +92,11 @@ class SweepResult:
 
 def _rho_for(c: float, n: int, p: float, clip: bool) -> float:
     if not (c >= 0 and math.isfinite(c)):
-        raise RhoOutOfRange(f"multiplier must be finite and >= 0, got {c}")
+        raise InvalidParameter(f"multiplier must be finite and >= 0, got {c}")
     rho = c / (n * p)
     if rho >= 1.0:
         if not clip:
-            raise RhoOutOfRange(f"c = {c} gives rho = {rho:.4g} >= 1")
+            raise InvalidParameter(f"c = {c} gives rho = {rho:.4g} >= 1")
         rho = 1.0
     return rho
 
@@ -130,12 +131,6 @@ def _runs(g: Graph, grid: Sequence[float], rhos: Sequence[float], seeds: List[in
     return runs
 
 
-def _median(xs: List[int]):
-    """Median of a sorted list: the middle value, or the mean of the middle two."""
-    k = len(xs)
-    return xs[k // 2] if k % 2 else (xs[k // 2 - 1] + xs[k // 2]) / 2
-
-
 def aggregate_rows(rows: List[Run], giant_size: int, l2_bound: float) -> Dict[float, dict]:
     """Per-multiplier aggregates, recomputable from the CSV rows."""
     by_c: Dict[float, List[Run]] = {}
@@ -143,15 +138,15 @@ def aggregate_rows(rows: List[Run], giant_size: int, l2_bound: float) -> Dict[fl
         by_c.setdefault(r.c, []).append(r)
     out = {}
     for c, rs in sorted(by_c.items()):
-        l1s = sorted(r.L1 for r in rs)
-        l2s = sorted(r.L2 for r in rs)
+        l1s = [r.L1 for r in rs]
+        l2s = [r.L2 for r in rs]
         k = len(rs)
         out[c] = {
             "runs": k,
             "mean_L1": sum(l1s) / k,
-            "median_L1": _median(l1s),
+            "median_L1": median(l1s),
             "mean_L2": sum(l2s) / k,
-            "median_L2": _median(l2s),
+            "median_L2": median(l2s),
             "giant_freq": sum(r.L1 >= giant_size for r in rs) / k,
             "l2_bound_freq": sum(r.L2 <= l2_bound for r in rs) / k,
         }

@@ -13,19 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CombinationOverflow,
-    EmptySet,
-    InvalidEpsilon,
-    InvalidParameter,
-    NotConnected,
-    PreconditionViolated,
-    SizeMismatch,
-    SlackTooLarge,
-    StreamLengthMismatch,
-    USmall,
-    require_finite,
-)
+from .errors import InvalidParameter, NotCertified, ResourceLimit, require_finite
 from .graph import Graph, adjacency_rows, degrees_into, vertex_set
 from .rng import derived
 
@@ -91,7 +79,7 @@ def inclusion_exclusion_lower_bound(g: Graph, H: Sequence[int]) -> int:
     sum over w of C(s_w, 2), s_w the number of members of H adjacent to w."""
     hs = vertex_set(g, H)
     if not len(hs):
-        raise EmptySet("H must be nonempty")
+        raise InvalidParameter("H must be nonempty")
     _, w = adjacency_rows(g, hs)
     s = np.bincount(w)
     return len(w) - int((s * (s - 1) // 2).sum()) - len(hs)
@@ -122,9 +110,9 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
     if not 1 <= m <= n:
         raise InvalidParameter(f"m must be in [1, {n}], got {m}")
     if not 0.0 < c < 1.0 / 3.0:
-        raise PreconditionViolated(f"c must be in (0, 1/3), got {c}")
+        raise InvalidParameter(f"c must be in (0, 1/3), got {c}")
     if not c < m * p <= 1.0 / 3.0:
-        raise PreconditionViolated(f"need c < m*p <= 1/3, got m*p = {m * p}")
+        raise InvalidParameter(f"need c < m*p <= 1/3, got m*p = {m * p}")
     bound = (1.0 - alpha0) * (n * p * m - n * p * p * m * m / 2.0)
     require_finite(bound=bound)
     params = {"p": p, "a_n": profile.a_n, "b_n": profile.b_n, "m": m,
@@ -133,7 +121,7 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
     if mode == "exhaustive":
         total = math.comb(n, m)
         if total > EXHAUSTIVE_SET_CAP:
-            raise CombinationOverflow(f"C({n},{m}) = {total} exceeds cap {EXHAUSTIVE_SET_CAP}")
+            raise ResourceLimit(f"C({n},{m}) = {total} exceeds cap {EXHAUSTIVE_SET_CAP}")
         worst, witness_set = _expansion_scan_all(g, m)
         checked = total
     elif mode == "sampled":
@@ -255,9 +243,9 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     us = vertex_set(g, U)
     if 2 * len(us) < n:
-        raise USmall(f"|U| = {len(us)} < n/2 = {n / 2}")
+        raise InvalidParameter(f"|U| = {len(us)} < n/2 = {n / 2}")
     if a > alpha * p * n / 2:
-        raise SlackTooLarge(f"a_n = {a} > alpha*p*n/2 = {alpha * p * n / 2}")
+        raise NotCertified(f"a_n = {a} > alpha*p*n/2 = {alpha * p * n / 2}")
     threshold = (1 + alpha) * p * len(us)
     try:
         bound = 4.0 / (alpha * p) ** 2 * (4 * p + 12 * b)
@@ -281,13 +269,13 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
 def grow_connected_set(g: Graph, root: int, size: int,
                        within: Optional[Sequence[int]] = None) -> List[int]:
     """First `size` vertices of a BFS from root (optionally confined to
-    `within`); raises NotConnected when the reachable set is too small."""
+    `within`); raises InvalidParameter when the reachable set is too small."""
     allowed = None if within is None else set(within)
     if allowed is not None and root not in allowed:
-        raise NotConnected(f"root {root} not in the confining set")
+        raise InvalidParameter(f"root {root} not in the confining set")
     order = _bfs(g, int(root), allowed, size)
     if len(order) < size:
-        raise NotConnected(f"only {len(order)} vertices reachable, need {size}")
+        raise InvalidParameter(f"only {len(order)} vertices reachable, need {size}")
     return sorted(order)
 
 
@@ -336,11 +324,11 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     cs = vertex_set(g, C).tolist()
     if not cs:
-        raise EmptySet("C must be nonempty")
+        raise InvalidParameter("C must be nonempty")
     if not _is_connected_induced(g, cs):
-        raise NotConnected("C does not induce a connected subgraph")
+        raise InvalidParameter("C does not induce a connected subgraph")
     if abs(len(cs) - target) > 1:
-        raise SizeMismatch(f"|C| = {len(cs)}, need ceil(eps/p) = {target} (+/- 1)")
+        raise InvalidParameter(f"|C| = {len(cs)}, need ceil(eps/p) = {target} (+/- 1)")
     nbhd = neighborhood_size(g, cs)
     outer = n - nbhd - len(cs)
     l_n = a / n + (epsilon / 2) * b / (n * p * p)
@@ -378,7 +366,7 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
     max_failure_rate = 0.01
     eps = float(epsilon)
     if eps ** 3 * n < 1:
-        raise InvalidEpsilon(f"need eps^3 * n >= 1, got {eps ** 3 * n:.3g}")
+        raise InvalidParameter(f"need eps^3 * n >= 1, got {eps ** 3 * n:.3g}")
     p = (1 + eps) / (n * rho)
     t1 = math.ceil(eps ** 3 * n)
     t2 = math.ceil(eps * n)
@@ -390,7 +378,7 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
     if bits is not None:
         streams = [np.asarray(bits[:t2], dtype=bool)]
         if len(bits) < t2:
-            raise StreamLengthMismatch(f"need at least {t2} bits, got {len(bits)}")
+            raise InvalidParameter(f"need at least {t2} bits, got {len(bits)}")
     else:
         streams = None
 

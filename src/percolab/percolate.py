@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, RhoOutOfRange, StreamLengthMismatch
+from .errors import InvalidParameter
 from .graph import Graph, adjacency_rows, vertex_set
 from .rng import uniforms
 
@@ -51,7 +51,7 @@ class BernoulliStream:
         if self.seed < 0:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.rho <= 1.0:
-            raise RhoOutOfRange(f"rho must be in [0, 1], got {self.rho}")
+            raise InvalidParameter(f"rho must be in [0, 1], got {self.rho}")
 
 
 @dataclass
@@ -76,8 +76,7 @@ def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
     explicit = stream.bits is not None
     if explicit:
         if len(stream.bits) != n:
-            raise StreamLengthMismatch(
-                f"stream length {len(stream.bits)} != n = {n}")
+            raise InvalidParameter(f"stream length {len(stream.bits)} != n = {n}")
         bits = [bool(b) for b in stream.bits]  # indexed by query number
     else:
         bits = (uniforms(stream.seed, n) < stream.rho).tolist()  # indexed by vertex

@@ -9,7 +9,7 @@ import pytest
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from percolab import GeneratorSpec, certify, estimate_slacks, generate, hd_check, max_co_degree
 from percolab.certify import tightest_profile
-from percolab.errors import InvalidParameter, NotCertified, SampledModeUnavailable, SubsetTooSmall
+from percolab.errors import InvalidParameter, NotCertified, ResourceLimit
 
 GNP_CASES = [(200, 0.1, 5), (500, 0.05, 6), (300, 0.3, 7)]
 
@@ -130,7 +130,7 @@ def test_certify_sampled_mode_undecided_and_refuted(monkeypatch):
 
 def test_estimate_slacks_refuses_sampled_mode(monkeypatch):
     monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 10)
-    with pytest.raises(SampledModeUnavailable):
+    with pytest.raises(ResourceLimit, match="exact co-degree needs n <= 10, got 50"):
         estimate_slacks(star_graph(50), 0.5)
 
 
@@ -186,7 +186,7 @@ def test_hd_gnp_threshold():
 def test_hd_validation():
     g = complete_graph(10)
     assert hd_check(g, beta=0.1, p=1.0).subset_fraction == 0.9
-    with pytest.raises(SubsetTooSmall):
+    with pytest.raises(InvalidParameter, match="subset of size 0 from n=1"):
         hd_check(complete_graph(1), beta=0.1, p=1.0)  # floor(0.9 * 1) = 0
     with pytest.raises(ValueError):
         hd_check(g, beta=0.1, p=1.0, trials=0)

@@ -420,6 +420,18 @@ def test_lemma_incl_excl_reads_h_as_a_set(tmp_path, capsys):
     assert capsys.readouterr().err == "error: vertex 50 not in 0..49\n"
 
 
+def test_lemma_incl_excl_needs_no_profile_beyond_exact_cap(tmp_path, monkeypatch):
+    # incl-excl reads only H, but the profile used to be built first: a
+    # co-degree scan on every run, and exit 2 beyond the exact cap
+    args = ["lemma", "--which", "incl-excl", "--gen", "gnp:n=50,p=0.1,seed=3",
+            "--p", "0.1", "--h", "0,1,5,9", "--out"]
+    below = cli.main([*args, str(tmp_path / "below.json")])
+    monkeypatch.setattr(cli.graph, "EXACT_CODEGREE_CAP", 10)
+    beyond = cli.main([*args, str(tmp_path / "beyond.json")])
+    assert below in (0, 1) and beyond == below
+    assert (tmp_path / "beyond.json").read_text() == (tmp_path / "below.json").read_text()
+
+
 def test_lemma_expansion_at_m1_reads_the_degrees(tmp_path):
     # n = 40000 has 40000 sets of size 1, within EXHAUSTIVE_SET_CAP; the scan
     # used to build a 1.6 GB adjacency matrix plus a temporary of that size

@@ -25,7 +25,7 @@ from percolab import (
     subcritical_trial,
     supercritical_trial,
 )
-from percolab.errors import InvalidParameter, NotCertified, RhoOutOfRange
+from percolab.errors import InvalidParameter, NotCertified
 from percolab.experiment import derive_profile, emit_trial_json, seed_block
 
 G2000 = generate(GeneratorSpec(kind="gnp", n=2000, p=0.01, seed=5))
@@ -82,7 +82,7 @@ def test_sweep_zero_multiplier_retains_nothing():
 
 def test_sweep_rho_clipping():
     g = generate(GeneratorSpec(kind="gnp", n=50, p=0.1, seed=2))
-    with pytest.raises(RhoOutOfRange):
+    with pytest.raises(InvalidParameter, match=r"c = 10\.0 gives rho = 2 >= 1"):
         run_sweep(SweepConfig(source=g, p=0.1, rho_grid=[10.0], seeds=[1]))
     res = run_sweep(SweepConfig(source=g, p=0.1, rho_grid=[10.0], seeds=[1],
                                 clip_rho=True))
@@ -91,7 +91,7 @@ def test_sweep_rho_clipping():
     # rho = 1 keeps every vertex: L1 is the largest component of G itself
     comps = oracle_components(g, range(50))
     assert row.L1 == max(len(c) for c in comps)
-    with pytest.raises(RhoOutOfRange):
+    with pytest.raises(InvalidParameter, match="multiplier must be finite and >= 0, got -0.5"):
         run_sweep(SweepConfig(source=g, p=0.1, rho_grid=[-0.5], seeds=[1]))
 
 
@@ -228,9 +228,9 @@ def test_trial_outer_check_toggles():
 
 def test_trial_rho_range():
     g = generate(GeneratorSpec(kind="gnp", n=10, p=0.2, seed=1))
-    with pytest.raises(RhoOutOfRange):
+    with pytest.raises(InvalidParameter, match=r"c = 2\.5 gives rho = 1\.25 >= 1"):
         supercritical_trial(g, 0.2, epsilon=1.5, seeds=[1])  # rho = 1.25
-    with pytest.raises(RhoOutOfRange):
+    with pytest.raises(InvalidParameter, match="multiplier must be finite and >= 0, got -0.19"):
         subcritical_trial(g, 0.2, epsilon=1.2, seeds=[1])    # rho < 0
 
 
@@ -336,7 +336,7 @@ def test_non_finite_beta_is_rejected(beta):
 def test_non_finite_multiplier_is_rejected(c):
     # clipping used to turn c = inf into rho = 1 and emit "Infinity" in the grid
     g = generate(GeneratorSpec(kind="gnp", n=50, p=0.1, seed=1))
-    with pytest.raises(RhoOutOfRange):
+    with pytest.raises(InvalidParameter, match=f"multiplier must be finite and >= 0, got {c}"):
         run_sweep(SweepConfig(source=g, p=0.1, rho_grid=[c], seeds=[1], clip_rho=True))
 
 

@@ -26,18 +26,7 @@ from percolab import (
     variance_bound_check,
     xi_count_check,
 )
-from percolab.errors import (
-    CombinationOverflow,
-    EmptySet,
-    InvalidParameter,
-    NotCertified,
-    NotConnected,
-    PreconditionViolated,
-    SizeMismatch,
-    SlackTooLarge,
-    USmall,
-    VertexOutOfRange,
-)
+from percolab.errors import InvalidParameter, NotCertified, ResourceLimit
 from percolab.lemmas import (
     LEMMA_IDS,
     _expansion_scan_all,
@@ -86,7 +75,7 @@ def test_inclusion_exclusion_k4(k4):
 
 
 def test_inclusion_exclusion_empty(k4):
-    with pytest.raises(EmptySet):
+    with pytest.raises(InvalidParameter, match="H must be nonempty"):
         inclusion_exclusion_lower_bound(k4, [])
 
 
@@ -131,13 +120,13 @@ def test_inclusion_exclusion_equals_the_pairwise_sum(n, p, seed, data):
 
 def test_expansion_precondition_window():
     prof = certified(complete_graph(10), 1.0)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidParameter, match=r"need c < m\*p <= 1/3, got m\*p = 1"):
         expansion_check(complete_graph(10), prof, m=1, alpha0=0.5)  # m*p = 1
     g = generate(GeneratorSpec(kind="gnp", n=100, p=0.1, seed=0))
     prof = certified(g, 0.1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidParameter, match=r"c must be in \(0, 1/3\), got 0\.4"):
         expansion_check(g, prof, m=2, alpha0=0.5, c=0.4)  # c outside (0, 1/3)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidParameter, match=r"need c < m\*p <= 1/3, got m\*p = 0\.2"):
         expansion_check(g, prof, m=2, alpha0=0.5, c=0.3)  # m*p = 0.2 <= c
     with pytest.raises(ValueError):
         expansion_check(g, prof, m=2, alpha0=0.5, mode="antagonistic")
@@ -191,7 +180,7 @@ def test_expansion_set_cap(monkeypatch):
     g = generate(GeneratorSpec(kind="gnp", n=60, p=0.1, seed=3))
     prof = certified(g, 0.1)
     monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", 100)
-    with pytest.raises(CombinationOverflow):
+    with pytest.raises(ResourceLimit, match=r"C\(60,3\) = 34220 exceeds cap 100"):
         expansion_check(g, prof, m=3, alpha0=0.5)
 
 
@@ -244,7 +233,7 @@ def test_vertex_ids_outside_0_to_n_are_rejected(check, bad):
     # variance and xi used to read id -1 as n-1 and raise IndexError at n
     g = complete_graph(40)
     prof = certify(g, 1.0, a_n=2.0, b_n=3.0)
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(InvalidParameter, match=rf"vertex {bad} not in 0\.\.39"):
         check(g, prof, [*range(30), bad])
 
 
@@ -333,11 +322,11 @@ def test_xi_k40_hand_numbers():
 def test_xi_validation():
     g = complete_graph(40)
     prof = certify(g, 1.0, a_n=1.5, b_n=0.0)
-    with pytest.raises(USmall):
+    with pytest.raises(InvalidParameter, match=r"\|U\| = 10 < n/2 = 20\.0"):
         xi_count_check(g, range(10), prof, alpha=0.1)
     loose = certify(g, 1.0, a_n=5.0, b_n=0.0)
     assert (loose.a1, loose.a2, loose.a3) == (True, True, True)
-    with pytest.raises(SlackTooLarge):
+    with pytest.raises(NotCertified, match=r"a_n = 5\.0 > alpha\*p\*n/2 = 2\.0"):
         xi_count_check(g, range(40), loose, alpha=0.1)  # 5 > 0.1*40/2
 
 
@@ -409,11 +398,11 @@ def test_outer_cycle_fails_both_versions():
 
 def test_outer_validation(path5):
     prof = certified(path5, 0.5)
-    with pytest.raises(EmptySet):
+    with pytest.raises(InvalidParameter, match="C must be nonempty"):
         outer_complement_check(path5, [], prof, epsilon=0.5)
-    with pytest.raises(NotConnected):
+    with pytest.raises(InvalidParameter, match="C does not induce a connected subgraph"):
         outer_complement_check(path5, [0, 2], prof, epsilon=0.5)
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(InvalidParameter, match=r"\|C\| = 3, need ceil\(eps/p\) = 1 \(\+/- 1\)"):
         outer_complement_check(path5, [0, 1, 2], prof, epsilon=0.5)
     # one vertex of rounding slack is tolerated
     rep = outer_complement_check(path5, [0, 1], prof, epsilon=0.5)
@@ -436,14 +425,14 @@ def test_grow_connected_set(path5):
     assert grow_connected_set(path5, 0, 3) == [0, 1, 2]
     assert grow_connected_set(path5, 2, 1) == [2]
     assert grow_connected_set(path5, 0, 3, within=[0, 1, 2]) == [0, 1, 2]
-    with pytest.raises(NotConnected):
+    with pytest.raises(InvalidParameter, match="only 5 vertices reachable, need 6"):
         grow_connected_set(path5, 0, 6)
-    with pytest.raises(NotConnected):
+    with pytest.raises(InvalidParameter, match="only 1 vertices reachable, need 3"):
         grow_connected_set(path5, 0, 3, within=[0, 2, 3])  # 0 is isolated there
-    with pytest.raises(NotConnected):
+    with pytest.raises(InvalidParameter, match="root 0 not in the confining set"):
         grow_connected_set(path5, 0, 2, within=[1, 2])
     two = build_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
-    with pytest.raises(NotConnected):
+    with pytest.raises(InvalidParameter, match="only 2 vertices reachable, need 3"):
         grow_connected_set(two, 0, 3)
 
 
@@ -468,7 +457,8 @@ def test_bfs_helpers_match_a_queue_bfs(seed):
         order = bfs_order(g, root, everyone)
         for size in {1, len(order) // 2 + 1, len(order)}:
             assert grow_connected_set(g, root, size) == sorted(order[:size])
-        with pytest.raises(NotConnected):
+        with pytest.raises(InvalidParameter,
+                           match=f"only {len(order)} vertices reachable, need {len(order) + 1}"):
             grow_connected_set(g, root, len(order) + 1)
         within = sorted({root} | set(rng.choice(g.n, 30, replace=False).tolist()))
         confined = bfs_order(g, root, set(within))
@@ -491,12 +481,12 @@ def test_inclusion_exclusion_check(k4):
 
 def test_inclusion_exclusion_reads_h_as_a_vertex_set():
     g = generate(GeneratorSpec(kind="gnp", n=50, p=0.1, seed=1))
-    # a repeated id used to reach co_degree(g, 3, 3), which raises SameVertex
+    # a repeated id used to reach co_degree(g, 3, 3), which refuses u == v
     assert inclusion_exclusion_lower_bound(g, [3, 3]) == inclusion_exclusion_lower_bound(g, [3])
     assert inclusion_exclusion_check(g, [3, 3]) == inclusion_exclusion_check(g, [3])
     assert inclusion_exclusion_check(g, [9, 3, 9]) == inclusion_exclusion_check(g, [3, 9])
-    for bad in ([0, 50], [-1, 3]):
-        with pytest.raises(VertexOutOfRange):
+    for bad, v in (([0, 50], 50), ([-1, 3], -1)):
+        with pytest.raises(InvalidParameter, match=rf"vertex {v} not in 0\.\.49"):
             inclusion_exclusion_check(g, bad)
 
 
