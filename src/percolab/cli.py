@@ -29,13 +29,13 @@ def parse_gen(text: str) -> graph.GeneratorSpec:
         for part in rest.split(","):
             key, _, val = part.partition("=")
             if not val:
-                raise PercolabError(f"bad --gen fragment {part!r}")
+                raise InvalidParameter(f"bad --gen fragment {part!r}")
             if key in _INT_FIELDS:
                 kwargs[key] = _number(int, val, f"--gen {key}")
             elif key == "p":
                 kwargs[key] = _number(float, val, "--gen p")
             else:
-                raise PercolabError(f"unknown --gen key {key!r}")
+                raise InvalidParameter(f"unknown --gen key {key!r}")
     return graph.GeneratorSpec(kind=kind, **kwargs)
 
 
@@ -55,17 +55,17 @@ def parse_seeds(text: str):
 
 def _load_graph(args) -> graph.Graph:
     if args.gen and args.graph:
-        raise PercolabError("give --graph or --gen, not both")
+        raise InvalidParameter("give --graph or --gen, not both")
     if args.gen:
         return graph.generate(parse_gen(args.gen))
     if args.graph:
         return graph.load_edge_list(args.graph)
-    raise PercolabError("need --graph or --gen")
+    raise InvalidParameter("need --graph or --gen")
 
 
 def _profile_for(args, g):
     if (args.a is None) != (args.b is None):
-        raise PercolabError("give both --a and --b, or neither")
+        raise InvalidParameter("give both --a and --b, or neither")
     if args.a is not None:
         return run_certify(g, args.p, args.a, args.b)
     graph.require_exact_codegree(g)
@@ -194,7 +194,7 @@ def cmd_lemma(args) -> int:
         report = lemmas.outer_complement_check(g, c_set, profile, args.epsilon)
     else:
         if not args.h:
-            raise PercolabError("incl-excl needs --h v1,v2,...")
+            raise InvalidParameter("incl-excl needs --h v1,v2,...")
         H = [_number(int, v, "--h") for v in args.h.split(",")]
         report = lemmas.inclusion_exclusion_check(g, H)
     write_json(dict(report.to_dict(), schema=experiment.SCHEMA), args.out)

@@ -191,60 +191,87 @@ def _from_edge_arrays(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
     """CSR of the graph on n vertices whose edges are the pairs (eu[i], ev[i]).
 
     Precondition: the pairs are unique, eu < ev, and sorted lexicographically
-    (every generator and the loader produce them so). Row v holds its lower
-    neighbors {u < v} followed by its upper neighbors {w > v}, each part
-    ascending. The upper parts, concatenated in row order, are `ev` as given:
-    pair i lands at slot i plus the number of lower neighbors of rows
-    0..eu[i]. The lower parts fill the other slots with `eu` re-sorted by
-    (ev, eu).
+    (every generator and the loader produce them so); eu and ev are int32 or
+    int64. Row v holds its lower neighbors {u < v} followed by its upper
+    neighbors {w > v}, each part ascending. The upper parts, concatenated in
+    row order, are `ev` as given; the lower parts are `eu` re-sorted by
+    (ev, eu). Repeating True, False over the interleaved part lengths
+    (lower[0], upper[0], lower[1], ...) marks the lower slots. Each
+    temporary goes once used, so beside the pairs the build holds at most
+    the int64 keys and the int32 lower parts, then those and `neighbors`.
     """
-    m = len(eu)
-    lower = np.bincount(ev, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    offsets[1:] = np.bincount(eu, minlength=n)
-    offsets[1:] += lower
-    np.cumsum(offsets, out=offsets)
-    upper_at = np.cumsum(lower, out=lower)[eu]
-    upper_at += np.arange(m)
-    neighbors = np.empty(2 * m, dtype=np.int32)
-    neighbors[upper_at] = ev
-    is_lower = np.ones(2 * m, dtype=bool)
-    is_lower[upper_at] = False
-    del upper_at
-    key = ev * n + eu
+    # int64 keys: an int32 ev times n would wrap
+    key = np.multiply(ev, n, dtype=np.int64)
+    key += eu
     key.sort()
-    key %= n
-    neighbors[is_lower] = key
+    # the pairs with ev < v, and with eu < v, for v = 0..n
+    bounds = np.arange(n + 1, dtype=np.int64)
+    below = np.searchsorted(key, bounds * n)
+    above = np.searchsorted(eu, bounds.astype(eu.dtype))
+    lengths = np.column_stack((np.diff(below), np.diff(above))).ravel()
+    offsets = np.add(below, above, out=below)
+    del bounds, above
+    lower = np.empty(len(eu), dtype=np.int32)
+    np.remainder(key, n, out=lower, casting="unsafe")
+    del key
+    is_lower = np.repeat(np.tile([True, False], n), lengths)
+    neighbors = np.empty(2 * len(eu), dtype=np.int32)
+    neighbors[is_lower] = lower
+    del lower
+    np.logical_not(is_lower, out=is_lower)
+    neighbors[is_lower] = ev
     offsets.setflags(write=False)
     neighbors.setflags(write=False)
     return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=len(eu))
 
 
 def _gnp_pairs(n: int, p: float, seed: int):
+    """The pairs (eu[i], ev[i]) of G(n, p), eu < ev, in lexicographic order,
+    as int32 arrays. Batches of _GNP_BATCH gaps are drawn in place; each
+    batch's pairs are sorted, so its rows are found from the few row starts
+    that fall inside it."""
     total = n * (n - 1) // 2
     rng = generator(seed)
     log1mp = np.log1p(-p)
-    # cum[u] = lexicographic index of pair (u, u+1)
+    # cum[u] = lexicographic index of pair (u, u+1); pair k of row u is
+    # (u, k - shift[u])
     rows = np.arange(n, dtype=np.int64)
     cum = rows * n - rows * (rows + 1) // 2
+    shift = cum - rows - 1
+    gaps = np.empty(_GNP_BATCH)
+    ks = np.empty(_GNP_BATCH, dtype=np.int64)
     # the first gap alone may overshoot every pair
-    out_u, out_v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    out_u, out_v = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     pos = -1
     while True:
-        u = rng.random(_GNP_BATCH)
-        gaps = np.floor(np.log1p(-u) / log1mp).astype(np.int64)
-        ks = pos + np.cumsum(gaps + 1)
-        done = ks[-1] >= total
-        if done:
-            ks = ks[ks < total]
-        if len(ks):
-            us = np.searchsorted(cum, ks, "right") - 1
-            out_u.append(us)
-            out_v.append(ks - cum[us] + us + 1)
+        rng.random(out=gaps)
+        np.negative(gaps, out=gaps)
+        np.log1p(gaps, out=gaps)
+        gaps /= log1mp
+        # a gap past every pair ends the draw; capping it at 2 * total keeps
+        # it exact in int64 (total < 2**61) when p is tiny
+        np.minimum(gaps, 2 * total, out=gaps)
+        np.floor(gaps, out=ks, casting="unsafe")
+        ks += 1
+        np.cumsum(ks, out=ks)
+        ks += pos
+        # ks ascends up to its first index past the last pair
+        beyond = int(np.argmax(ks >= total))
+        done = ks[beyond] >= total
+        batch = ks[:beyond] if done else ks
+        pos = int(ks[-1])  # read before the batch turns into ev in place
+        if len(batch):
+            u0, u1 = np.searchsorted(cum, batch[[0, -1]], "right") - 1
+            counts = np.diff(np.searchsorted(batch, cum[u0 + 1:u1 + 1]), prepend=0,
+                             append=len(batch))
+            batch -= np.repeat(shift[u0:u1 + 1], counts)
+            out_u.append(np.repeat(np.arange(u0, u1 + 1, dtype=np.int32), counts))
+            out_v.append(batch.astype(np.int32))
         if done:
             break
-        pos = int(ks[-1])
-    return np.concatenate(out_u), np.concatenate(out_v)
+    eu = np.concatenate(out_u)
+    del out_u  # the eu batches go before ev is joined
+    return eu, np.concatenate(out_v)
 
 
 def _complete_pairs(n: int):
@@ -279,7 +306,7 @@ def _near_regular_perturbed(n: int, p: float, seed: int) -> Graph:
     y += y >= x  # uniform over [n] \ {x}
     # toggle each chosen pair; a pair drawn twice keeps its original state
     toggled, times = np.unique(np.minimum(x, y) * n + np.maximum(x, y), return_counts=True)
-    codes = np.setxor1d(eu * n + ev, toggled[times % 2 == 1], assume_unique=True)
+    codes = np.setxor1d(eu.astype(np.int64) * n + ev, toggled[times % 2 == 1], assume_unique=True)
     return _from_edge_arrays(n, codes // n, codes % n)
 
 

@@ -4,6 +4,7 @@ Each JSON-emitting command is replayed against the library call it wraps, so
 the front end cannot silently drift from the programmatic API.
 """
 
+import argparse
 import importlib
 import json
 import math
@@ -21,7 +22,7 @@ import percolab
 from percolab import cli, lemmas
 from percolab.certify import certify, estimate_slacks
 from percolab.cli import parse_gen, parse_seeds
-from percolab.errors import PercolabError
+from percolab.errors import InvalidParameter
 from percolab.experiment import (
     SweepConfig,
     hd_uniqueness_trial,
@@ -54,10 +55,23 @@ def test_parse_gen():
         kind="gnp", n=2000, p=0.05, seed=7)
     assert parse_gen("paley:q=13") == GeneratorSpec(kind="paley", q=13)
     assert parse_gen("complete:n=4") == GeneratorSpec(kind="complete", n=4)
-    with pytest.raises(PercolabError):
+    with pytest.raises(InvalidParameter, match=r"bad --gen fragment 'n='"):
         parse_gen("gnp:n=")  # empty value
-    with pytest.raises(PercolabError):
-        parse_gen("gnp:order=10")  # unknown key
+    with pytest.raises(InvalidParameter, match=r"unknown --gen key 'x'"):
+        parse_gen("gnp:x=1")
+    with pytest.raises(InvalidParameter, match=r"unknown --gen key 'order'"):
+        parse_gen("gnp:order=10")
+
+
+@pytest.mark.parametrize("fields,call,message", [
+    (dict(gen="complete:n=3", graph="g.txt"), cli._load_graph, "give --graph or --gen, not both"),
+    (dict(gen=None, graph=None), cli._load_graph, "need --graph or --gen"),
+    (dict(a=1.0, b=None), lambda args: cli._profile_for(args, cycle_graph(5)),
+     "give both --a and --b, or neither"),
+], ids=["both-sources", "no-source", "a-without-b"])
+def test_argument_errors_are_invalid_parameters(fields, call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call(argparse.Namespace(**fields))
 
 
 def test_parse_seeds():

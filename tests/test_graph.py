@@ -3,14 +3,16 @@
 Generated families are checked against independent re-implementations: a
 scalar geometric-skip sampler for gnp, a quadratic-residue table for paley,
 a set-toggling loop for the perturbed family, dense-matrix co-degree counts,
-a lexsort CSR builder and a line-at-a-time edge-list reader. The property
-tests draw their inputs with hypothesis.
+a lexsort CSR builder, per-vertex sorted Python lists and a line-at-a-time
+edge-list reader. The property tests draw their inputs with hypothesis; a
+tracemalloc test bounds the peak memory of generation.
 """
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -107,21 +109,18 @@ def test_paley_two_codegree_values(q):
     assert seen == {(q - 5) // 4, (q - 1) // 4}
 
 
-def test_gnp_matches_scalar_oracle():
-    """Batched geometric skipping must equal a one-uniform-at-a-time sampler."""
-    n, p, seed = 1000, 0.1, 7
-    g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=seed))
-    assert g.edge_count == 49793
-
+def gnp_scalar_oracle(n, p, seed):
+    """The pairs of G(n, p) in draw order, one uniform at a time, in Python
+    integers: each pair index found by a binary search over the row starts."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     total = n * (n - 1) // 2
     log1mp = math.log1p(-p)
     pos = -1
-    oracle = set()
+    pairs = []
     while True:
         pos += int(math.log1p(-rng.random()) / log1mp) + 1
         if pos >= total:
-            break
+            return pairs
         lo, hi = 0, n - 1
         while lo < hi:  # largest r with r*n - r(r+1)/2 <= pos
             mid = (lo + hi + 1) // 2
@@ -130,8 +129,35 @@ def test_gnp_matches_scalar_oracle():
             else:
                 hi = mid - 1
         base = lo * n - lo * (lo + 1) // 2
-        oracle.add((lo, pos - base + lo + 1))
-    assert edge_set(g) == oracle
+        pairs.append((lo, pos - base + lo + 1))
+
+
+def test_gnp_matches_scalar_oracle():
+    """Batched geometric skipping must equal a one-uniform-at-a-time sampler."""
+    n, p, seed = 1000, 0.1, 7
+    g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=seed))
+    assert g.edge_count == 49793
+    assert edge_set(g) == set(gnp_scalar_oracle(n, p, seed))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64, 1 << 16])
+@pytest.mark.parametrize("n,p,seed", [
+    (60, 0.995, 1),  # many batches inside one row
+    (3000, 0.0005, 2),  # one batch spans many rows, most of them empty
+    (150, 0.3, 5),
+    (2, 0.5, 0),  # the first gap overshoots the one pair
+    (2, 0.9, 3),
+    (3, 0.7, 1),
+    (3, 0.999, 4),
+    (1000, 1e-300, 1),  # every gap is past the last pair
+])
+def test_gnp_batches_match_scalar_oracle(monkeypatch, batch, n, p, seed):
+    """Batch boundaries fall inside rows and across runs of rows; the pairs
+    come out in the scalar sampler's order, as int32."""
+    monkeypatch.setattr(graph, "_GNP_BATCH", batch)
+    eu, ev = graph._gnp_pairs(n, p, seed)
+    assert eu.dtype == ev.dtype == np.int32
+    assert list(zip(eu.tolist(), ev.tolist())) == gnp_scalar_oracle(n, p, seed)
 
 
 def test_gnp_is_pure():
@@ -588,17 +614,31 @@ def edge_sets(draw):
     return n, pairs
 
 
+def sorted_adjacency_csr(n, pairs):
+    """Reference CSR: each vertex's neighbors in a Python list, sorted."""
+    adjacency = {}
+    for u, v in pairs:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    degree = np.zeros(n + 1, dtype=np.int64)
+    for v, row in adjacency.items():
+        degree[v + 1] = len(row)
+    return np.cumsum(degree).tolist(), [w for v in sorted(adjacency) for w in sorted(adjacency[v])]
+
+
 @settings(max_examples=150, deadline=None)
-@given(edge_sets())
-def test_builder_matches_lexsort_reference(case):
+@given(edge_sets(), st.sampled_from([np.int32, np.int64]))
+def test_builder_matches_lexsort_reference(case, dtype):
+    """The generators give the builder int32 pairs and the loader int64."""
     n, pairs = case
-    eu, ev = pair_arrays(pairs)
+    eu, ev = (a.astype(dtype) for a in pair_arrays(pairs))
     g = _from_edge_arrays(n, eu, ev)
     offsets, neighbors = lexsort_csr(n, eu, ev)
     assert g.n == n and g.edge_count == len(pairs)
     assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
     assert np.array_equal(g.offsets, offsets)
     assert np.array_equal(g.neighbors, neighbors)
+    assert (g.offsets.tolist(), g.neighbors.tolist()) == sorted_adjacency_csr(n, pairs)
     assert not g.offsets.flags.writeable and not g.neighbors.flags.writeable
 
 
@@ -666,6 +706,33 @@ def test_perturbed_matches_toggle_reference(n, p, seed, fraction):
         g = _near_regular_perturbed(n, p, seed)
     assert edge_set(g) == perturbed_reference(n, p, seed, fraction)
     check_invariants(g)
+
+
+def test_perturbed_pair_codes_do_not_wrap():
+    # pair codes u * n + v pass 2**31 once n > 46341; the gnp pairs are int32
+    n, p, seed = 70000, 2e-5, 3
+    g = _near_regular_perturbed(n, p, seed)
+    assert edge_set(g) == perturbed_reference(n, p, seed, 0.01)
+
+
+@pytest.mark.parametrize("n,p", [(6000, 0.03), (50000, 2e-4)])
+def test_generate_peak_memory(n, p):
+    """numpy reports its buffers to tracemalloc. Building the graph peaks
+    below 3.75x the bytes of its own offsets and neighbors: 2.8x on both
+    here, against 4.2x and 4.3x when the sampler kept int64 batches and the
+    builder scattered the upper rows through an int64 index."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 3.75 * (g.offsets.nbytes + g.neighbors.nbytes)
 
 
 @settings(max_examples=60, deadline=None)
