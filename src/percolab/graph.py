@@ -22,8 +22,10 @@ import numpy as np
 from .errors import InvalidParameter, NonSimple, ParseError, ResourceLimit
 from .rng import derived, generator
 
-# Expected-edge ceiling for generators; n**2 bits ceiling for exact co-degree.
-# Both are read at call time, so a caller may rebind them on this module.
+# Ceiling on a build's array entries, n plus the expected edge count (the
+# CSR holds n + 1 offsets and two entries per edge); n**2 bits ceiling for
+# exact co-degree. Both are read at call time, so a caller may rebind them on
+# this module.
 DEFAULT_EDGE_CAP = 50_000_000
 EXACT_CODEGREE_CAP = 20_000
 
@@ -102,7 +104,9 @@ def adjacency_rows(g: Graph, rows) -> Tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(rows, dtype=np.int64)
     deg = g.offsets[rows + 1] - g.offsets[rows]
     i = np.repeat(np.arange(len(rows)), deg)
-    return i, g.neighbors[np.arange(len(i)) + (g.offsets[rows] - np.cumsum(deg) + deg)[i]]
+    at = np.repeat(g.offsets[rows] - np.cumsum(deg) + deg, deg)
+    at += np.arange(len(i))
+    return i, g.neighbors[at]
 
 
 def co_degree(g: Graph, u, v) -> int:
@@ -164,27 +168,29 @@ def _is_prime(q: int) -> bool:
 
 def generate(spec: GeneratorSpec) -> Graph:
     """Build the graph described by `spec`; pure function of its parameters.
-    Refused when the expected edge count exceeds DEFAULT_EDGE_CAP."""
+    Refused, before any allocation, when n plus the expected edge count
+    exceeds DEFAULT_EDGE_CAP."""
     _validate_spec(spec)
     if spec.kind == "gnp":
-        _check_cap(spec.n * (spec.n - 1) / 2 * spec.p)
+        _check_cap(spec.n, spec.n * (spec.n - 1) / 2 * spec.p)
         eu, ev = _gnp_pairs(spec.n, spec.p, spec.seed)
         return _from_edge_arrays(spec.n, eu, ev)
     if spec.kind == "complete":
-        _check_cap(spec.n * (spec.n - 1) / 2)
+        _check_cap(spec.n, spec.n * (spec.n - 1) / 2)
         eu, ev = _complete_pairs(spec.n)
         return _from_edge_arrays(spec.n, eu, ev)
     if spec.kind == "paley":
-        _check_cap(spec.q * (spec.q - 1) / 4)
+        _check_cap(spec.q, spec.q * (spec.q - 1) / 4)
         eu, ev = _paley_pairs(spec.q)
         return _from_edge_arrays(spec.q, eu, ev)
-    _check_cap(spec.n * (spec.n - 1) / 2 * spec.p)
+    _check_cap(spec.n, spec.n * (spec.n - 1) / 2 * spec.p)
     return _near_regular_perturbed(spec.n, spec.p, spec.seed)
 
 
-def _check_cap(expected_edges: float):
-    if expected_edges > DEFAULT_EDGE_CAP:
-        raise ResourceLimit(f"expected {expected_edges:.3g} edges exceeds cap {DEFAULT_EDGE_CAP}")
+def _check_cap(n: int, expected_edges: float):
+    if n + expected_edges > DEFAULT_EDGE_CAP:
+        raise ResourceLimit(f"n = {n} plus {expected_edges:.3g} expected edges "
+                            f"exceeds cap {DEFAULT_EDGE_CAP}")
 
 
 def _from_edge_arrays(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:

@@ -384,6 +384,8 @@ BAD_INPUT = {
     "graph-and-gen": f"certify --graph missing.txt {GEN} --p 0.1",  # exit 0, --graph ignored
     # int32 neighbor ids: a 16 GiB MemoryError, or silently wrapped ids
     "gen-n-above-int32": "generate --gen gnp:n=2147483700,p=1e-20,seed=1 --out g.txt",
+    # 2e6 expected edges, but 15 GiB of row starts: a MemoryError traceback
+    "gen-n-above-edge-cap": "generate --gen gnp:n=2000000000,p=1e-12,seed=1 --out g.txt",
     "u-seed-negative": f"lemma --which variance {GEN} --p 0.1 --u-seed -1",  # ValueError
     # a prime near 1e18: trial division never returned
     "gen-q-above-int32": "generate --gen paley:q=1000000000000000009 --out g.txt",

@@ -254,6 +254,20 @@ def test_edge_cap(monkeypatch):
         generate(GeneratorSpec(kind="gnp", n=1000, p=0.5, seed=0))
 
 
+def test_edge_cap_counts_vertices_too(monkeypatch):
+    # the cap bounds n plus the expected edges, so an empty-looking gnp with a
+    # huge n is refused before its O(n) row starts are allocated (the CLI
+    # test gen-n-above-edge-cap runs n = 2e9 under an address-space limit)
+    monkeypatch.setattr("percolab.graph.DEFAULT_EDGE_CAP", 10)
+    assert generate(GeneratorSpec(kind="complete", n=4)).edge_count == 6  # 4 + 6 entries
+    assert generate(GeneratorSpec(kind="gnp", n=9, p=1e-9, seed=1)).edge_count == 0
+    for spec in (GeneratorSpec(kind="complete", n=5),  # 5 + 10 entries
+                 GeneratorSpec(kind="gnp", n=11, p=1e-9, seed=1),
+                 GeneratorSpec(kind="near_regular_perturbed", n=11, p=1e-9, seed=1)):
+        with pytest.raises(ResourceLimit, match=r"n = \d+ plus .* expected edges exceeds cap 10"):
+            generate(spec)
+
+
 # --- queries ---
 
 

@@ -359,3 +359,75 @@ def test_dfs_matches_oracles_and_nests_across_rho(case, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
     out = dfs_percolate(g, BernoulliStream(rho=lo, bits=bits))
     assert whole(out) == reference_percolate(g, lambda _v, q: bool(bits[q]))
+
+
+# --- the two dfs_percolate paths against each other ---
+
+
+def query_order_bits(g, stream):
+    """Explicit bits that replay a per-vertex stream: keep[v] for each vertex
+    v in the order the reference exploration queries it."""
+    keep = u01(stream.seed, g.n) < stream.rho
+    order = []
+    reference_percolate(g, lambda v, _q: order.append(v) or bool(keep[v]))
+    return [int(keep[v]) for v in order]
+
+
+def assert_paths_agree(g, stream):
+    out = dfs_percolate(g, stream)
+    replay = dfs_percolate(g, BernoulliStream(rho=stream.rho, bits=query_order_bits(g, stream)))
+    assert whole(out) == whole(replay)
+    assert out.bits_consumed == g.n
+    return out
+
+
+def keeping(n, kept):
+    """A per-vertex stream on n vertices whose retained set is exactly `kept`:
+    the first seed whose uniforms put every kept vertex below every other."""
+    inside = np.isin(np.arange(n), list(kept))
+    for seed in range(100_000):
+        u = u01(seed, n)
+        lo, hi = u[inside].max(initial=0.0), u[~inside].min(initial=1.0)
+        if lo < hi:
+            return BernoulliStream(rho=(lo + hi) / 2, seed=seed)
+    raise AssertionError("no seed found")
+
+
+@settings(max_examples=200, deadline=None)
+@given(percolation_cases())
+def test_vertex_stream_equals_its_query_order_replay(case):
+    g, lo, hi, seed = case
+    for rho in (lo, hi):
+        assert_paths_agree(g, BernoulliStream(rho=rho, seed=seed))
+
+
+PINNED = {
+    "rho-0": (complete_graph(6), BernoulliStream(rho=0.0, seed=3)),
+    "rho-1": (path_graph(7), BernoulliStream(rho=1.0, seed=3)),
+    "n-0": (build_graph(0, []), BernoulliStream(rho=0.5, seed=1)),
+    "n-1-kept": (build_graph(1, []), BernoulliStream(rho=1.0, seed=1)),
+    "n-1-rejected": (build_graph(1, []), BernoulliStream(rho=0.0, seed=1)),
+    # 0, 2 and 4 keep no retained neighbor; 1 and 3 are queried inside epochs
+    "isolated-retained": (path_graph(5), keeping(5, {0, 2, 4})),
+    "isolated-vertex": (build_graph(4, [(0, 1)]), keeping(4, {0, 2, 3})),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_streams_agree_across_paths(name):
+    g, stream = PINNED[name]
+    out = assert_paths_agree(g, stream)
+    u = u01(stream.seed, g.n)
+    assert whole(out) == reference_percolate(g, lambda v, _q: bool(u[v] < stream.rho))
+
+
+def test_rejected_vertex_below_a_later_root_is_queried_as_a_root():
+    # 1 is rejected and borders the component {2, 3}, whose root 2 lies above
+    # it, so the root loop queries 1 before epoch 2 opens; 4 borders {0} and
+    # is queried inside epoch 0
+    g = build_graph(5, [(0, 4), (1, 2), (2, 3)])
+    stream = keeping(5, {0, 2, 3})
+    out = assert_paths_agree(g, stream)
+    assert out.retained == [0, 2, 3]
+    assert out.components == [[0], [2, 3]]
+    assert out.epochs == [(0, 1), (3, 4)]
