@@ -90,8 +90,12 @@ class Graph:
 
 def vertex_set(g: Graph, vertices) -> np.ndarray:
     """The distinct ids int(v) of `vertices`, ascending, as int64. Raises
-    InvalidParameter for an id outside 0..n-1."""
-    ids = sorted({int(v) for v in vertices})
+    InvalidParameter for an id that int() refuses (NaN, inf, a non-number)
+    or one outside 0..n-1."""
+    try:
+        ids = sorted({int(v) for v in vertices})
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidParameter(f"vertices must be integer ids: {e}") from None
     for v in ids[:1] + ids[-1:]:
         if not 0 <= v < g.n:
             raise InvalidParameter(f"vertex {v} not in 0..{g.n - 1}")

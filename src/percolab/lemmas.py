@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, NotCertified, ResourceLimit, require_finite
-from .graph import Graph, adjacency_rows, degrees_into, vertex_set
+from .graph import _DENSE_TILE_BYTES, Graph, adjacency_rows, degrees_into, vertex_set
 from .rng import derived
 
 EXHAUSTIVE_SET_CAP = 5_000_000
@@ -64,11 +64,12 @@ class ExpansionWitness:
 
 
 def neighborhood_size(g: Graph, H: Sequence[int]) -> int:
-    """|{v not in H : v has a neighbor in H}| by direct mask union."""
+    """|{v not in H : v has a neighbor in H}| by direct mask union. H is read
+    as a set of vertex ids."""
+    hs = vertex_set(g, H)
     mask = np.zeros(g.n, dtype=bool)
-    for v in H:
-        mask[g.neighbors_of(int(v))] = True
-    mask[list(H)] = False
+    mask[adjacency_rows(g, hs)[1]] = True
+    mask[hs] = False
     return int(mask.sum())
 
 
@@ -139,34 +140,68 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
 
 
 def _expansion_scan_all(g: Graph, m: int):
-    """min |N(H)| over all |H| = m and its first lexicographic witness. For
-    m = 1 that is the minimum degree. Otherwise each (m-1)-prefix ORs its
-    rows of the n x n adjacency matrix once; the last member ranges over the
-    later vertices in one vectorized step."""
+    """min |N(H)| over all |H| = m and its first lexicographic witness.
+
+    For m = 1 that is the minimum degree. Otherwise every H is an
+    (m-1)-set S of 0..n-2 plus one later vertex c > max S. Let U be the OR of
+    the members' rows of the 0/1 adjacency matrix A, so N(H) is U | A[c]
+    without the members of H. Then
+
+      |N(H)| = |U| + deg c - (U A^T)[S, c] - sum_{h in S} [h in U | A[c]] - U[c]
+
+    (c is in neither S nor A[c]). Setting the members' own columns of U to 1
+    gives W with (W A^T)[S, c] = (U A^T)[S, c] - sum_{h in S} U[h]
+    + sum_{h in S} [h in U | A[c]], so one float32 product per block of S
+    yields every c at once: |N(H)| = |U \\ S| + deg c - (W A^T)[S, c] - U[c].
+    Each count is at most n, so float32 is exact.
+
+    The sets S are taken in lexicographic order, in blocks whose U and
+    product together fit in _DENSE_TILE_BYTES. A block's product spans only
+    the columns from its smallest max S + 1 on, and every c <= max S is
+    masked. Its rows run in lexicographic order of S and its columns ascend
+    in c, so its first flattened argmin is its lexicographically first
+    minimiser (S, c). A block replaces the running minimum only when strictly
+    smaller, so the witness is the first lexicographic H overall."""
     n = g.n
     if m == 1:
         deg = g.degrees()
         v = int(np.argmin(deg))
         return int(deg[v]), (v,)
-    A = np.zeros((n, n), dtype=bool)
-    A[adjacency_rows(g, np.arange(n))] = True
-    worst = n + 1
-    witness = ()
-    for prefix in itertools.combinations(range(n - 1), m - 1):
-        lo = prefix[-1] + 1 if prefix else 0
-        u = np.zeros(n, dtype=bool)
-        for h in prefix:
-            u |= A[h]
-        sizes = (u | A[lo:]).sum(axis=1)
-        # subtract the members of H that land in the union
-        for h in prefix:
-            sizes -= u[h] | A[lo:, h]
-        sizes -= u[lo:]
-        k = int(np.argmin(sizes))
-        if sizes[k] < worst:
-            worst = int(sizes[k])
-            witness = (*prefix, lo + k)
-    return worst, witness
+    k = max(1, _DENSE_TILE_BYTES // (8 * n))  # rows per block: U and its product
+    A = np.zeros((n, n), dtype=np.float32)
+    for first in range(0, n, k):  # row blocks bound the gather's index arrays
+        i, w = adjacency_rows(g, np.arange(first, min(n, first + k)))
+        A[first + i, w] = 1
+    deg = g.degrees().astype(np.float32)
+    union, product = np.empty((2, k * n), dtype=np.float32)
+    worst, witness = n + 1, ()
+    sets = itertools.combinations(range(n - 1), m - 1)
+    while True:
+        S = np.fromiter(itertools.chain.from_iterable(itertools.islice(sets, k)),
+                        dtype=np.int64).reshape(-1, m - 1)
+        t = len(S)
+        if not t:
+            return worst, witness
+        lo = int(S[:, -1].min()) + 1  # the smallest c of the block
+        U = union[:t * n].reshape(t, n)
+        # the ids are valid, and mode="raise" would buffer the output
+        np.take(A, S[:, 0], axis=0, out=U, mode="clip")
+        for j in range(1, m - 1):
+            rows = np.take(A, S[:, j], axis=0, out=product[:t * n].reshape(t, n), mode="clip")
+            np.maximum(U, rows, out=U)
+        at = np.arange(t)[:, None], S
+        outside = U.sum(axis=1) - U[at].sum(axis=1)  # |U minus S|
+        U[at] = 1  # U is W from here on
+        size = product[:t * (n - lo)].reshape(t, n - lo)
+        np.matmul(U, A[lo:].T, out=size)
+        np.subtract(deg[lo:], size, out=size)
+        size -= U[:, lo:]
+        size += outside[:, None]
+        size[np.arange(lo, n) <= S[:, -1:]] = np.inf
+        b, c = divmod(int(np.argmin(size)), n - lo)
+        if size[b, c] < worst:
+            worst = int(size[b, c])
+            witness = (*S[b].tolist(), lo + c)
 
 
 def _expansion_scan_sampled(g: Graph, m: int, samples: int):
@@ -269,7 +304,10 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
 def grow_connected_set(g: Graph, root: int, size: int,
                        within: Optional[Sequence[int]] = None) -> List[int]:
     """First `size` vertices of a BFS from root (optionally confined to
-    `within`); raises InvalidParameter when the reachable set is too small."""
+    `within`); raises InvalidParameter for a size below 1 or when the
+    reachable set is too small."""
+    if size < 1:
+        raise InvalidParameter(f"size must be at least 1, got {size}")
     allowed = None if within is None else set(within)
     if allowed is not None and root not in allowed:
         raise InvalidParameter(f"root {root} not in the confining set")

@@ -3,6 +3,8 @@
 import collections
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from percolab import (
     variance_bound_check,
     xi_count_check,
 )
-from percolab.errors import InvalidParameter, NotCertified, ResourceLimit
+from percolab.errors import InvalidParameter, NotCertified, PercolabError, ResourceLimit
+from percolab.graph import _DENSE_TILE_BYTES
 from percolab.lemmas import (
     LEMMA_IDS,
     _expansion_scan_all,
@@ -174,6 +177,66 @@ def test_expansion_scan_at_m1_is_the_first_minimum_degree(n, pairs):
     g = build_graph(n, {(min(e), max(e)) for e in pairs if e[0] != e[1] and max(e) < n})
     sizes = [nbhd_oracle(g, [v]) for v in range(n)]
     assert _expansion_scan_all(g, 1) == (min(sizes), (sizes.index(min(sizes)),))
+
+
+def naive_scan(g, m):
+    """min |N(H)| over all m-sets and the first H in lexicographic order
+    attaining it (min keeps the first of equal keys)."""
+    H = min(itertools.combinations(range(g.n), m), key=lambda H: nbhd_oracle(g, H))
+    return nbhd_oracle(g, H), H
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e)))))
+    return build_graph(n, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.one_of(st.none(), st.integers(1, 6)))
+def test_expansion_scan_equals_the_naive_first_minimiser(g, rows):
+    # rows per block: one block by default, or many short ones, so that a
+    # later block ties or beats an earlier one
+    block = _DENSE_TILE_BYTES if rows is None else 8 * g.n * rows
+    with mock.patch("percolab.lemmas._DENSE_TILE_BYTES", block):
+        for m in range(1, min(4, g.n) + 1):
+            assert _expansion_scan_all(g, m) == naive_scan(g, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_expansion_scan_hand_cases(n):
+    edgeless, complete, star = build_graph(n, []), complete_graph(n), star_graph(n)
+    for m in range(1, n + 1):  # up to m = n, where every graph gives (0, all)
+        first = tuple(range(m))
+        assert _expansion_scan_all(edgeless, m) == (0, first)
+        # every m-set of K_n sees the other n - m vertices
+        assert _expansion_scan_all(complete, m) == (n - m, first)
+        # m leaves see only the hub; a set with the hub sees the other leaves
+        want = (1, tuple(range(1, m + 1))) if 1 < n - m else (n - m, first)
+        assert _expansion_scan_all(star, m) == want == naive_scan(star, m)
+
+
+@pytest.mark.parametrize("n,p,m", [(1500, 0.01, 2), (200, 0.1, 3)])
+def test_expansion_scan_peak_memory(n, p, m):
+    """The m >= 2 scan holds the float32 adjacency matrix (4 n^2 bytes) and
+    one block, U and its product, of at most _DENSE_TILE_BYTES: it peaks 1.2
+    budgets over the matrix on both hosts here. A block of 4096 sets would
+    hold a 24 MB U at n = 1500."""
+    g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=1))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _expansion_scan_all(g, m)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 4 * n * n + 2 * _DENSE_TILE_BYTES
 
 
 def test_expansion_set_cap(monkeypatch):
@@ -436,6 +499,14 @@ def test_grow_connected_set(path5):
         grow_connected_set(two, 0, 3)
 
 
+@pytest.mark.parametrize("size", [0, -5])
+def test_grow_connected_set_needs_a_positive_size(size):
+    # a size below 1 used to return [root]
+    g = generate(GeneratorSpec(kind="gnp", n=50, p=0.1, seed=1))
+    with pytest.raises(InvalidParameter, match=f"size must be at least 1, got {size}"):
+        grow_connected_set(g, 0, size)
+
+
 def bfs_order(g, root, allowed):
     order, seen, queue = [], {root}, collections.deque([root])
     while queue:
@@ -465,6 +536,19 @@ def test_bfs_helpers_match_a_queue_bfs(seed):
         assert grow_connected_set(g, root, len(confined), within=within) == sorted(confined)
         assert _is_connected_induced(g, within) == (len(confined) == len(within))
         assert _is_connected_induced(g, sorted(order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 12), st.floats(), st.text(max_size=2), st.none()),
+                max_size=5))
+def test_neighborhood_size_raises_only_percolab_errors(H):
+    # a non-integral id used to raise a bare IndexError
+    g = generate(GeneratorSpec(kind="gnp", n=10, p=0.3, seed=2))
+    try:
+        size = neighborhood_size(g, H)
+    except PercolabError:
+        return
+    assert size == nbhd_oracle(g, {int(v) for v in H})
 
 
 def test_inclusion_exclusion_check(k4):
