@@ -90,12 +90,19 @@ class Graph:
 
 def vertex_set(g: Graph, vertices) -> np.ndarray:
     """The distinct ids int(v) of `vertices`, ascending, as int64. Raises
-    InvalidParameter for an id that int() refuses (NaN, inf, a non-number)
-    or one outside 0..n-1."""
-    try:
-        ids = sorted({int(v) for v in vertices})
-    except (TypeError, ValueError, OverflowError) as e:
-        raise InvalidParameter(f"vertices must be integer ids: {e}") from None
+    InvalidParameter for an id that int() refuses (NaN, inf, a non-number),
+    one whose int() differs from it (1.5, "3"; a whole-valued 2.0 reads as
+    2) or one outside 0..n-1."""
+    ids = set()
+    for v in vertices:
+        try:
+            k = int(v)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise InvalidParameter(f"vertices must be integer ids: {e}") from None
+        if k != v:
+            raise InvalidParameter(f"vertices must be integer ids: {v!r} is not an integer")
+        ids.add(k)
+    ids = sorted(ids)
     for v in ids[:1] + ids[-1:]:
         if not 0 <= v < g.n:
             raise InvalidParameter(f"vertex {v} not in 0..{g.n - 1}")

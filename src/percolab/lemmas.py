@@ -205,14 +205,29 @@ def _expansion_scan_all(g: Graph, m: int):
 
 
 def _expansion_scan_sampled(g: Graph, m: int, samples: int):
-    worst = g.n + 1
-    witness = ()
-    for k in range(samples):
-        H = derived(0, k).choice(g.n, size=m, replace=False)
-        size = neighborhood_size(g, H)
-        if size < worst:
-            worst = size
-            witness = tuple(int(v) for v in H)
+    """min |N(H)| over `samples` random m-sets (set k drawn from stream
+    (0, k)) and one greedy adversarial set, with the first set attaining it.
+
+    The random sets are evaluated in blocks: one adjacency_rows gather of all
+    their rows marks each set's neighbors in a t x n bool matrix of at most
+    _DENSE_TILE_BYTES, the members' own columns are cleared, and the row sums
+    are the sizes. A block's first argmin replaces the running minimum only
+    when strictly smaller, so the witness is the first minimising set."""
+    n = g.n
+    worst, witness = n + 1, ()
+    per_block = max(1, _DENSE_TILE_BYTES // n)
+    for first in range(0, samples, per_block):
+        H = np.array([derived(0, k).choice(n, size=m, replace=False)
+                      for k in range(first, min(samples, first + per_block))])
+        t = len(H)
+        marks = np.zeros((t, n), dtype=bool)
+        i, w = adjacency_rows(g, H.ravel())
+        marks[i // m, w] = True
+        marks[np.arange(t)[:, None], H] = False
+        sizes = marks.sum(axis=1)
+        b = int(np.argmin(sizes))
+        if sizes[b] < worst:
+            worst, witness = int(sizes[b]), tuple(H[b].tolist())
     # adversarial: grow greedily from the minimum-degree vertex, always adding
     # the vertex that keeps the running neighborhood smallest, taken from that
     # neighborhood unless H already covers it (a component smaller than m)
@@ -304,11 +319,11 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
 def grow_connected_set(g: Graph, root: int, size: int,
                        within: Optional[Sequence[int]] = None) -> List[int]:
     """First `size` vertices of a BFS from root (optionally confined to
-    `within`); raises InvalidParameter for a size below 1 or when the
-    reachable set is too small."""
+    `within`, read as a vertex-id set); raises InvalidParameter for a size
+    below 1, a bad id in `within` or when the reachable set is too small."""
     if size < 1:
         raise InvalidParameter(f"size must be at least 1, got {size}")
-    allowed = None if within is None else set(within)
+    allowed = None if within is None else vertex_set(g, within)
     if allowed is not None and root not in allowed:
         raise InvalidParameter(f"root {root} not in the confining set")
     order = _bfs(g, int(root), allowed, size)
@@ -318,22 +333,30 @@ def grow_connected_set(g: Graph, root: int, size: int,
 
 
 def _is_connected_induced(g: Graph, C: List[int]) -> bool:
-    inside = set(C)
-    return bool(C) and len(_bfs(g, C[0], inside, len(inside))) == len(inside)
+    """Whether the distinct valid ids C induce a connected subgraph."""
+    return bool(C) and len(_bfs(g, C[0], C, len(C))) == len(C)
 
 
-def _bfs(g: Graph, root: int, allowed: Optional[set], limit: int) -> List[int]:
-    """The first `limit` vertices (fewer when the search runs out) in BFS order
-    from root, entering only vertices in `allowed` (any vertex when None)."""
-    order, seen = [root], {root}
+def _bfs(g: Graph, root: int, allowed: Optional[Sequence[int]], limit: int) -> List[int]:
+    """The first `limit` >= 1 vertices (fewer when the search runs out) in BFS
+    order from root, entering only the valid ids in `allowed` (any vertex
+    when None). Each row is filtered with a mask of the vertices still open,
+    so the Python loop runs only over the vertices it appends."""
+    if allowed is None:
+        open_ = np.ones(g.n, dtype=bool)
+    else:
+        open_ = np.zeros(g.n, dtype=bool)
+        open_[allowed] = True
+    open_[root] = False
+    order = [root]
     for v in order:  # the loop also visits the vertices appended below
-        for w in g.neighbors_of(v).tolist():
-            if len(order) >= limit:
-                return order
-            if w not in seen and (allowed is None or w in allowed):
-                seen.add(w)
-                order.append(w)
-    return order
+        if len(order) >= limit:
+            break
+        row = g.neighbors_of(v)
+        row = row[open_[row]]
+        open_[row] = False
+        order.extend(row.tolist())
+    return order[:limit]
 
 
 def ceil_eps_over_p(epsilon: float, p: float) -> int:

@@ -36,12 +36,19 @@ from the retained rows without replaying the queries:
     vertex left T before the root loop reached it, and a smaller retained
     one would have reached the root through the component. So the
     components of G[keep] in min-vertex order are the epochs' components.
-    They are searched over the retained-to-retained entries only.
+    They are found without a Python loop over vertices or edges: a numpy
+    min-label search (`_least_labels`) over the induced edges, each taken
+    once from the retained rows, labels every retained vertex with the
+    least vertex of its component, and one sort of (label, vertex) keys
+    lists the components with their members in ascending order.
   * Number the components C_1, C_2, ... by root r_1 < r_2 < ... A rejected
     vertex w leaves T at the first query that reaches it. That is in epoch
     e when C_e is the first component adjacent to w and r_e < w; otherwise
     (no adjacent component, or r_e > w) the root loop queries it before
-    any epoch reaches it.
+    any epoch reaches it. The first adjacent component is the least label
+    over the border entries (retained x, rejected w) of the retained rows,
+    taken with one unbuffered minimum into a length-n array; only the
+    vertices that got a label then compare it with themselves.
   * Let E be the non-root vertices queried inside epochs: the retained
     non-roots and the rejected vertices of the rule above. Every vertex
     below r_e and every member of E queried in an earlier epoch is queried
@@ -50,6 +57,7 @@ from the retained rows without replaying the queries:
         end_e = start_e + (|C_e| - 1) + |rejected vertices queried in e|.
 """
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -144,48 +152,48 @@ def _retained_outcome(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
     """The exploration's outcome for per-vertex bits, from the rows of the
     retained vertices (see the module docstring)."""
     n = g.n
-    keep = uniforms(stream.seed, n) < stream.rho
-    ret = np.flatnonzero(keep)
+    ret = np.flatnonzero(uniforms(stream.seed, n) < stream.rho)
     m = len(ret)
     i, w = adjacency_rows(g, ret)
-    inside = keep[w]
-    border_w, border_i = w[~inside].astype(np.int64), i[~inside]
-    # the induced adjacency over local ids 0..m-1, which ascend with ret; a
-    # memoryview yields its ids as Python ints without holding one per entry
-    at = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i[inside], minlength=m), out=at[1:])
-    del i
-    local = np.empty(n, dtype=np.int32)
+    # local ids 0..m-1 ascend with ret; -1 marks a rejected vertex. Each
+    # gather array is dropped once read, which bounds a dense run's peak.
+    local = np.full(n, -1, dtype=np.int32)
     local[ret] = np.arange(m, dtype=np.int32)
-    nbrs, bounds = memoryview(local[w[inside]]), at.tolist()
-    del w, inside
-    # root[x] is the least local id in x's component. Searched in ascending
-    # order, a component's other vertices all lie above its root, and an
-    # unreached x still has root[x] = x.
-    root = list(range(m))
-    for s in np.flatnonzero(np.diff(at)).tolist():
-        if root[s] < s:
-            continue
-        comp = [s]
-        for x in comp:
-            for y in nbrs[bounds[x]:bounds[x + 1]]:
-                if root[y] > s:
-                    root[y] = s
-                    comp.append(y)
-    root = np.array(root, dtype=np.int64)
-    order = np.argsort(root, kind="stable")
-    cuts = np.flatnonzero(np.diff(root[order], prepend=-1))
+    lw = local.take(w)
+    # most entries of a sparse run are border entries (retained x, rejected
+    # w), so they are taken by index rather than by mask
+    border = np.flatnonzero(lw < 0)
+    border_w = w.take(border)
+    del w
+    border_x = i.take(border)
+    del border
+    up = lw > i  # each induced edge once, as local ids a < b
+    a = i[up]
+    del i
+    b = lw[up]
+    del lw, up
+    root = _least_labels(a, b, m)
+    # components in root order, members ascending: one sort of the keys
+    # root * m + x, all below m^2
+    key = np.sort(root * m + np.arange(m))
+    order = key % m
+    cuts = np.flatnonzero(np.diff(key // m, prepend=-1))
     sizes = np.diff(cuts, append=m)
-    members = ret[order].tolist()
-    components = [members[a:a + size] for a, size in zip(cuts.tolist(), sizes.tolist())]
     root_ids = order[cuts]
     roots = ret[root_ids]
-    # the first component a rejected vertex borders is the one with the least
-    # root; first[w] is that root's local id, m where w borders none. The
-    # rejected vertices queried inside epochs are those above that root.
-    first = np.full(n, m, dtype=np.int64)
-    np.minimum.at(first, border_w, root[border_i])
-    queried = np.flatnonzero(np.append(ret, n)[first] < np.arange(n))
+    # singletons come straight from the roots; only larger ones are sliced
+    components = roots[:, None].tolist()
+    members = ret[order].tolist()
+    big = np.flatnonzero(sizes > 1)
+    for j, at, size in zip(big.tolist(), cuts[big].tolist(), sizes[big].tolist()):
+        components[j] = members[at:at + size]
+    # first[w] is the least root among w's retained neighbors, m where w
+    # has none; only the bordered vertices then test whether that root lies
+    # below them, i.e. whether they are queried inside an epoch
+    first = np.full(n, m)
+    np.minimum.at(first, border_w, root.take(border_x))
+    bordered = np.flatnonzero(first < m)
+    queried = bordered[ret.take(first.take(bordered)) < bordered]
     # each epoch's queries after its root, then E's members below each root:
     # the retained non-roots, then the rejected ones
     k = sizes - 1 + np.bincount(first[queried], minlength=m)[root_ids]
@@ -195,6 +203,36 @@ def _retained_outcome(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
         retained=ret.tolist(), components=components,
         epochs=list(zip(starts.tolist(), (starts + k).tolist())),
         bits_consumed=n, rho=stream.rho, seed=stream.seed)
+
+
+def _least_labels(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """root[x], the least vertex of x's component in the graph on 0..m-1
+    with edges (a[k], b[k]), a[k] < b[k].
+
+    Min-label search (Shiloach & Vishkin, J. Algorithms 3, 1982): hook the
+    larger label of each edge under the smaller, then jump pointers to fixed
+    points. Each round then replaces every edge by the labels of its ends and
+    keeps only the edges whose labels still differ, so the edges stay pairs
+    of fixed points and their arrays only shrink. Labels only go down and
+    each stays a vertex of its component, so once no edge is left every
+    component carries its least vertex. Every round hooks each tree that
+    still has an edge onto another or another onto it, so the rounds are
+    logarithmic in m."""
+    root = np.arange(m)
+    np.minimum.at(root, b, a)  # the first round: every label is its vertex
+    while True:
+        while True:
+            hop = root[root]
+            if np.array_equal(hop, root):
+                break
+            root = hop
+        a = root[a]
+        b = root[b]
+        split = a != b
+        if not split.any():
+            return root
+        a, b = a[split], b[split]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
 
 
 def oracle_components(g: Graph, retained) -> List[List[int]]:
@@ -235,7 +273,5 @@ def oracle_components(g: Graph, retained) -> List[List[int]]:
 
 def largest_two(outcome: PercolationOutcome) -> Tuple[int, int]:
     """(L1, L2) component sizes; zeros fill in when fewer than two exist."""
-    sizes = sorted((len(c) for c in outcome.components), reverse=True)
-    l1 = sizes[0] if sizes else 0
-    l2 = sizes[1] if len(sizes) > 1 else 0
-    return l1, l2
+    top = heapq.nlargest(2, map(len, outcome.components)) + [0, 0]
+    return top[0], top[1]

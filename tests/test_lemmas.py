@@ -28,15 +28,17 @@ from percolab import (
     variance_bound_check,
     xi_count_check,
 )
-from percolab.errors import InvalidParameter, NotCertified, PercolabError, ResourceLimit
+from percolab.errors import InvalidParameter, NotCertified, ResourceLimit
 from percolab.graph import _DENSE_TILE_BYTES
 from percolab.lemmas import (
     LEMMA_IDS,
+    _bfs,
     _expansion_scan_all,
     _expansion_scan_sampled,
     _is_connected_induced,
     grow_connected_set,
 )
+from percolab.rng import derived
 
 
 def certified(g, p):
@@ -494,6 +496,11 @@ def test_grow_connected_set(path5):
         grow_connected_set(path5, 0, 3, within=[0, 2, 3])  # 0 is isolated there
     with pytest.raises(InvalidParameter, match="root 0 not in the confining set"):
         grow_connected_set(path5, 0, 2, within=[1, 2])
+    # the confining set is read like every vertex-id set
+    with pytest.raises(InvalidParameter, match=r"vertex 7 not in 0\.\.4"):
+        grow_connected_set(path5, 0, 2, within=[0, 1, 7])
+    with pytest.raises(InvalidParameter, match="vertices must be integer ids"):
+        grow_connected_set(path5, 0, 2, within=[0, 1.5])
     two = build_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
     with pytest.raises(InvalidParameter, match="only 2 vertices reachable, need 3"):
         grow_connected_set(two, 0, 3)
@@ -538,17 +545,72 @@ def test_bfs_helpers_match_a_queue_bfs(seed):
         assert _is_connected_induced(g, sorted(order))
 
 
+def loop_bfs(g, root, allowed, limit):
+    """The first `limit` vertices in BFS order from root, entering only
+    vertices in the set `allowed` (any vertex when None), one neighbor at a
+    time: the reference for lemmas._bfs."""
+    order, seen = [root], {root}
+    for v in order:
+        for w in g.neighbors_of(v).tolist():
+            if len(order) >= limit:
+                return order
+            if w not in seen and (allowed is None or w in allowed):
+                seen.add(w)
+                order.append(w)
+    return order
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.integers(-3, 12), st.floats(), st.text(max_size=2), st.none()),
-                max_size=5))
-def test_neighborhood_size_raises_only_percolab_errors(H):
-    # a non-integral id used to raise a bare IndexError
-    g = generate(GeneratorSpec(kind="gnp", n=10, p=0.3, seed=2))
-    try:
+@given(st.integers(1, 30), st.sampled_from([0.05, 0.15, 0.4]), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_bfs_equals_the_one_neighbor_loop(n, p, seed, data):
+    g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=seed))
+    root = data.draw(st.integers(0, n - 1))
+    within = data.draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1)).map(
+        lambda s: sorted(s | {root}))))
+    limit = data.draw(st.integers(1, n + 1))
+    allowed = None if within is None else set(within)
+    assert _bfs(g, root, within, limit) == loop_bfs(g, root, allowed, limit)
+
+
+def loop_sampled_scan(g, m, samples):
+    """One neighborhood_size call per random set: the reference for the
+    blocked evaluation of lemmas._expansion_scan_sampled's random sets."""
+    worst, witness = g.n + 1, ()
+    for k in range(samples):
+        H = derived(0, k).choice(g.n, size=m, replace=False)
         size = neighborhood_size(g, H)
-    except PercolabError:
-        return
-    assert size == nbhd_oracle(g, {int(v) for v in H})
+        if size < worst:
+            worst, witness = size, tuple(int(v) for v in H)
+    return worst, witness
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.integers(0, 40), st.one_of(st.none(), st.integers(1, 5)), st.data())
+def test_sampled_scan_blocks_equal_one_call_per_set(g, samples, rows, data):
+    # rows per block: one block by default, or many short ones, so that a
+    # later block ties or beats an earlier one
+    m = data.draw(st.integers(1, g.n))
+    block = _DENSE_TILE_BYTES if rows is None else g.n * rows
+    # with no random set the greedy set alone decides
+    greedy = _expansion_scan_sampled(g, m, 0)
+    want = min(loop_sampled_scan(g, m, samples), greedy, key=lambda r: r[0])
+    with mock.patch("percolab.lemmas._DENSE_TILE_BYTES", block):
+        assert _expansion_scan_sampled(g, m, samples) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 12), st.floats(), st.sampled_from([2.0, 7.0]),
+                          st.text(max_size=2), st.none()), max_size=5))
+def test_neighborhood_size_raises_only_percolab_errors(H):
+    # a non-integral id used to raise a bare IndexError, and 1.5 read as 1
+    g = generate(GeneratorSpec(kind="gnp", n=10, p=0.3, seed=2))
+    whole = all(isinstance(v, int) or (isinstance(v, float) and v.is_integer()) for v in H)
+    if whole and all(0 <= v < 10 for v in H):
+        assert neighborhood_size(g, H) == nbhd_oracle(g, {int(v) for v in H})
+    else:
+        with pytest.raises(InvalidParameter):
+            neighborhood_size(g, H)
 
 
 def test_inclusion_exclusion_check(k4):

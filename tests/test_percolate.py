@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -401,6 +402,8 @@ def test_vertex_stream_equals_its_query_order_replay(case):
         assert_paths_agree(g, BernoulliStream(rho=rho, seed=seed))
 
 
+SHUFFLED = np.random.default_rng(1).permutation(1500).tolist()
+
 PINNED = {
     "rho-0": (complete_graph(6), BernoulliStream(rho=0.0, seed=3)),
     "rho-1": (path_graph(7), BernoulliStream(rho=1.0, seed=3)),
@@ -410,6 +413,16 @@ PINNED = {
     # 0, 2 and 4 keep no retained neighbor; 1 and 3 are queried inside epochs
     "isolated-retained": (path_graph(5), keeping(5, {0, 2, 4})),
     "isolated-vertex": (build_graph(4, [(0, 1)]), keeping(4, {0, 2, 3})),
+    # long chains: each first hook moves a vertex one step down the chain, so
+    # the labels need many pointer-jump rounds; in a shuffled path the
+    # hooks meet in many places and need several rounds of hooking
+    "path-1500": (path_graph(1500), BernoulliStream(rho=1.0, seed=3)),
+    "cycle-1500": (cycle_graph(1500), BernoulliStream(rho=1.0, seed=3)),
+    "shuffled-path-1500": (build_graph(1500, zip(SHUFFLED[:-1], SHUFFLED[1:])),
+                           BernoulliStream(rho=1.0, seed=3)),
+    "star": (star_graph(40), BernoulliStream(rho=1.0, seed=3)),
+    # the hub is rejected, so every retained leaf is its own component
+    "star-leaves": (star_graph(40), keeping(40, range(1, 40))),
 }
 
 
@@ -419,6 +432,29 @@ def test_pinned_streams_agree_across_paths(name):
     out = assert_paths_agree(g, stream)
     u = u01(stream.seed, g.n)
     assert whole(out) == reference_percolate(g, lambda v, _q: bool(u[v] < stream.rho))
+
+
+def test_full_retention_peaks_within_the_row_gather():
+    """A rho = 1 run on gnp 10000/0.03 gathers every row: i and the gather
+    index in int64 and w in int32 peak at 6x the CSR bytes. Each gather
+    array is dropped once read and the search keeps only the edges' labels,
+    so nothing later peaks higher; a search that kept every edge beside its
+    two labels peaked at 7.7x."""
+    g = generate(GeneratorSpec(kind="gnp", n=10_000, p=0.03, seed=1))
+    csr = g.offsets.nbytes + g.neighbors.nbytes
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = dfs_percolate(g, BernoulliStream(rho=1.0, seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(out.retained) == g.n
+    assert peak <= 6.5 * csr
 
 
 def test_rejected_vertex_below_a_later_root_is_queried_as_a_root():
