@@ -30,6 +30,8 @@ def parse_gen(text: str) -> graph.GeneratorSpec:
             key, _, val = part.partition("=")
             if not val:
                 raise InvalidParameter(f"bad --gen fragment {part!r}")
+            if key in kwargs:
+                raise InvalidParameter(f"repeated --gen key {key!r}")
             if key in _INT_FIELDS:
                 kwargs[key] = _number(int, val, f"--gen {key}")
             elif key == "p":
@@ -112,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     lm.add_argument("--alpha0", type=float, default=0.5)
     lm.add_argument("--alpha", type=float, default=0.5)
     lm.add_argument("--c", type=float, default=1e-3)
-    lm.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])
     lm.add_argument("--u-size", type=int, default=None, help="|U| for variance/xi")
     lm.add_argument("--u-seed", type=int, default=0, help="stream for the random U")
     lm.add_argument("--root", type=int, default=0, help="BFS root for the outer check")
@@ -179,8 +180,7 @@ def cmd_lemma(args) -> int:
     # inclusion-exclusion reads only H, so it needs no profile
     profile = None if args.which == "incl-excl" else _profile_for(args, g)
     if args.which == "expansion":
-        report = lemmas.expansion_check(g, profile, m=args.m, alpha0=args.alpha0,
-                                        mode=args.mode, c=args.c)
+        report = lemmas.expansion_check(g, profile, m=args.m, alpha0=args.alpha0, c=args.c)
     elif args.which == "variance":
         size = args.u_size if args.u_size is not None else g.n // 2
         report = lemmas.variance_bound_check(g, _random_u(g, size, args.u_seed), profile)

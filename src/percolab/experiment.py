@@ -204,7 +204,7 @@ class TrialSummary:
     l2_bound: float
     frac_giant: float
     frac_l2_bound: float
-    frac_small: Optional[float]  # sub only: fraction with L1 < eps/p
+    frac_small: Optional[float]  # fraction with L1 < eps/p
     max_L1: int
     frac_outer_ok: Optional[float]
     profile: PseudoRandomProfile

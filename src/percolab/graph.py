@@ -23,9 +23,9 @@ from .errors import InvalidParameter, NonSimple, ParseError, ResourceLimit
 from .rng import derived, generator
 
 # Ceiling on a build's array entries, n plus the expected edge count (the
-# CSR holds n + 1 offsets and two entries per edge); n**2 bits ceiling for
-# exact co-degree. Both are read at call time, so a caller may rebind them on
-# this module.
+# CSR holds n + 1 offsets and two entries per edge); largest n whose
+# co-degree scan runs over all pairs (beyond it the scan is sampled). Both
+# are read at call time, so a caller may rebind them on this module.
 DEFAULT_EDGE_CAP = 50_000_000
 EXACT_CODEGREE_CAP = 20_000
 
@@ -153,6 +153,10 @@ def _validate_spec(spec: GeneratorSpec):
     given = {f for f in ("n", "p", "q", "seed") if getattr(spec, f) is not None}
     if given != needed:
         raise InvalidParameter(f"kind {spec.kind!r} needs exactly {sorted(needed)}, got {sorted(given)}")
+    for f in ("n", "q", "seed"):
+        v = getattr(spec, f)
+        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+            raise InvalidParameter(f"{f} must be an integer, got {v!r}")
     if "n" in needed and not 0 <= spec.n <= _MAX_N:
         raise InvalidParameter(f"n must be in [0, {_MAX_N}], got {spec.n}")
     if "seed" in needed and spec.seed < 0:

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, NotCertified, ResourceLimit, require_finite
+from .errors import InvalidParameter, NotCertified, require_finite
 from .graph import _DENSE_TILE_BYTES, Graph, adjacency_rows, degrees_into, vertex_set
 from .rng import derived
 
@@ -64,13 +64,22 @@ class ExpansionWitness:
 
 
 def neighborhood_size(g: Graph, H: Sequence[int]) -> int:
-    """|{v not in H : v has a neighbor in H}| by direct mask union. H is read
-    as a set of vertex ids."""
-    hs = vertex_set(g, H)
-    mask = np.zeros(g.n, dtype=bool)
-    mask[adjacency_rows(g, hs)[1]] = True
-    mask[hs] = False
-    return int(mask.sum())
+    """|{v not in H : v has a neighbor in H}|. H is read as a set of vertex
+    ids."""
+    return int(_neighborhood_sizes(g, vertex_set(g, H)[None, :])[0])
+
+
+def _neighborhood_sizes(g: Graph, H: np.ndarray) -> np.ndarray:
+    """|N(H[r]) \\ H[r]| for each row r of the t x m array H of valid ids:
+    one adjacency_rows gather of all the rows marks each row's neighbors in
+    a t x n bool matrix, the members' own columns are cleared, and the row
+    sums are the sizes."""
+    (t, m), n = H.shape, g.n
+    marks = np.zeros(t * n, dtype=bool)  # flat indices mark faster than (row, column) pairs
+    i, w = adjacency_rows(g, H.ravel())
+    marks[i // m * n + w] = True  # no entries when m = 0
+    marks[(H + np.arange(0, t * n, n)[:, None]).ravel()] = False
+    return marks.reshape(t, n).sum(axis=1)
 
 
 def inclusion_exclusion_lower_bound(g: Graph, H: Sequence[int]) -> int:
@@ -97,14 +106,15 @@ def inclusion_exclusion_check(g: Graph, H: Sequence[int]) -> LemmaReport:
 
 
 def expansion_check(g: Graph, profile, m: int, alpha0: float,
-                    mode: str = "exhaustive", c: float = 1e-3) -> LemmaReport:
+                    c: float = 1e-3) -> LemmaReport:
     """No vertex set H with |H| = m has |N_G(H)| < (1-alpha0)(npm - np^2 m^2/2).
 
     Requires 1 <= m <= n and c < m*p <= 1/3 for the supplied c in (0, 1/3).
-    Exhaustive mode proves the verdict over all C(n, m) sets (refused above
-    EXHAUSTIVE_SET_CAP); sampled mode tries EXPANSION_SAMPLES random sets
-    (stream seed 0) plus one greedy adversarial set and can only falsify.
-    Both constants are read at call time.
+    The scan is chosen from the instance: when C(n, m) <= EXHAUSTIVE_SET_CAP
+    it runs over all C(n, m) sets and proves the verdict; beyond the cap it
+    tries EXPANSION_SAMPLES random sets (stream seed 0) plus one greedy
+    adversarial set and can only falsify. parameters["mode"] names the scan
+    ("exhaustive" or "sampled"). Both constants are read at call time.
     """
     require_finite(alpha0=alpha0, c=c)
     n, p = g.n, profile.p
@@ -116,22 +126,15 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
         raise InvalidParameter(f"need c < m*p <= 1/3, got m*p = {m * p}")
     bound = (1.0 - alpha0) * (n * p * m - n * p * p * m * m / 2.0)
     require_finite(bound=bound)
+    total = math.comb(n, m)
+    if total <= EXHAUSTIVE_SET_CAP:
+        mode, checked = "exhaustive", total
+        worst, witness_set = _expansion_scan_all(g, m)
+    else:
+        mode, checked = "sampled", EXPANSION_SAMPLES + 1
+        worst, witness_set = _expansion_scan_sampled(g, m, EXPANSION_SAMPLES)
     params = {"p": p, "a_n": profile.a_n, "b_n": profile.b_n, "m": m,
               "alpha0": alpha0, "c": c, "mode": mode}
-
-    if mode == "exhaustive":
-        total = math.comb(n, m)
-        if total > EXHAUSTIVE_SET_CAP:
-            raise ResourceLimit(f"C({n},{m}) = {total} exceeds cap {EXHAUSTIVE_SET_CAP}")
-        worst, witness_set = _expansion_scan_all(g, m)
-        checked = total
-    elif mode == "sampled":
-        samples = EXPANSION_SAMPLES
-        worst, witness_set = _expansion_scan_sampled(g, m, samples)
-        checked = samples + 1
-    else:
-        raise InvalidParameter(f"unknown mode {mode!r}")
-
     passed = worst >= bound
     witness = None if passed else ExpansionWitness(
         H=tuple(witness_set), neighborhood_size=worst, bound=bound)
@@ -208,23 +211,17 @@ def _expansion_scan_sampled(g: Graph, m: int, samples: int):
     """min |N(H)| over `samples` random m-sets (set k drawn from stream
     (0, k)) and one greedy adversarial set, with the first set attaining it.
 
-    The random sets are evaluated in blocks: one adjacency_rows gather of all
-    their rows marks each set's neighbors in a t x n bool matrix of at most
-    _DENSE_TILE_BYTES, the members' own columns are cleared, and the row sums
-    are the sizes. A block's first argmin replaces the running minimum only
-    when strictly smaller, so the witness is the first minimising set."""
+    The random sets are evaluated in blocks by _neighborhood_sizes, whose
+    t x n mark matrix holds at most _DENSE_TILE_BYTES. A block's first argmin
+    replaces the running minimum only when strictly smaller, so the witness
+    is the first minimising set."""
     n = g.n
     worst, witness = n + 1, ()
     per_block = max(1, _DENSE_TILE_BYTES // n)
     for first in range(0, samples, per_block):
         H = np.array([derived(0, k).choice(n, size=m, replace=False)
                       for k in range(first, min(samples, first + per_block))])
-        t = len(H)
-        marks = np.zeros((t, n), dtype=bool)
-        i, w = adjacency_rows(g, H.ravel())
-        marks[i // m, w] = True
-        marks[np.arange(t)[:, None], H] = False
-        sizes = marks.sum(axis=1)
+        sizes = _neighborhood_sizes(g, H)
         b = int(np.argmin(sizes))
         if sizes[b] < worst:
             worst, witness = int(sizes[b]), tuple(H[b].tolist())
@@ -318,15 +315,16 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
 
 def grow_connected_set(g: Graph, root: int, size: int,
                        within: Optional[Sequence[int]] = None) -> List[int]:
-    """First `size` vertices of a BFS from root (optionally confined to
-    `within`, read as a vertex-id set); raises InvalidParameter for a size
-    below 1, a bad id in `within` or when the reachable set is too small."""
+    """First `size` vertices of a BFS from the vertex id root (optionally
+    confined to `within`, read as a vertex-id set); raises InvalidParameter
+    for a size below 1, a bad id or when the reachable set is too small."""
     if size < 1:
         raise InvalidParameter(f"size must be at least 1, got {size}")
+    root = int(vertex_set(g, [root])[0])
     allowed = None if within is None else vertex_set(g, within)
     if allowed is not None and root not in allowed:
         raise InvalidParameter(f"root {root} not in the confining set")
-    order = _bfs(g, int(root), allowed, size)
+    order = _bfs(g, root, allowed, size)
     if len(order) < size:
         raise InvalidParameter(f"only {len(order)} vertices reachable, need {size}")
     return sorted(order)
@@ -422,10 +420,15 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
     Only the ceil(eps*n) prefix of each stream is drawn. Item (3) is checked
     at every integer t via one cumulative-sum pass. passed means every item's
     empirical failure frequency is <= max_failure_rate = 0.01. `bits` injects
-    one explicit stream (trials is then ignored).
+    one explicit stream (trials is then ignored). Needs n >= 1, 0 < rho <= 1,
+    a finite eps > 0, seed >= 0 and, without bits, trials >= 1.
     """
     max_failure_rate = 0.01
     eps = float(epsilon)
+    if not (n >= 1 and 0 < rho <= 1 and 0 < eps < math.inf and seed >= 0
+            and (bits is not None or trials >= 1)):
+        raise InvalidParameter(f"need n >= 1, 0 < rho <= 1, finite eps > 0, seed >= 0 and "
+                               f"trials >= 1, got {n}, {rho}, {epsilon}, {seed} and {trials}")
     if eps ** 3 * n < 1:
         raise InvalidParameter(f"need eps^3 * n >= 1, got {eps ** 3 * n:.3g}")
     p = (1 + eps) / (n * rho)
@@ -437,33 +440,25 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
     floor3 = (1 + 3 * eps / 4) * ts / (n * p)
 
     if bits is not None:
-        streams = [np.asarray(bits[:t2], dtype=bool)]
         if len(bits) < t2:
             raise InvalidParameter(f"need at least {t2} bits, got {len(bits)}")
+        streams = [np.asarray(bits[:t2], dtype=bool)]
     else:
-        streams = None
-
-    fails = [0, 0, 0]
-    witness = None
-    total = 1 if streams is not None else trials
-    for k in range(total):
-        stream = streams[k] if streams is not None else derived(seed, k).random(t2) < rho
-        cs = np.cumsum(stream)
-        bad = (cs[t1 - 1] > bound1, cs[t2 - 1] > bound2,
-               bool(np.any(cs[t1 - 1:t2] < floor3)))
-        for i in range(3):
-            if bad[i]:
-                fails[i] += 1
-        if any(bad) and witness is None:
-            witness = {"trial": k, "items_failed": [i + 1 for i in range(3) if bad[i]]}
-
-    freqs = [f / total for f in fails]
+        streams = (derived(seed, k).random(t2) < rho for k in range(trials))
+    # one row of the three item verdicts per stream
+    bad = np.array([(cs[t1 - 1] > bound1, cs[t2 - 1] > bound2, np.any(cs[t1 - 1:t2] < floor3))
+                    for cs in map(np.cumsum, streams)], dtype=bool)
+    total = len(bad)
+    freqs = (bad.sum(axis=0) / total).tolist()
     passed = all(f <= max_failure_rate for f in freqs)
+    k = int(np.argmax(bad.any(axis=1)))  # the first stream failing an item
+    witness = None if passed else {"trial": k,
+                                   "items_failed": (np.flatnonzero(bad[k]) + 1).tolist()}
     return LemmaReport(
         lemma_id="binomial_tails",
         passed=passed,
         checked_count=total,
-        witness=None if passed else witness,
+        witness=witness,
         parameters={"n": n, "rho": rho, "epsilon": eps, "p_implied": p,
                     "t_low": t1, "t_high": t2, "trials": total, "seed": seed,
                     "max_failure_rate": max_failure_rate},

@@ -61,6 +61,11 @@ def test_parse_gen():
         parse_gen("gnp:x=1")
     with pytest.raises(InvalidParameter, match=r"unknown --gen key 'order'"):
         parse_gen("gnp:order=10")
+    # the last of two values used to win silently
+    with pytest.raises(InvalidParameter, match=r"repeated --gen key 'seed'"):
+        parse_gen("gnp:n=10,p=0.5,seed=1,seed=2")
+    with pytest.raises(InvalidParameter, match=r"repeated --gen key 'p'"):
+        parse_gen("gnp:n=10,p=0.5,p=0.5,seed=1")
 
 
 @pytest.mark.parametrize("fields,call,message", [
@@ -85,7 +90,8 @@ def test_lemma_parser_defaults():
         ["lemma", "--which", "xi", "--gen", "g", "--p", "0.5"])
     assert args.epsilon == 0.3
     assert (args.m, args.alpha0, args.alpha, args.c) == (2, 0.5, 0.5, 1e-3)
-    assert args.mode == "exhaustive"
+    # the expansion scan is chosen by C(n, m) against EXHAUSTIVE_SET_CAP
+    assert not hasattr(args, "mode")
     assert args.u_size is None and args.u_seed == 0 and args.root == 0
     assert args.a is None and args.b is None and args.out is None
 
@@ -193,8 +199,8 @@ def test_lemma_expansion_matches_library(tmp_path):
                    "--p", "0.1", "--m", "2", "--alpha0", "0.9", "--out", str(out)])
     assert rc == 0
     g, profile = profile_for("complete:n=10", 0.1)
-    report = expansion_check(g, profile, m=2, alpha0=0.9, mode="exhaustive", c=1e-3)
-    assert report.passed
+    report = expansion_check(g, profile, m=2, alpha0=0.9, c=1e-3)
+    assert report.passed and report.parameters["mode"] == "exhaustive"
     assert json.loads(out.read_text()) == dict(report.to_dict(), schema="percolab/1")
 
 
@@ -250,15 +256,19 @@ def test_lemma_outer_fail_exits_1(tmp_path):
 
 def test_lemma_sampled_expansion_beside_a_small_component(tmp_path, monkeypatch):
     # the greedy set starts in the component {0, 1}, smaller than m = 3; it
-    # used to add vertex -1 and exit 2 with "vertex -1 not in 0..5"
+    # used to add vertex -1 and exit 2 with "vertex -1 not in 0..5". Above
+    # EXHAUSTIVE_SET_CAP (C(6, 3) = 20 sets here) the scan samples, where it
+    # used to exit 2 with a ResourceLimit.
     path = tmp_path / "g.txt"
     path.write_text("# n=6\n0 1\n2 3\n3 4\n4 5\n2 5\n2 4\n")
     monkeypatch.setattr(lemmas, "EXPANSION_SAMPLES", 100)
+    monkeypatch.setattr(lemmas, "EXHAUSTIVE_SET_CAP", 19)
     out = tmp_path / "exp.json"
-    rc = cli.main(["lemma", "--which", "expansion", "--mode", "sampled", "--graph", str(path),
+    rc = cli.main(["lemma", "--which", "expansion", "--graph", str(path),
                    "--p", "0.05", "--m", "3", "--out", str(out)])
     payload = json.loads(out.read_text())
     assert rc == (0 if payload["passed"] else 1)
+    assert payload["parameters"]["mode"] == "sampled"
     assert payload["checked_count"] == 101 and payload["measured"] == 1
 
 
@@ -389,11 +399,13 @@ BAD_INPUT = {
     "u-seed-negative": f"lemma --which variance {GEN} --p 0.1 --u-seed -1",  # ValueError
     # a prime near 1e18: trial division never returned
     "gen-q-above-int32": "generate --gen paley:q=1000000000000000009 --out g.txt",
-    # numpy ValueError in sampled mode; a vacuous pass over C(5, 10) = 0 sets otherwise
-    "expansion-m-above-n": "lemma --which expansion --mode sampled "
+    # a vacuous pass over C(5, 10) = 0 sets
+    "expansion-m-above-n": "lemma --which expansion "
                            "--gen gnp:n=5,p=0.01,seed=1 --p 0.01 --m 10",
     "certify-a-without-b": f"certify {GEN} --p 0.1 --a 5",  # exit 0, a_n estimated
     "lemma-b-without-a": f"lemma --which variance {GEN} --p 0.1 --b 5",  # exit 0, b_n estimated
+    "outer-root-above-n": f"lemma --which outer {GEN} --p 0.1 --root 999",  # IndexError
+    "gen-seed-repeated": "generate --gen gnp:n=10,p=0.5,seed=1,seed=2 --out g.txt",  # seed 2
 }
 
 

@@ -236,6 +236,13 @@ INVALID_SPECS = [
     (GeneratorSpec(kind="paley", q=9), "q must be a prime = 1 mod 4"),    # not prime
     (GeneratorSpec(kind="paley", q=7), "q must be a prime = 1 mod 4"),    # 3 mod 4
     (GeneratorSpec(kind="paley", q=3), "q must be a prime = 1 mod 4"),    # below floor
+    # numpy UFuncTypeError, TypeError, TypeError, and a graph whose n is True
+    (GeneratorSpec(kind="gnp", n=10.5, p=0.3, seed=1), "n must be an integer, got 10.5"),
+    (GeneratorSpec(kind="gnp", n=10, p=0.3, seed=1.5), "seed must be an integer, got 1.5"),
+    (GeneratorSpec(kind="paley", q=13.0), "q must be an integer, got 13.0"),
+    (GeneratorSpec(kind="complete", n=True), "n must be an integer, got True"),
+    (GeneratorSpec(kind="gnp", n=10, p=0.3, seed=np.bool_(True)), "seed must be an integer"),
+    (GeneratorSpec(kind="gnp", n="10", p=0.3, seed=1), "n must be an integer, got '10'"),
 ]
 
 
@@ -244,6 +251,18 @@ INVALID_SPECS = [
 def test_invalid_specs(spec, message):
     with pytest.raises(InvalidParameter, match=message):
         generate(spec)
+
+
+@pytest.mark.parametrize("int_type", [np.int32, np.int64, np.uint16])
+def test_numpy_integer_specs_are_accepted(int_type):
+    for spec in (GeneratorSpec(kind="gnp", n=int_type(30), p=0.2, seed=int_type(4)),
+                 GeneratorSpec(kind="paley", q=int_type(13))):
+        plain = GeneratorSpec(kind=spec.kind, n=None if spec.n is None else int(spec.n),
+                              p=spec.p, q=None if spec.q is None else int(spec.q),
+                              seed=None if spec.seed is None else int(spec.seed))
+        g, want = generate(spec), generate(plain)
+        assert g.n == want.n and np.array_equal(g.offsets, want.offsets)
+        assert np.array_equal(g.neighbors, want.neighbors)
 
 
 def test_edge_cap(monkeypatch):

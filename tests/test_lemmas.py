@@ -28,7 +28,7 @@ from percolab import (
     variance_bound_check,
     xi_count_check,
 )
-from percolab.errors import InvalidParameter, NotCertified, ResourceLimit
+from percolab.errors import InvalidParameter, NotCertified
 from percolab.graph import _DENSE_TILE_BYTES
 from percolab.lemmas import (
     LEMMA_IDS,
@@ -36,6 +36,7 @@ from percolab.lemmas import (
     _expansion_scan_all,
     _expansion_scan_sampled,
     _is_connected_induced,
+    _neighborhood_sizes,
     grow_connected_set,
 )
 from percolab.rng import derived
@@ -133,8 +134,6 @@ def test_expansion_precondition_window():
         expansion_check(g, prof, m=2, alpha0=0.5, c=0.4)  # c outside (0, 1/3)
     with pytest.raises(InvalidParameter, match=r"need c < m\*p <= 1/3, got m\*p = 0\.2"):
         expansion_check(g, prof, m=2, alpha0=0.5, c=0.3)  # m*p = 0.2 <= c
-    with pytest.raises(ValueError):
-        expansion_check(g, prof, m=2, alpha0=0.5, mode="antagonistic")
 
 
 def test_expansion_star_leaf_pair_witness():
@@ -242,19 +241,41 @@ def test_expansion_scan_peak_memory(n, p, m):
 
 
 def test_expansion_set_cap(monkeypatch):
+    """The scan is exhaustive exactly when C(n, m) <= EXHAUSTIVE_SET_CAP, and
+    the report carries that scan's result. Above the cap it samples instead
+    of refusing the instance."""
     g = generate(GeneratorSpec(kind="gnp", n=60, p=0.1, seed=3))
     prof = certified(g, 0.1)
-    monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", 100)
-    with pytest.raises(ResourceLimit, match=r"C\(60,3\) = 34220 exceeds cap 100"):
-        expansion_check(g, prof, m=3, alpha0=0.5)
+    monkeypatch.setattr("percolab.lemmas.EXPANSION_SAMPLES", 200)
+    for m in (1, 2, 3):
+        total = math.comb(60, m)
+        for cap in (total - 1, total, total + 1):
+            monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", cap)
+            rep = expansion_check(g, prof, m=m, alpha0=0.95)
+            if total <= cap:
+                mode, checked, (worst, H) = "exhaustive", total, _expansion_scan_all(g, m)
+            else:
+                mode, checked, (worst, H) = "sampled", 201, _expansion_scan_sampled(g, m, 200)
+            assert rep.parameters["mode"] == mode
+            assert (rep.checked_count, rep.measured) == (checked, worst)
+            assert rep.witness is None if rep.passed else rep.witness.H == H
+    star = star_graph(60)
+    sprof = certify(star, 0.1, *estimate_slacks(star, 0.1))
+    for cap, scan in ((math.comb(60, 3), _expansion_scan_all(star, 3)),
+                      (0, _expansion_scan_sampled(star, 3, 200))):
+        monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", cap)
+        rep = expansion_check(star, sprof, m=3, alpha0=0.5)
+        assert not rep.passed and (rep.measured, rep.witness.H) == scan
 
 
 def test_expansion_sampled_mode_is_a_lower_scan(monkeypatch):
     g = generate(GeneratorSpec(kind="gnp", n=300, p=0.05, seed=2))
     prof = certified(g, 0.05)
     full = expansion_check(g, prof, m=2, alpha0=0.9)
+    assert full.parameters["mode"] == "exhaustive"
     monkeypatch.setattr("percolab.lemmas.EXPANSION_SAMPLES", 300)
-    sampled = expansion_check(g, prof, m=2, alpha0=0.9, mode="sampled")
+    monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", math.comb(300, 2) - 1)
+    sampled = expansion_check(g, prof, m=2, alpha0=0.9)
     assert sampled.parameters["mode"] == "sampled"
     assert sampled.checked_count == 301
     assert sampled.measured >= full.measured  # sampling can only miss minima
@@ -262,12 +283,15 @@ def test_expansion_sampled_mode_is_a_lower_scan(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 @pytest.mark.parametrize("m", [0, 6, 10])
-def test_expansion_m_outside_1_to_n_is_rejected(mode, m):
-    # exhaustive mode used to prove the bound over the C(5, 10) = 0 sets
+def test_expansion_m_outside_1_to_n_is_rejected(mode, m, monkeypatch):
+    # exhaustive mode used to prove the bound over the C(5, 10) = 0 sets;
+    # a cap of 0 sends every m to the sampled scan
+    if mode == "sampled":
+        monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", 0)
     g = generate(GeneratorSpec(kind="gnp", n=5, p=0.01, seed=1))
     prof = forced_profile(g, 0.01, 1.0, 1.0)
     with pytest.raises(InvalidParameter):
-        expansion_check(g, prof, m=m, alpha0=0.5, mode=mode)
+        expansion_check(g, prof, m=m, alpha0=0.5)
 
 
 def test_sampled_expansion_greedy_set_leaves_a_small_component(monkeypatch):
@@ -278,9 +302,9 @@ def test_sampled_expansion_greedy_set_leaves_a_small_component(monkeypatch):
     assert len(set(H)) == 3 and all(0 <= v < 6 for v in H)
     assert worst == nbhd_oracle(g, H) == 2
     monkeypatch.setattr("percolab.lemmas.EXPANSION_SAMPLES", 50)
-    rep = expansion_check(g, forced_profile(g, 0.05, 1.0, 1.0), m=3, alpha0=0.5,
-                          mode="sampled")
-    assert rep.checked_count == 51
+    monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", 0)
+    rep = expansion_check(g, forced_profile(g, 0.05, 1.0, 1.0), m=3, alpha0=0.5)
+    assert rep.parameters["mode"] == "sampled" and rep.checked_count == 51
     assert rep.measured == min(nbhd_oracle(g, S) for S in itertools.combinations(range(6), 3))
 
 
@@ -600,6 +624,33 @@ def test_sampled_scan_blocks_equal_one_call_per_set(g, samples, rows, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.data())
+def test_neighborhood_rows_equal_a_naive_union(g, data):
+    # rows of one width m, from the empty set to all n vertices; a row may
+    # repeat an earlier one, and neighborhood_size is the one-row case
+    m = data.draw(st.integers(0, g.n))
+    sets = data.draw(st.lists(st.permutations(range(g.n)).map(lambda v: v[:m]), min_size=1,
+                              max_size=6))
+    sets += data.draw(st.lists(st.sampled_from(sets), max_size=3))
+    H = np.array(sets, dtype=np.int64).reshape(len(sets), m)
+    want = [nbhd_oracle(g, row) for row in sets]
+    assert _neighborhood_sizes(g, H).tolist() == want
+    assert [neighborhood_size(g, row) for row in sets] == want
+
+
+@pytest.mark.parametrize("root,message", [
+    (50, r"vertex 50 not in 0\.\.49"), (-1, r"vertex -1 not in 0\.\.49"),
+    (2.5, "vertices must be integer ids"),
+], ids=["50", "-1", "2.5"])
+def test_grow_connected_set_reads_root_as_a_vertex_id(root, message):
+    # 50 used to raise a bare IndexError, and 2.5 grew from vertex 2
+    g = generate(GeneratorSpec(kind="gnp", n=50, p=0.1, seed=1))
+    with pytest.raises(InvalidParameter, match=message):
+        grow_connected_set(g, root, 3)
+    assert grow_connected_set(g, 2.0, 3) == grow_connected_set(g, 2, 3)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.integers(-3, 12), st.floats(), st.sampled_from([2.0, 7.0]),
                           st.text(max_size=2), st.none()), max_size=5))
 def test_neighborhood_size_raises_only_percolab_errors(H):
@@ -648,8 +699,6 @@ def test_non_finite_lemma_parameters_are_rejected(k4):
             xi_count_check(g, list(range(5)), prof, alpha=bad)
         with pytest.raises(InvalidParameter):
             outer_complement_check(g, [0], prof, epsilon=bad)
-    with pytest.raises(InvalidParameter):
-        expansion_check(g, prof, m=2, alpha0=0.5, mode="guess")
 
 
 def test_binomial_stream_check_lives_in_lemmas():

@@ -281,27 +281,72 @@ def test_binomial_all_zero_stream_fails_item3_only():
     assert rep.witness == {"trial": 0, "items_failed": [3]}
 
 
+def naive_items_failed(bits, n, rho, eps):
+    """The items (1-3) the stream `bits` fails, by a per-t python recount."""
+    p = (1 + eps) / (n * rho)
+    t1, t2 = math.ceil(eps ** 3 * n), math.ceil(eps * n)
+    cs = 0
+    item3_bad = False
+    for t in range(1, t2 + 1):
+        cs += bits[t - 1]
+        if t1 <= t and cs < (1 + 3 * eps / 4) * t / (n * p):
+            item3_bad = True
+    bad = (sum(bits[:t1]) > 2 * eps ** 3 / p, sum(bits[:t2]) > 2 * eps / p, item3_bad)
+    return [i + 1 for i in range(3) if bad[i]]
+
+
 def test_binomial_matches_naive_recount():
-    """Frequencies must equal a per-t python recount of the same streams."""
+    """Frequencies must equal a per-t python recount of the same streams,
+    drawn or given as explicit bits."""
     n, rho, eps, trials, seed = 600, 0.01, 0.2, 40, 31
     rep = binomial_stream_check(n=n, rho=rho, epsilon=eps, trials=trials, seed=seed)
     p = (1 + eps) / (n * rho)
-    t1, t2 = 5, 120
+    t2 = 120
     fails = [0, 0, 0]
     for k in range(trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, k))))
-        bits = (rng.random(t2) < rho).tolist()
-        cs = 0
-        item3_bad = False
-        for t in range(1, t2 + 1):
-            cs += bits[t - 1]
-            if t1 <= t and cs < (1 + 3 * eps / 4) * t / (n * p):
-                item3_bad = True
-        fails[0] += sum(bits[:t1]) > 2 * eps ** 3 / p
-        fails[1] += sum(bits) > 2 * eps / p
-        fails[2] += item3_bad
+        for i in naive_items_failed((rng.random(t2) < rho).tolist(), n, rho, eps):
+            fails[i - 1] += 1
     assert rep.measured["failure_frequencies"] == [f / trials for f in fails]
     assert rep.parameters["p_implied"] == pytest.approx(p)
+    rng = np.random.default_rng(seed)
+    for density in (0.0, 0.005, 0.01, 0.03, 0.2, 1.0):
+        bits = (rng.random(t2 + 3) < density).astype(int).tolist()
+        rep = binomial_stream_check(n=n, rho=rho, epsilon=eps, trials=trials, seed=seed,
+                                    bits=bits)
+        failed = naive_items_failed(bits, n, rho, eps)
+        assert rep.measured["failure_frequencies"] == [float(i in failed) for i in (1, 2, 3)]
+        assert rep.checked_count == 1 and rep.passed == (not failed)
+        assert rep.witness == (None if not failed else {"trial": 0, "items_failed": failed})
+
+
+BINOMIAL_OUTSIDE_DOMAIN = {
+    "trials-0": dict(trials=0),  # ZeroDivisionError
+    "rho-0": dict(rho=0.0),  # ZeroDivisionError
+    "rho-above-1": dict(rho=1.5),  # accepted silently
+    "rho-nan": dict(rho=math.nan),
+    "epsilon-nan": dict(epsilon=math.nan),  # ValueError from ceil
+    "epsilon-inf": dict(epsilon=math.inf),
+    "epsilon-0": dict(epsilon=0.0),
+    "seed-negative": dict(seed=-1),  # numpy ValueError
+    "n-0": dict(n=0),
+}
+
+
+@pytest.mark.parametrize("bad", BINOMIAL_OUTSIDE_DOMAIN.values(),
+                         ids=BINOMIAL_OUTSIDE_DOMAIN.keys())
+def test_binomial_refuses_parameters_outside_its_domain(bad):
+    args = dict(n=1000, rho=0.006, epsilon=0.2, trials=5, seed=0)
+    binomial_stream_check(**args)  # the base case is inside the domain
+    with pytest.raises(InvalidParameter):
+        binomial_stream_check(**dict(args, **bad))
+    # explicit bits make trials irrelevant, and nothing else
+    bits = [0] * 200
+    if bad != {"trials": 0}:
+        with pytest.raises(InvalidParameter):
+            binomial_stream_check(**dict(args, **bad), bits=bits)
+    else:
+        assert binomial_stream_check(**dict(args, **bad), bits=bits).checked_count == 1
 
 
 def test_binomial_short_explicit_stream_rejected():
