@@ -18,7 +18,6 @@ from .graph import (
     save_edge_list,
 )
 from .lemmas import (
-    ExpansionWitness,
     LemmaReport,
     binomial_stream_check,
     expansion_check,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BernoulliStream",
     "CoDegreeResult",
-    "ExpansionWitness",
     "GeneratorSpec",
     "Graph",
     "HDReport",

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NotCertified, require_density, require_finite
+from .errors import InvalidParameter, NotCertified, require_density, require_finite, require_int
 from .graph import CoDegreeResult, Graph, degrees_into, max_co_degree, require_exact_codegree
 from .rng import derived
 
@@ -62,8 +62,8 @@ class PseudoRandomProfile:
 
 def certify(g: Graph, p: float, a_n: float, b_n: float) -> PseudoRandomProfile:
     """Measure degree/co-degree extremes and evaluate the three verdicts."""
-    require_density(p)
-    require_finite(a_n=a_n, b_n=b_n)
+    p = require_density(p)
+    a_n, b_n = require_finite(a_n=a_n, b_n=b_n)
     return _verdicts(g, p, a_n, b_n, max_co_degree(g))
 
 
@@ -73,7 +73,7 @@ def estimate_slacks(g: Graph, p: float) -> Tuple[float, float]:
     Starts from the measured gaps and nudges upward by ulps until the strict
     inequalities hold, so certify(g, p, a_n, b_n) round-trips to all-true.
     """
-    require_density(p)
+    p = require_density(p)
     require_exact_codegree(g)
     return _slacks(g, p, max_co_degree(g))
 
@@ -84,7 +84,7 @@ def tightest_profile(g: Graph, p: float) -> PseudoRandomProfile:
     Where max_co_degree samples, b_n is fitted to a lower bound of the
     maximum co-degree, and a2 comes out None (not falsified).
     """
-    require_density(p)
+    p = require_density(p)
     co = max_co_degree(g)
     a_n, b_n = _slacks(g, p, co)
     return _verdicts(g, p, a_n, b_n, co)
@@ -146,11 +146,12 @@ def hd_check(g: Graph, beta: float, p: float, trials: int = 50, seed: int = 0) -
     Tests `trials` uniform subsets of size floor(HD_SUBSET_FRACTION * n) plus
     one greedy adversarial subset, against the target density p. Per-trial
     subsets use derived streams (seed, trial), so the report is independent
-    of evaluation order.
+    of evaluation order. Needs a finite beta and integers trials >= 1, seed >= 0.
     """
-    require_density(p)
-    if trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {trials}")
+    p = require_density(p)
+    [beta] = require_finite(beta=beta)
+    trials = require_int("trials", trials, 1)
+    seed = require_int("seed", seed)
     size = int(HD_SUBSET_FRACTION * g.n)
     if size < 1:
         raise InvalidParameter(f"subset of size {size} from n={g.n}")

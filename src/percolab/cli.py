@@ -15,7 +15,7 @@ import sys
 from . import experiment, graph, lemmas, percolate
 from .certify import certify as run_certify
 from .certify import tightest_profile
-from .errors import InvalidParameter, PercolabError
+from .errors import InvalidParameter, PercolabError, require_int
 from .experiment import write_json
 from .rng import derived
 
@@ -168,10 +168,8 @@ def cmd_percolate(args) -> int:
 
 
 def _random_u(g, size, seed):
-    if not 0 <= size <= g.n:
-        raise InvalidParameter(f"--u-size must be in [0, {g.n}], got {size}")
-    if seed < 0:
-        raise InvalidParameter(f"--u-seed must be >= 0, got {seed}")
+    size = require_int("--u-size", size, 0, g.n)
+    seed = require_int("--u-seed", seed)
     return derived(seed, 0xA).choice(g.n, size=size, replace=False).tolist()
 
 

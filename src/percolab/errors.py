@@ -1,4 +1,4 @@
-"""The six errors percolab raises, and the parameter checks entry points share.
+"""The six errors percolab raises, and the parameter gates entry points share.
 
 A check of the paper's statements refuses in one of three ways: an argument
 outside the domain a statement covers (InvalidParameter), an instance too
@@ -6,9 +6,11 @@ large to decide within a cap (ResourceLimit), or a host profile that does not
 meet a check's hypothesis (NotCertified). A bad edge-list line raises
 ParseError, or its sibling NonSimple for a self-loop or a repeated edge. All
 derive from PercolabError: catching it never catches a programming error.
+Only this module decides what an integer or a real parameter is.
 """
 
 import math
+import numbers
 
 
 class PercolabError(Exception):
@@ -16,9 +18,9 @@ class PercolabError(Exception):
 
 
 class InvalidParameter(PercolabError, ValueError):
-    """An argument outside its domain: a non-finite or out-of-range number, a
-    bad generator spec, a vertex id outside 0..n-1, an empty or too small set,
-    a stream of the wrong length or an unknown mode name."""
+    """An argument outside its domain: a bool, a float for an integer, a
+    non-finite or out-of-range number, a bad generator spec, a vertex id
+    outside 0..n-1, an empty or too small set or a stream of the wrong length."""
 
 
 class ResourceLimit(PercolabError):
@@ -47,14 +49,39 @@ class NonSimple(PercolabError):
         self.line_no = line_no
 
 
+def require_int(name, value, lo=0, hi=None):
+    """`value` as a plain int. Raises InvalidParameter for a bool, a float or
+    any other non-integer, or a value outside [lo, hi] (hi None: no bound)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InvalidParameter(f"{name} must be {bounds}, got {value}")
+    return value
+
+
 def require_finite(**values):
-    """Raise InvalidParameter for the first keyword whose value is NaN or inf."""
+    """The keyword values, in order, as plain numbers (an integer as int, any
+    other real as float). Raises InvalidParameter for the first that is a
+    bool, not a real number, NaN, inf or beyond the float range."""
+    out = []
     for name, value in values.items():
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+        try:  # float() refuses an int or a fraction beyond the float range
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise InvalidParameter(f"{name} must be finite, got {value}")
+        out.append(int(value) if isinstance(value, numbers.Integral) else float(value))
+    return out
 
 
 def require_density(p):
-    """Raise InvalidParameter unless 0 < p <= 1 (NaN and inf fail too)."""
+    """p as a plain number. Raises InvalidParameter unless p is a real in (0, 1]."""
+    [p] = require_finite(p=p)
     if not 0.0 < p <= 1.0:
         raise InvalidParameter(f"p must be in (0, 1], got {p}")
+    return p

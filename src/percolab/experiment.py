@@ -31,7 +31,7 @@ from .certify import PseudoRandomProfile, hd_check
 # co-degree scan is feasible, measured-lower-bound slacks (sampled mode, a2
 # undecided) beyond the cap
 from .certify import tightest_profile as derive_profile
-from .errors import InvalidParameter, NotCertified, require_density, require_finite
+from .errors import InvalidParameter, NotCertified, require_density, require_finite, require_int
 from .graph import Graph
 from .lemmas import ceil_eps_over_p, grow_connected_set, outer_complement_check
 from .percolate import BernoulliStream, dfs_percolate, largest_two
@@ -42,11 +42,9 @@ SCHEMA = "percolab/1"
 def seed_block(seeds: Union[Sequence[int], Tuple[int, int]]) -> List[int]:
     """Normalize either an explicit list or (base, count) to a seed list."""
     if isinstance(seeds, tuple) and len(seeds) == 2:
-        base, count = seeds
-        if count < 1:
-            raise InvalidParameter("replication count must be >= 1")
-        return [base + i for i in range(count)]
-    out = [int(s) for s in seeds]
+        base = require_int("base seed", seeds[0])
+        return [base + i for i in range(require_int("replication count", seeds[1], 1))]
+    out = [require_int("seed", s) for s in seeds]
     if not out:
         raise InvalidParameter("need at least one seed")
     return out
@@ -91,7 +89,7 @@ class SweepResult:
 
 
 def _rho_for(c: float, n: int, p: float, clip: bool) -> float:
-    if not (c >= 0 and math.isfinite(c)):
+    if c < 0:
         raise InvalidParameter(f"multiplier must be finite and >= 0, got {c}")
     rho = c / (n * p)
     if rho >= 1.0:
@@ -101,10 +99,11 @@ def _rho_for(c: float, n: int, p: float, clip: bool) -> float:
     return rho
 
 
-def _thresholds(n: int, p: float, epsilon: float) -> Tuple[int, float]:
-    """(giant_size, l2_bound): the L1 a giant must reach, ceil(eps/p), and the
-    (4/eps^2)(ln n)^2 that L2 should stay below."""
-    require_density(p)
+def _thresholds(n: int, p: float, epsilon: float) -> Tuple[float, float, int, float]:
+    """(p, epsilon, giant_size, l2_bound): the gated p and epsilon, the L1 a
+    giant must reach, ceil(eps/p), and the (4/eps^2)(ln n)^2 bounding L2."""
+    p = require_density(p)
+    [epsilon] = require_finite(epsilon=epsilon)
     giant_size = ceil_eps_over_p(epsilon, p)
     l2_bound = 0.0
     if n > 1:
@@ -113,7 +112,7 @@ def _thresholds(n: int, p: float, epsilon: float) -> Tuple[int, float]:
         except (ZeroDivisionError, OverflowError):
             raise InvalidParameter(f"eps^2 underflows or overflows at epsilon = {epsilon}") from None
         require_finite(l2_bound=l2_bound)
-    return giant_size, l2_bound
+    return p, epsilon, giant_size, l2_bound
 
 
 def _runs(g: Graph, grid: Sequence[float], rhos: Sequence[float], seeds: List[int],
@@ -155,16 +154,17 @@ def aggregate_rows(rows: List[Run], giant_size: int, l2_bound: float) -> Dict[fl
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     g = cfg.source
-    giant_size, l2_bound = _thresholds(g.n, cfg.p, cfg.epsilon)
+    p, epsilon, giant_size, l2_bound = _thresholds(g.n, cfg.p, cfg.epsilon)
     seeds = seed_block(cfg.seeds)
-    rhos = [_rho_for(c, g.n, cfg.p, cfg.clip_rho) for c in cfg.rho_grid]
-    profile = derive_profile(g, cfg.p)
-    rows = _runs(g, cfg.rho_grid, rhos, seeds)
+    grid = [require_finite(multiplier=c)[0] for c in cfg.rho_grid]
+    rhos = [_rho_for(c, g.n, p, cfg.clip_rho) for c in grid]
+    profile = derive_profile(g, p)
+    rows = _runs(g, grid, rhos, seeds)
     aggregates = aggregate_rows(rows, giant_size, l2_bound)
     c_star = next((c for c in sorted(aggregates) if aggregates[c]["giant_freq"] >= 0.5), None)
     result = SweepResult(rows=rows, aggregates=aggregates, c_star=c_star, giant_size=giant_size,
-                         l2_bound=l2_bound, n=g.n, p=cfg.p, epsilon=cfg.epsilon,
-                         grid=list(cfg.rho_grid), seeds=seeds, profile=profile)
+                         l2_bound=l2_bound, n=g.n, p=p, epsilon=epsilon,
+                         grid=grid, seeds=seeds, profile=profile)
     if cfg.out:
         emit_csv(result, cfg.out + ".csv")
         emit_json(result, cfg.out + ".json")
@@ -254,10 +254,9 @@ def _trial(kind: str, g: Graph, p: float, epsilon: float, seeds, profile, check_
     c = 1 - eps; super and hd need a1 and a2 not falsified and run at
     c = 1 + eps, hd after a hereditary-degree check. A given profile must be
     certified for g.n and p."""
-    giant_size, l2_bound = _thresholds(g.n, p, epsilon)
-    if kind == "hd":
-        require_finite(beta=beta)
+    p, epsilon, giant_size, l2_bound = _thresholds(g.n, p, epsilon)
     seeds = seed_block(seeds)
+    report = hd_check(g, beta=beta, trials=10, p=p) if kind == "hd" else None
     if profile is None:
         profile = derive_profile(g, p)
     elif (profile.n, profile.p) != (g.n, p):
@@ -268,7 +267,6 @@ def _trial(kind: str, g: Graph, p: float, epsilon: float, seeds, profile, check_
         profile.require("a1", "a2")
     c = 1 - epsilon if kind == "sub" else 1 + epsilon
     rho = _rho_for(c, g.n, p, clip=False)
-    report = hd_check(g, beta=beta, trials=10, p=p) if kind == "hd" else None
 
     def outer(comp: List[int]) -> Optional[bool]:
         # a witness set C of size ceil(eps/p) grown inside the largest component

@@ -14,12 +14,12 @@ independent scalar re-implementation reproduces the edge set exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NonSimple, ParseError, ResourceLimit
+from .errors import InvalidParameter, NonSimple, ParseError, ResourceLimit, require_finite, require_int
 from .rng import derived, generator
 
 # Ceiling on a build's array entries, n plus the expected edge count (the
@@ -146,26 +146,26 @@ _KIND_FIELDS = {
 }
 
 
-def _validate_spec(spec: GeneratorSpec):
+def _validate_spec(spec: GeneratorSpec) -> GeneratorSpec:
+    """`spec` with its fields as plain numbers, or InvalidParameter."""
     if spec.kind not in _KIND_FIELDS:
         raise InvalidParameter(f"unknown kind {spec.kind!r}")
     needed = _KIND_FIELDS[spec.kind]
     given = {f for f in ("n", "p", "q", "seed") if getattr(spec, f) is not None}
     if given != needed:
         raise InvalidParameter(f"kind {spec.kind!r} needs exactly {sorted(needed)}, got {sorted(given)}")
-    for f in ("n", "q", "seed"):
-        v = getattr(spec, f)
-        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-            raise InvalidParameter(f"{f} must be an integer, got {v!r}")
-    if "n" in needed and not 0 <= spec.n <= _MAX_N:
-        raise InvalidParameter(f"n must be in [0, {_MAX_N}], got {spec.n}")
-    if "seed" in needed and spec.seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {spec.seed}")
-    if "p" in needed and not 0.0 < spec.p < 1.0:
-        raise InvalidParameter(f"p must be in (0,1), got {spec.p}")
+    fields = {f: require_int(f, getattr(spec, f), 0, _MAX_N if f == "n" else None)
+              for f in ("n", "seed", "q") if f in needed}
+    if "p" in needed:
+        [p] = require_finite(p=spec.p)
+        if not 0.0 < p < 1.0:
+            raise InvalidParameter(f"p must be in (0,1), got {p}")
+        fields["p"] = p
+    q = fields.get("q")
     # q is paley's vertex count; bounding it first keeps trial division short
-    if "q" in needed and not (5 <= spec.q <= _MAX_N and spec.q % 4 == 1 and _is_prime(spec.q)):
-        raise InvalidParameter(f"q must be a prime = 1 mod 4 in [5, {_MAX_N}], got {spec.q}")
+    if q is not None and not (5 <= q <= _MAX_N and q % 4 == 1 and _is_prime(q)):
+        raise InvalidParameter(f"q must be a prime = 1 mod 4 in [5, {_MAX_N}], got {q}")
+    return replace(spec, **fields)
 
 
 def _is_prime(q: int) -> bool:
@@ -185,18 +185,21 @@ def generate(spec: GeneratorSpec) -> Graph:
     """Build the graph described by `spec`; pure function of its parameters.
     Refused, before any allocation, when n plus the expected edge count
     exceeds DEFAULT_EDGE_CAP."""
-    _validate_spec(spec)
+    spec = _validate_spec(spec)
     if spec.kind == "gnp":
         _check_cap(spec.n, spec.n * (spec.n - 1) / 2 * spec.p)
         eu, ev = _gnp_pairs(spec.n, spec.p, spec.seed)
         return _from_edge_arrays(spec.n, eu, ev)
     if spec.kind == "complete":
         _check_cap(spec.n, spec.n * (spec.n - 1) / 2)
-        eu, ev = _complete_pairs(spec.n)
+        eu, ev = _circulant_pairs(spec.n, np.arange(1, spec.n))
         return _from_edge_arrays(spec.n, eu, ev)
     if spec.kind == "paley":
+        # x ~ y iff x - y is a nonzero square mod q; q = 1 mod 4 makes -1 a
+        # square, so adjacency is symmetric
         _check_cap(spec.q, spec.q * (spec.q - 1) / 4)
-        eu, ev = _paley_pairs(spec.q)
+        squares = np.flatnonzero(np.bincount(np.arange(1, spec.q, dtype=np.int64) ** 2 % spec.q))
+        eu, ev = _circulant_pairs(spec.q, squares)
         return _from_edge_arrays(spec.q, eu, ev)
     _check_cap(spec.n, spec.n * (spec.n - 1) / 2 * spec.p)
     return _near_regular_perturbed(spec.n, spec.p, spec.seed)
@@ -295,24 +298,16 @@ def _gnp_pairs(n: int, p: float, seed: int):
     return eu, np.concatenate(out_v)
 
 
-def _complete_pairs(n: int):
-    iu = np.triu_indices(n, k=1)
-    return iu[0].astype(np.int64), iu[1].astype(np.int64)
-
-
-def _paley_pairs(q: int):
-    # x ~ y iff x - y is a nonzero quadratic residue mod q; q = 1 mod 4 makes
-    # -1 a residue, so adjacency is symmetric. Row a of the upper triangle is
-    # a + r for the residues r < q - a, in ascending order.
-    is_residue = np.zeros(q, dtype=bool)
-    x = np.arange(1, q, dtype=np.int64)
-    is_residue[x * x % q] = True
-    residues = np.flatnonzero(is_residue)
-    rows = np.arange(q, dtype=np.int64)
-    counts = np.searchsorted(residues, q - rows)
+def _circulant_pairs(n: int, steps: np.ndarray):
+    """The pairs (eu[i], ev[i]), eu < ev, in lexicographic order, of the
+    circulant graph on Z_n whose connection set is the ascending int64
+    array `steps` of distinct values in 1..n-1, closed under s -> n - s:
+    row a of the upper triangle is a + s for each step s < n - a."""
+    rows = np.arange(n, dtype=np.int64)
+    counts = np.searchsorted(steps, n - rows)
     eu = np.repeat(rows, counts)
     first = np.cumsum(counts) - counts
-    ev = eu + residues[np.arange(len(eu)) - np.repeat(first, counts)]
+    ev = eu + steps[np.arange(len(eu)) - np.repeat(first, counts)]
     return eu, ev
 
 
@@ -381,12 +376,11 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     kernel also needs every row to have fewer neighbors than that; a row
     with more sends the scan to the wedge count.
     Deterministic for a given graph; the sampling stream is keyed by
-    (n, edge_count). Raises InvalidParameter for a negative `sample_pairs`.
+    (n, edge_count). Raises InvalidParameter unless `sample_pairs` is an int >= 0.
     """
     if g.n < 2:
         raise InvalidParameter("max_co_degree needs n >= 2")
-    if sample_pairs < 0:
-        raise InvalidParameter(f"sample_pairs must be >= 0, got {sample_pairs}")
+    sample_pairs = require_int("sample_pairs", sample_pairs)
     exact = _codegree_is_exact(g)
     rows = np.arange(g.n) if exact else _sampled_rows(g, sample_pairs)
     value, pair = _max_codegree_among(g, rows)

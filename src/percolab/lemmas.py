@@ -6,14 +6,14 @@ Set sizes take ceilings wherever a real-valued size formula needs an integer,
 and the rounding is recorded in the report parameters.
 """
 
+import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, NotCertified, require_finite
+from .errors import InvalidParameter, NotCertified, require_finite, require_int
 from .graph import _DENSE_TILE_BYTES, Graph, adjacency_rows, degrees_into, vertex_set
 from .rng import derived
 
@@ -30,7 +30,7 @@ LEMMA_IDS = (
 )
 
 
-@dataclass
+@dataclasses.dataclass
 class LemmaReport:
     lemma_id: str
     passed: bool
@@ -41,26 +41,7 @@ class LemmaReport:
     bound: object
 
     def to_dict(self) -> dict:
-        w = self.witness
-        if isinstance(w, ExpansionWitness):
-            w = {"H": list(w.H), "neighborhood_size": w.neighborhood_size,
-                 "bound": w.bound}
-        return {
-            "lemma_id": self.lemma_id,
-            "passed": self.passed,
-            "checked_count": self.checked_count,
-            "witness": w,
-            "parameters": self.parameters,
-            "measured": self.measured,
-            "bound": self.bound,
-        }
-
-
-@dataclass(frozen=True)
-class ExpansionWitness:
-    H: tuple
-    neighborhood_size: int
-    bound: float
+        return dataclasses.asdict(self)
 
 
 def neighborhood_size(g: Graph, H: Sequence[int]) -> int:
@@ -109,17 +90,16 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
                     c: float = 1e-3) -> LemmaReport:
     """No vertex set H with |H| = m has |N_G(H)| < (1-alpha0)(npm - np^2 m^2/2).
 
-    Requires 1 <= m <= n and c < m*p <= 1/3 for the supplied c in (0, 1/3).
+    Requires an integer 1 <= m <= n and c < m*p <= 1/3 for c in (0, 1/3).
     The scan is chosen from the instance: when C(n, m) <= EXHAUSTIVE_SET_CAP
     it runs over all C(n, m) sets and proves the verdict; beyond the cap it
     tries EXPANSION_SAMPLES random sets (stream seed 0) plus one greedy
     adversarial set and can only falsify. parameters["mode"] names the scan
     ("exhaustive" or "sampled"). Both constants are read at call time.
     """
-    require_finite(alpha0=alpha0, c=c)
+    alpha0, c = require_finite(alpha0=alpha0, c=c)
     n, p = g.n, profile.p
-    if not 1 <= m <= n:
-        raise InvalidParameter(f"m must be in [1, {n}], got {m}")
+    m = require_int("m", m, 1, n)
     if not 0.0 < c < 1.0 / 3.0:
         raise InvalidParameter(f"c must be in (0, 1/3), got {c}")
     if not c < m * p <= 1.0 / 3.0:
@@ -136,8 +116,8 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
     params = {"p": p, "a_n": profile.a_n, "b_n": profile.b_n, "m": m,
               "alpha0": alpha0, "c": c, "mode": mode}
     passed = worst >= bound
-    witness = None if passed else ExpansionWitness(
-        H=tuple(witness_set), neighborhood_size=worst, bound=bound)
+    witness = None if passed else {"H": list(witness_set), "neighborhood_size": worst,
+                                   "bound": bound}
     return LemmaReport("expansion", bool(passed), checked, witness,
                        params, measured=worst, bound=bound)
 
@@ -285,7 +265,7 @@ def variance_bound_check(g: Graph, U: Sequence[int], profile) -> LemmaReport:
 def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaReport:
     """Exact count of vertices with d(v, U) >= (1+alpha) p |U| against
     4/(alpha p)^2 * (4p + 12 b_n). Needs |U| >= n/2 and a_n <= alpha p n / 2."""
-    require_finite(alpha=alpha)
+    [alpha] = require_finite(alpha=alpha)
     profile.require("a1", "a2", "a3")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     us = vertex_set(g, U)
@@ -317,9 +297,8 @@ def grow_connected_set(g: Graph, root: int, size: int,
                        within: Optional[Sequence[int]] = None) -> List[int]:
     """First `size` vertices of a BFS from the vertex id root (optionally
     confined to `within`, read as a vertex-id set); raises InvalidParameter
-    for a size below 1, a bad id or when the reachable set is too small."""
-    if size < 1:
-        raise InvalidParameter(f"size must be at least 1, got {size}")
+    for a size not an integer >= 1, a bad id or too few reachable vertices."""
+    size = require_int("size", size, 1)
     root = int(vertex_set(g, [root])[0])
     allowed = None if within is None else vertex_set(g, within)
     if allowed is not None and root not in allowed:
@@ -361,11 +340,10 @@ def ceil_eps_over_p(epsilon: float, p: float) -> int:
     """ceil(eps/p): the L1 a giant must reach, and the size of the connected
     set C of the outer-complement bound. Needs a finite eps > 0 and a finite
     quotient."""
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise InvalidParameter(f"epsilon must be finite and > 0, got {epsilon}")
-    quotient = epsilon / p
-    if not math.isfinite(quotient):
-        raise InvalidParameter(f"eps/p must be finite, got {epsilon}/{p} = {quotient}")
+    [epsilon] = require_finite(epsilon=epsilon)
+    if epsilon <= 0:
+        raise InvalidParameter(f"epsilon must be > 0, got {epsilon}")
+    [quotient] = require_finite(eps_over_p=epsilon / p)
     return math.ceil(quotient)
 
 
@@ -378,6 +356,7 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     tolerance). The looser variant with eps^2 instead of eps^2/2 is evaluated
     alongside and echoed in the parameters.
     """
+    [epsilon] = require_finite(epsilon=epsilon)
     target = ceil_eps_over_p(epsilon, profile.p)
     profile.require("a1", "a2")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
@@ -420,15 +399,17 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
     Only the ceil(eps*n) prefix of each stream is drawn. Item (3) is checked
     at every integer t via one cumulative-sum pass. passed means every item's
     empirical failure frequency is <= max_failure_rate = 0.01. `bits` injects
-    one explicit stream (trials is then ignored). Needs n >= 1, 0 < rho <= 1,
-    a finite eps > 0, seed >= 0 and, without bits, trials >= 1.
+    one explicit stream (trials is then ignored). Needs integers n >= 1,
+    seed >= 0 and trials >= 1 (>= 0 with bits), and 0 < rho <= 1 and
+    0 < eps <= 1: beyond 1 the prefix of length ceil(eps n) runs past Y_n.
     """
     max_failure_rate = 0.01
-    eps = float(epsilon)
-    if not (n >= 1 and 0 < rho <= 1 and 0 < eps < math.inf and seed >= 0
-            and (bits is not None or trials >= 1)):
-        raise InvalidParameter(f"need n >= 1, 0 < rho <= 1, finite eps > 0, seed >= 0 and "
-                               f"trials >= 1, got {n}, {rho}, {epsilon}, {seed} and {trials}")
+    n = require_int("n", n, 1)
+    trials = require_int("trials", trials, 1 if bits is None else 0)
+    seed = require_int("seed", seed)
+    rho, eps = require_finite(rho=rho, epsilon=epsilon)
+    if not (0 < rho <= 1 and 0 < eps <= 1):
+        raise InvalidParameter(f"need 0 < rho <= 1 and 0 < eps <= 1, got {rho} and {eps}")
     if eps ** 3 * n < 1:
         raise InvalidParameter(f"need eps^3 * n >= 1, got {eps ** 3 * n:.3g}")
     p = (1 + eps) / (n * rho)
@@ -459,7 +440,7 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
         passed=passed,
         checked_count=total,
         witness=witness,
-        parameters={"n": n, "rho": rho, "epsilon": eps, "p_implied": p,
+        parameters={"n": n, "rho": rho, "epsilon": float(eps), "p_implied": p,
                     "t_low": t1, "t_high": t2, "trials": total, "seed": seed,
                     "max_failure_rate": max_failure_rate},
         measured={"failure_frequencies": freqs},

@@ -63,7 +63,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, require_finite, require_int
 from .graph import Graph, adjacency_rows, vertex_set
 from .rng import uniforms
 
@@ -78,10 +78,12 @@ class BernoulliStream:
     bits: Optional[Sequence[int]] = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise InvalidParameter(f"rho must be in [0, 1], got {self.rho}")
+        # frozen: the gated plain numbers replace the given ones
+        object.__setattr__(self, "seed", require_int("seed", self.seed))
+        [rho] = require_finite(rho=self.rho)
+        if not 0.0 <= rho <= 1.0:
+            raise InvalidParameter(f"rho must be in [0, 1], got {rho}")
+        object.__setattr__(self, "rho", rho)
 
 
 @dataclass

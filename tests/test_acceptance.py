@@ -234,7 +234,7 @@ def test_criterion_06_expansion_lower_bound():
             f"{checked} sets exhausted with zero violations "
             f"(m=2 min {reports[0].measured} vs {reports[0].bound}, "
             f"m=3 min {reports[1].measured} vs {reports[1].bound}), "
-            f"star witness H = {getattr(sreport.witness, 'H', None)}",
+            f"star witness H = {sreport.witness and tuple(sreport.witness['H'])}",
             f"{elapsed:.1f}s (limit 120s)")
 
 

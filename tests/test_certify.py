@@ -142,7 +142,7 @@ def test_profile_json_round_trip():
     assert d["n"] == 6 and d["a1"] is True and d["max_codegree"] == 4
 
 
-@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.0000001])
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.0000001, True, "0.1"])
 def test_density_outside_unit_interval_is_rejected(p):
     # a non-finite p used to send the slack search into an endless loop
     g = complete_graph(6)
@@ -192,6 +192,11 @@ def test_hd_validation():
         hd_check(g, beta=0.1, p=1.0, trials=0)
     with pytest.raises(InvalidParameter):
         hd_check(g, beta=0.1, p=1.0, trials=0)
+    # beta nan used to report "not falsified" untested, seed -1 to raise a
+    # numpy ValueError and trials 2.5 a TypeError
+    for bad in (dict(beta=math.nan), dict(seed=-1), dict(trials=2.5)):
+        with pytest.raises(InvalidParameter):
+            hd_check(g, **{"beta": 0.1, "p": 1.0, **bad})
     for p in (math.nan, 0.0, -0.1, 1.5):  # a NaN or non-positive p used to read ratio 0
         with pytest.raises(InvalidParameter):
             hd_check(g, beta=0.1, p=p)

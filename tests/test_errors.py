@@ -1,4 +1,5 @@
-"""The error taxonomy: six classes, and every raise in the library names one."""
+"""The error taxonomy: six classes, and every raise in the library names one;
+and the parameter gates, which only `errors` defines."""
 
 import ast
 import builtins
@@ -6,8 +7,12 @@ import importlib
 import inspect
 from pathlib import Path
 
-from percolab import errors
+import numpy as np
+
+from percolab import (GeneratorSpec, certify, errors, estimate_slacks, expansion_check, generate,
+                      supercritical_trial)
 from percolab.errors import NonSimple, ParseError, PercolabError
+from percolab.experiment import write_json
 
 SRC = Path(errors.__file__).parent
 TAXONOMY = {"PercolabError", "InvalidParameter", "ResourceLimit", "ParseError", "NonSimple",
@@ -48,3 +53,46 @@ def test_every_raise_names_a_percolab_error():
             assert target in allowed, f"{path.name}:{node.lineno} raises {name}"
             checked += 1
     assert checked > 50
+
+
+# the number types whose isinstance test decides what an integer or a real is
+NUMBER_TYPES = {"int", "bool", "float", "np.integer", "np.floating", "numpy.integer",
+                "numpy.floating", "numbers.Integral", "numbers.Real", "Integral", "Real"}
+
+
+def number_type_tests(path):
+    """The number types named in the isinstance calls of a source file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            types = node.args[1]
+            for t in types.elts if isinstance(types, ast.Tuple) else [types]:
+                if ast.unparse(t) in NUMBER_TYPES:
+                    yield node.lineno, ast.unparse(t)
+
+
+def test_only_errors_decides_what_a_number_is():
+    assert {t for _, t in number_type_tests(SRC / "errors.py")} >= {"bool", "numbers.Integral",
+                                                                     "numbers.Real"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            found = list(number_type_tests(path))
+            assert not found, f"{path.name} tests number types at {found}"
+
+
+def test_numpy_numbers_give_the_artifacts_of_python_numbers(tmp_path):
+    # each pair used to fail on its numpy side when its JSON was written
+    g = generate(GeneratorSpec(kind="gnp", n=200, p=0.1, seed=4))
+    prof = certify(g, 0.1, *estimate_slacks(g, 0.1))
+    pairs = {
+        "trial": [supercritical_trial(g, 0.1, 0.3, seeds=(base, 3)).to_dict()
+                  for base in (np.int64(5), 5)],
+        "lemma": [expansion_check(g, prof, m=m, alpha0=0.5).to_dict() for m in (np.int64(2), 2)],
+        "profile": [certify(g, p, prof.a_n, prof.b_n).to_dict()
+                    for p in (np.float32(0.1), float(np.float32(0.1)))],
+    }
+    for name, (numpy_side, python_side) in pairs.items():
+        write_json(numpy_side, tmp_path / f"{name}-numpy.json")
+        write_json(python_side, tmp_path / f"{name}-python.json")
+        assert ((tmp_path / f"{name}-numpy.json").read_bytes()
+                == (tmp_path / f"{name}-python.json").read_bytes()), name

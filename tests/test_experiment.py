@@ -42,6 +42,11 @@ def test_seed_block():
         seed_block((5, 0))
     with pytest.raises(InvalidParameter):  # a library error, so the CLI exits 2
         seed_block((5, 0))
+    # [1.5] used to run seed 1, (1, 2.5) to raise TypeError, (1.5, 2) to
+    # give seeds 1.5 and 2.5, and [True] to run seed 1
+    for bad in ([1.5], (1, 2.5), (1.5, 2), [True]):
+        with pytest.raises(InvalidParameter):
+            seed_block(bad)
 
 
 def test_derive_profile_round_trips():
@@ -332,11 +337,16 @@ def test_non_finite_beta_is_rejected(beta):
         hd_uniqueness_trial(g, 0.1, 0.3, beta=beta, seeds=[1])
 
 
-@pytest.mark.parametrize("c", [math.nan, math.inf])
-def test_non_finite_multiplier_is_rejected(c):
-    # clipping used to turn c = inf into rho = 1 and emit "Infinity" in the grid
+@pytest.mark.parametrize("c, message", [
+    (math.nan, "multiplier must be finite, got nan"),
+    (math.inf, "multiplier must be finite, got inf"),
+    (True, "multiplier must be a real number, got True"),
+], ids=["nan", "inf", "True"])
+def test_non_finite_multiplier_is_rejected(c, message):
+    # clipping used to turn c = inf into rho = 1 and emit "Infinity" in the
+    # grid, and True used to write the CSV row True,0.2,...
     g = generate(GeneratorSpec(kind="gnp", n=50, p=0.1, seed=1))
-    with pytest.raises(InvalidParameter, match=f"multiplier must be finite and >= 0, got {c}"):
+    with pytest.raises(InvalidParameter, match=message):
         run_sweep(SweepConfig(source=g, p=0.1, rho_grid=[c], seeds=[1], clip_rho=True))
 
 

@@ -243,6 +243,9 @@ INVALID_SPECS = [
     (GeneratorSpec(kind="complete", n=True), "n must be an integer, got True"),
     (GeneratorSpec(kind="gnp", n=10, p=0.3, seed=np.bool_(True)), "seed must be an integer"),
     (GeneratorSpec(kind="gnp", n="10", p=0.3, seed=1), "n must be an integer, got '10'"),
+    # TypeError from comparing a str with a float, and a range error for True
+    (GeneratorSpec(kind="gnp", n=10, p="0.5", seed=1), "p must be a real number, got '0.5'"),
+    (GeneratorSpec(kind="gnp", n=10, p=True, seed=1), "p must be a real number, got True"),
 ]
 
 
@@ -487,9 +490,11 @@ def test_sampled_mode_scans_the_top_degree_and_uniform_rows(g, sample_pairs):
 
 @pytest.mark.parametrize("cap", [10 ** 6, 1])
 def test_negative_sample_pairs_is_rejected_in_both_modes(cap):
+    # 1.5 used to raise TypeError in sampled mode and pass in exact mode
     g = generate(GeneratorSpec(kind="gnp", n=50, p=0.3, seed=1))
-    with pytest.raises(InvalidParameter):
-        codegree_with(g, -1, EXACT_CODEGREE_CAP=cap)
+    for sample_pairs in (-1, 1.5):
+        with pytest.raises(InvalidParameter):
+            codegree_with(g, sample_pairs, EXACT_CODEGREE_CAP=cap)
 
 
 @pytest.mark.parametrize("spec, kernel", [

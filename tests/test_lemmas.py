@@ -145,9 +145,9 @@ def test_expansion_star_leaf_pair_witness():
     assert rep.bound == 18.0  # 0.5 * (200*0.1*2 - 200*0.01*4/2)
     assert rep.measured == 1
     w = rep.witness
-    assert w.neighborhood_size == 1 and w.bound == 18.0
-    assert 0 not in w.H  # a pair of leaves, not the hub
-    assert neighborhood_size(g, list(w.H)) == 1  # witness replays
+    assert w["neighborhood_size"] == 1 and w["bound"] == 18.0
+    assert 0 not in w["H"]  # a pair of leaves, not the hub
+    assert neighborhood_size(g, w["H"]) == 1  # witness replays
 
 
 def test_expansion_gnp_passes():
@@ -258,14 +258,14 @@ def test_expansion_set_cap(monkeypatch):
                 mode, checked, (worst, H) = "sampled", 201, _expansion_scan_sampled(g, m, 200)
             assert rep.parameters["mode"] == mode
             assert (rep.checked_count, rep.measured) == (checked, worst)
-            assert rep.witness is None if rep.passed else rep.witness.H == H
+            assert rep.witness is None if rep.passed else rep.witness["H"] == list(H)
     star = star_graph(60)
     sprof = certify(star, 0.1, *estimate_slacks(star, 0.1))
     for cap, scan in ((math.comb(60, 3), _expansion_scan_all(star, 3)),
                       (0, _expansion_scan_sampled(star, 3, 200))):
         monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", cap)
         rep = expansion_check(star, sprof, m=3, alpha0=0.5)
-        assert not rep.passed and (rep.measured, rep.witness.H) == scan
+        assert not rep.passed and (rep.measured, tuple(rep.witness["H"])) == scan
 
 
 def test_expansion_sampled_mode_is_a_lower_scan(monkeypatch):
@@ -282,10 +282,11 @@ def test_expansion_sampled_mode_is_a_lower_scan(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-@pytest.mark.parametrize("m", [0, 6, 10])
+@pytest.mark.parametrize("m", [0, 6, 10, 2.0, True])
 def test_expansion_m_outside_1_to_n_is_rejected(mode, m, monkeypatch):
-    # exhaustive mode used to prove the bound over the C(5, 10) = 0 sets;
-    # a cap of 0 sends every m to the sampled scan
+    # exhaustive mode used to prove the bound over the C(5, 10) = 0 sets and
+    # to scan m = True as m = 1; m = 2.0 raised TypeError. A cap of 0 sends
+    # every m to the sampled scan
     if mode == "sampled":
         monkeypatch.setattr("percolab.lemmas.EXHAUSTIVE_SET_CAP", 0)
     g = generate(GeneratorSpec(kind="gnp", n=5, p=0.01, seed=1))
@@ -530,11 +531,14 @@ def test_grow_connected_set(path5):
         grow_connected_set(two, 0, 3)
 
 
-@pytest.mark.parametrize("size", [0, -5])
-def test_grow_connected_set_needs_a_positive_size(size):
-    # a size below 1 used to return [root]
+@pytest.mark.parametrize("size, message", [
+    (0, "size must be >= 1, got 0"), (-5, "size must be >= 1, got -5"),
+    (2.5, "size must be an integer, got 2.5"),
+], ids=["0", "-5", "2.5"])
+def test_grow_connected_set_needs_a_positive_size(size, message):
+    # a size below 1 used to return [root], and 2.5 raised TypeError
     g = generate(GeneratorSpec(kind="gnp", n=50, p=0.1, seed=1))
-    with pytest.raises(InvalidParameter, match=f"size must be at least 1, got {size}"):
+    with pytest.raises(InvalidParameter, match=message):
         grow_connected_set(g, 0, size)
 
 

@@ -146,10 +146,15 @@ def test_stream_validation():
         BernoulliStream(rho=1.5)
     with pytest.raises(InvalidParameter, match=r"rho must be in \[0, 1\]"):
         BernoulliStream(rho=-0.1)
-    with pytest.raises(InvalidParameter, match=r"rho must be in \[0, 1\]"):
+    with pytest.raises(InvalidParameter, match="rho must be finite, got nan"):
         BernoulliStream(rho=math.nan)
     with pytest.raises(InvalidParameter):  # SeedSequence refuses negative seeds
         BernoulliStream(rho=0.5, seed=-1)
+    # seed 1.5 used to fail with TypeError at the first draw, and seed True
+    # and rho True to run and echo true
+    for bad in (dict(rho=0.5, seed=1.5), dict(rho=0.5, seed=True), dict(rho=True)):
+        with pytest.raises(InvalidParameter):
+            BernoulliStream(**bad)
 
 
 def test_bits_length_must_match_n(triangle):
@@ -330,6 +335,12 @@ BINOMIAL_OUTSIDE_DOMAIN = {
     "epsilon-0": dict(epsilon=0.0),
     "seed-negative": dict(seed=-1),  # numpy ValueError
     "n-0": dict(n=0),
+    "n-fractional": dict(n=1000.5),  # accepted silently
+    "trials-fractional": dict(trials=2.5),  # TypeError from range
+    "seed-fractional": dict(seed=1.5),  # numpy TypeError
+    "seed-bool": dict(seed=True),  # accepted silently
+    "epsilon-2": dict(epsilon=2.0),  # IndexError: ceil(eps n) runs past Y_n
+    "epsilon-1e200": dict(epsilon=1e200),  # OverflowError from eps ** 3
 }
 
 
