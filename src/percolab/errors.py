@@ -6,11 +6,13 @@ large to decide within a cap (ResourceLimit), or a host profile that does not
 meet a check's hypothesis (NotCertified). A bad edge-list line raises
 ParseError, or its sibling NonSimple for a self-loop or a repeated edge. All
 derive from PercolabError: catching it never catches a programming error.
-Only this module decides what an integer or a real parameter is.
+Only this module decides what an integer, a real, a bit or a vertex id is.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class PercolabError(Exception):
@@ -20,7 +22,7 @@ class PercolabError(Exception):
 class InvalidParameter(PercolabError, ValueError):
     """An argument outside its domain: a bool, a float for an integer, a
     non-finite or out-of-range number, a bad generator spec, a vertex id
-    outside 0..n-1, an empty or too small set or a stream of the wrong length."""
+    outside 0..n-1, an empty or too small set or a short or non-0/1 bit stream."""
 
 
 class ResourceLimit(PercolabError):
@@ -59,6 +61,28 @@ def require_int(name, value, lo=0, hi=None):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise InvalidParameter(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def require_bits(name, bits):
+    """`bits` as a bool array. Raises InvalidParameter for an element that is
+    not a bool or an integer equal to 0 or 1, numpy ones included."""
+    bits = list(bits)
+    for b in bits:
+        if not (isinstance(b, (bool, np.bool_, numbers.Integral)) and b in (0, 1)):
+            raise InvalidParameter(f"{name} must be 0/1 integers or bools, got {b!r}")
+    return np.array(bits, dtype=bool)
+
+
+def require_vertex_id(v):
+    """The vertex id `v` as a plain int: an integer or a whole-valued real
+    (2.0 reads as 2), never a bool. The range 0..n-1 is the caller's."""
+    try:
+        k = int(v)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, a non-number
+        k = None
+    if k is None or k != v or isinstance(v, (bool, np.bool_)):
+        raise InvalidParameter(f"vertices must be integer ids, got {v!r}")
+    return k
 
 
 def require_finite(**values):

@@ -19,7 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NonSimple, ParseError, ResourceLimit, require_finite, require_int
+from .errors import (InvalidParameter, NonSimple, ParseError, ResourceLimit, require_finite,
+                     require_int, require_vertex_id)
 from .rng import derived, generator
 
 # Ceiling on a build's array entries, n plus the expected edge count (the
@@ -89,20 +90,10 @@ class Graph:
 
 
 def vertex_set(g: Graph, vertices) -> np.ndarray:
-    """The distinct ids int(v) of `vertices`, ascending, as int64. Raises
-    InvalidParameter for an id that int() refuses (NaN, inf, a non-number),
-    one whose int() differs from it (1.5, "3"; a whole-valued 2.0 reads as
-    2) or one outside 0..n-1."""
-    ids = set()
-    for v in vertices:
-        try:
-            k = int(v)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise InvalidParameter(f"vertices must be integer ids: {e}") from None
-        if k != v:
-            raise InvalidParameter(f"vertices must be integer ids: {v!r} is not an integer")
-        ids.add(k)
-    ids = sorted(ids)
+    """The distinct ids of `vertices`, each read by `errors.require_vertex_id`,
+    ascending, as int64. Raises InvalidParameter for an id that gate refuses
+    or one outside 0..n-1."""
+    ids = sorted({require_vertex_id(v) for v in vertices})
     for v in ids[:1] + ids[-1:]:
         if not 0 <= v < g.n:
             raise InvalidParameter(f"vertex {v} not in 0..{g.n - 1}")

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, NotCertified, require_finite, require_int
+from .errors import InvalidParameter, NotCertified, require_bits, require_finite, require_int
 from .graph import _DENSE_TILE_BYTES, Graph, adjacency_rows, degrees_into, vertex_set
 from .rng import derived
 
@@ -399,7 +399,7 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
     Only the ceil(eps*n) prefix of each stream is drawn. Item (3) is checked
     at every integer t via one cumulative-sum pass. passed means every item's
     empirical failure frequency is <= max_failure_rate = 0.01. `bits` injects
-    one explicit stream (trials is then ignored). Needs integers n >= 1,
+    one explicit 0/1 stream (trials is then ignored). Needs integers n >= 1,
     seed >= 0 and trials >= 1 (>= 0 with bits), and 0 < rho <= 1 and
     0 < eps <= 1: beyond 1 the prefix of length ceil(eps n) runs past Y_n.
     """
@@ -421,9 +421,10 @@ def binomial_stream_check(n: int, rho: float, epsilon: float, trials: int,
     floor3 = (1 + 3 * eps / 4) * ts / (n * p)
 
     if bits is not None:
+        bits = require_bits("bits", bits)
         if len(bits) < t2:
             raise InvalidParameter(f"need at least {t2} bits, got {len(bits)}")
-        streams = [np.asarray(bits[:t2], dtype=bool)]
+        streams = [bits[:t2]]
     else:
         streams = (derived(seed, k).random(t2) < rho for k in range(trials))
     # one row of the three item verdicts per stream

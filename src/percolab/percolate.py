@@ -20,16 +20,15 @@ component of the induced subgraph on retained vertices. The retained set is
 the union of the components, and the rejected set W is derived from it as the
 complement.
 
-A stream without explicit bits draws one uniform u_v per vertex from the
-root stream of the seed and retains v iff u_v < rho; because the uniform is
-attached to the vertex rather than the query position, runs with the same
-seed are exactly coupled: retained(rho1) is a subset of retained(rho2)
-whenever rho1 <= rho2. A stream with explicit `bits` consumes that 0/1
-sequence positionally, in query order (test injection), so only the
-exploration itself can tell which bit a vertex gets.
+A stream draws one uniform u_v per vertex from the root stream of the seed
+and retains v iff u_v < rho. Each vertex is queried once, and which vertex
+comes next depends only on earlier bits, so these are i.i.d. Bernoulli(rho)
+bits in query order. Because the uniform is attached to the vertex rather
+than the query position, runs with the same seed are exactly coupled:
+retained(rho1) is a subset of retained(rho2) whenever rho1 <= rho2.
 
-With per-vertex bits the retained set `keep` is fixed before any query, so
-the exploration's outcome is a function of `keep` alone, and it is computed
+The retained set `keep` is thus fixed before any query, so the
+exploration's outcome is a function of `keep` alone, and it is computed
 from the retained rows without replaying the queries:
 
   * Each epoch's root is the least vertex of its component: every smaller
@@ -59,7 +58,7 @@ from the retained rows without replaying the queries:
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -70,12 +69,11 @@ from .rng import uniforms
 
 @dataclass(frozen=True)
 class BernoulliStream:
-    """Retention-bit source for one percolation run: explicit `bits` in query
-    order when given, else the per-vertex uniforms of `seed` against rho."""
+    """Retention-bit source for one percolation run: the per-vertex uniforms
+    of `seed` against rho."""
 
     rho: float
     seed: int = 0
-    bits: Optional[Sequence[int]] = None
 
     def __post_init__(self):
         # frozen: the gated plain numbers replace the given ones
@@ -103,56 +101,8 @@ class PercolationOutcome:
 
 
 def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
-    """Run the four-set exploration; deterministic given (g, stream).
-
-    Per-vertex bits go through `_retained_outcome`, which gives the same
-    outcome from the retained subgraph; explicit bits are consumed by the
-    exploration loop itself, in query order."""
-    if stream.bits is None:
-        return _retained_outcome(g, stream)
-    n = g.n
-    if len(stream.bits) != n:
-        raise InvalidParameter(f"stream length {len(stream.bits)} != n = {n}")
-    bits = [bool(b) for b in stream.bits]  # indexed by query number
-    offsets = g.offsets
-    nbrs = g.neighbors
-    in_t = [True] * n
-    components: List[List[int]] = []
-    epochs: List[Tuple[int, int]] = []
-    q = 0  # queries so far = bits consumed
-    for r in range(n):
-        if not in_t[r]:
-            continue
-        in_t[r] = False
-        start = q
-        q += 1
-        if not bits[start]:
-            continue
-        comp = [r]
-        stack = [iter(nbrs[offsets[r]:offsets[r + 1]].tolist())]
-        while stack:
-            for w in stack[-1]:
-                if in_t[w]:
-                    in_t[w] = False
-                    q += 1
-                    if bits[q - 1]:
-                        comp.append(w)
-                        stack.append(iter(nbrs[offsets[w]:offsets[w + 1]].tolist()))
-                        break
-            else:
-                stack.pop()
-        comp.sort()
-        components.append(comp)
-        epochs.append((start, q - 1))
-    retained = sorted(v for comp in components for v in comp)
-    return PercolationOutcome(
-        retained=retained, components=components, epochs=epochs,
-        bits_consumed=q, rho=stream.rho, seed=stream.seed)
-
-
-def _retained_outcome(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
-    """The exploration's outcome for per-vertex bits, from the rows of the
-    retained vertices (see the module docstring)."""
+    """The four-set exploration's outcome, deterministic given (g, stream),
+    from the rows of the retained vertices (see the module docstring)."""
     n = g.n
     ret = np.flatnonzero(uniforms(stream.seed, n) < stream.rho)
     m = len(ret)

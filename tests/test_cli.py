@@ -272,17 +272,29 @@ def test_lemma_sampled_expansion_beside_a_small_component(tmp_path, monkeypatch)
     assert payload["checked_count"] == 101 and payload["measured"] == 1
 
 
+def readme_block(section, lang):
+    """The first ```lang block under the README heading `## section`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"## {section}\n", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_cli_lines_parse():
     # every command in the README's CLI block, continuations joined, is one
     # the parser accepts
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("CLI", "sh")
     lines = [line.strip() for line in block.replace("\\\n", " ").splitlines() if line.strip()]
     assert len(lines) >= 6
     for line in lines:
         words = shlex.split(line)
         assert words[0] == "percolab", line
         cli.build_parser().parse_args(words[1:])
+
+
+def test_readme_library_block_runs():
+    # the README's library example runs as written, its asserts included
+    block = readme_block("Library", "python")
+    assert "dfs_percolate" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_sweep_files_match_direct_run(tmp_path, capsys):

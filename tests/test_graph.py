@@ -706,11 +706,15 @@ def test_vertex_set_sorts_dedups_and_range_checks(k4):
     for bad in (-1, 4, 2 ** 70):
         with pytest.raises(InvalidParameter, match=rf"vertex {bad} not in 0\.\.3"):
             vertex_set(k4, [0, bad])
-    for bad in (float("nan"), float("inf"), "x", None, 1.5, 2.9, np.float64(0.5), "3"):
+    # True used to read as vertex 1, and a bool mask as the ids {0, 1}
+    for bad in (float("nan"), float("inf"), "x", None, 1.5, 2.9, np.float64(0.5), "3", True,
+                np.False_):
         with pytest.raises(InvalidParameter, match="vertices must be integer ids"):
             vertex_set(k4, [0, bad])
+    with pytest.raises(InvalidParameter, match="vertices must be integer ids"):
+        vertex_set(k4, np.array([True, False, True, False]))
     # a whole-valued float is the integer it equals
-    assert vertex_set(k4, [2.0, np.float64(3.0), True]).tolist() == [1, 2, 3]
+    assert vertex_set(k4, [2.0, np.float64(3.0), np.int8(1)]).tolist() == [1, 2, 3]
 
 
 PALEY_Q = [q for q in range(5, 400) if q % 4 == 1 and _is_prime(q)]

@@ -656,11 +656,12 @@ def test_grow_connected_set_reads_root_as_a_vertex_id(root, message):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.integers(-3, 12), st.floats(), st.sampled_from([2.0, 7.0]),
-                          st.text(max_size=2), st.none()), max_size=5))
+                          st.text(max_size=2), st.none(), st.booleans()), max_size=5))
 def test_neighborhood_size_raises_only_percolab_errors(H):
-    # a non-integral id used to raise a bare IndexError, and 1.5 read as 1
+    # a non-integral id used to raise a bare IndexError, 1.5 read as 1 and
+    # True as vertex 1
     g = generate(GeneratorSpec(kind="gnp", n=10, p=0.3, seed=2))
-    whole = all(isinstance(v, int) or (isinstance(v, float) and v.is_integer()) for v in H)
+    whole = all(type(v) is int or (isinstance(v, float) and v.is_integer()) for v in H)
     if whole and all(0 <= v < 10 for v in H):
         assert neighborhood_size(g, H) == nbhd_oracle(g, {int(v) for v in H})
     else:

@@ -44,8 +44,8 @@ def reachable(fn):
 
 def test_nothing_reachable_from_dfs_percolate_names_the_oracle():
     reached = reachable(percolate.dfs_percolate)
-    # the walk does see both paths and the shared gather
-    assert {percolate._retained_outcome, graph.adjacency_rows} <= reached
+    # the walk does see the engine's label search and the shared gather
+    assert {percolate._least_labels, graph.adjacency_rows} <= reached
     for f in reached:
         assert "oracle_components" not in named_functions(f)[0], f.__qualname__
 

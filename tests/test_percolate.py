@@ -29,12 +29,12 @@ def u01(seed, n):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(n)
 
 
-def reference_percolate(g, bit_for):
+def reference_percolate(g, keep):
     """Literal re-implementation of the four-set exploration.
 
     Sets are real sets, the T-neighbor scan recomputes from scratch every
-    step, and the stack is explicit. bit_for(v, q) yields the retention bit
-    for vertex v at query index q.
+    step, and the stack is explicit. keep[v] is vertex v's retention bit,
+    read when v is queried.
     """
     in_t = set(range(g.n))
     stack = []
@@ -44,9 +44,8 @@ def reference_percolate(g, bit_for):
         if not stack:
             v = min(in_t)
             in_t.remove(v)
-            bit = bit_for(v, q)
             q += 1
-            if bit:
+            if keep[v]:
                 retained.append(v)
                 stack.append(v)
                 comp, start = [v], q - 1
@@ -57,9 +56,8 @@ def reference_percolate(g, bit_for):
             if candidates:
                 w = min(candidates)
                 in_t.remove(w)
-                bit = bit_for(w, q)
                 q += 1
-                if bit:
+                if keep[w]:
                     retained.append(w)
                     stack.append(w)
                     comp.append(w)
@@ -96,12 +94,37 @@ def bfs_components(g, retained):
     return out
 
 
+def keeping(n, kept):
+    """A per-vertex stream on n vertices whose retained set is exactly `kept`:
+    the first seed whose uniforms put every kept vertex below every other."""
+    inside = np.isin(np.arange(n), list(kept))
+    for seed in range(100_000):
+        u = u01(seed, n)
+        lo, hi = u[inside].max(initial=0.0), u[~inside].min(initial=1.0)
+        if lo < hi:
+            return BernoulliStream(rho=(lo + hi) / 2, seed=seed)
+    raise AssertionError("no seed found")
+
+
+def whole(out):
+    return out.retained, out.rejected, out.components, out.epochs, out.bits_consumed
+
+
+def assert_matches_reference(g, stream):
+    """dfs_percolate's whole outcome equals the reference exploration of the
+    stream's per-vertex bits, which consumes one bit per vertex."""
+    out = dfs_percolate(g, stream)
+    assert whole(out) == reference_percolate(g, u01(stream.seed, g.n) < stream.rho)
+    assert out.bits_consumed == g.n
+    return out
+
+
 # --- hand-checked runs ---
 
 
 def test_all_bits_zero_rejects_everything():
     g = star_graph(10)
-    out = dfs_percolate(g, BernoulliStream(rho=0.0, bits=[0] * 10))
+    out = dfs_percolate(g, BernoulliStream(rho=0.0))
     assert out.retained == [] and out.components == [] and out.epochs == []
     assert out.rejected == list(range(10))
     assert out.bits_consumed == 10
@@ -109,14 +132,14 @@ def test_all_bits_zero_rejects_everything():
 
 def test_all_bits_one_recovers_the_graph():
     g = build_graph(6, [(0, 1), (1, 2), (4, 5)])  # vertex 3 isolated
-    out = dfs_percolate(g, BernoulliStream(rho=1.0, bits=[1] * 6))
+    out = dfs_percolate(g, BernoulliStream(rho=1.0))
     assert out.retained == list(range(6))
     assert out.components == [[0, 1, 2], [3], [4, 5]]
     assert out.bits_consumed == 6
 
 
 def test_triangle_split(triangle):
-    out = dfs_percolate(triangle, BernoulliStream(rho=0.0, bits=[1, 0, 1]))
+    out = dfs_percolate(triangle, keeping(3, {0, 2}))
     assert out.retained == [0, 2]
     assert out.rejected == [1]
     assert out.components == [[0, 2]]
@@ -126,7 +149,7 @@ def test_triangle_split(triangle):
 
 def test_singleton_epoch():
     g = build_graph(1, [])
-    out = dfs_percolate(g, BernoulliStream(rho=1.0, bits=[1]))
+    out = dfs_percolate(g, BernoulliStream(rho=1.0))
     assert out.components == [[0]] and out.epochs == [(0, 0)]
 
 
@@ -157,12 +180,6 @@ def test_stream_validation():
             BernoulliStream(**bad)
 
 
-def test_bits_length_must_match_n(triangle):
-    stream = BernoulliStream(rho=0.0, bits=[1, 0])
-    with pytest.raises(InvalidParameter, match="stream length 2 != n = 3"):
-        dfs_percolate(triangle, stream)
-
-
 # --- reference equivalence ---
 
 REF_GRAPHS = [
@@ -179,25 +196,7 @@ REF_GRAPHS = [
 @pytest.mark.parametrize("gi", range(len(REF_GRAPHS)))
 @pytest.mark.parametrize("seed,rho", [(3, 0.4), (11, 0.15), (27, 0.8)])
 def test_uniform_mode_matches_reference(gi, seed, rho):
-    g = REF_GRAPHS[gi]
-    out = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
-    u = u01(seed, g.n)
-    ret, rej, comps, epochs, q = reference_percolate(g, lambda v, _q: bool(u[v] < rho))
-    assert out.retained == ret
-    assert out.rejected == rej
-    assert out.components == comps
-    assert out.epochs == epochs
-    assert out.bits_consumed == q == g.n
-
-
-@pytest.mark.parametrize("gi", range(len(REF_GRAPHS)))
-def test_explicit_mode_matches_reference(gi):
-    g = REF_GRAPHS[gi]
-    bits = (u01(1000 + gi, g.n) < 0.5).astype(int).tolist()
-    out = dfs_percolate(g, BernoulliStream(rho=0.5, bits=bits))
-    ret, rej, comps, epochs, q = reference_percolate(g, lambda _v, q: bool(bits[q]))
-    assert (out.retained, out.rejected, out.components, out.epochs) == (ret, rej, comps, epochs)
-    assert out.bits_consumed == q == g.n
+    assert_matches_reference(REF_GRAPHS[gi], BernoulliStream(rho=rho, seed=seed))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 19, 41, 97])
@@ -360,6 +359,19 @@ def test_binomial_refuses_parameters_outside_its_domain(bad):
         assert binomial_stream_check(**dict(args, **bad), bits=bits).checked_count == 1
 
 
+def test_binomial_refuses_bits_other_than_0_and_1():
+    # [0.5] * 200 used to be read as 200 ones, failing items 1 and 2
+    args = dict(n=1000, rho=0.006, epsilon=0.2, trials=1, seed=0)
+    for bad in (2, 0.5, 1.0, "x", None):
+        with pytest.raises(InvalidParameter, match="bits must be 0/1 integers or bools, got"):
+            binomial_stream_check(**args, bits=[0] * 100 + [bad] + [0] * 99)
+    # bools and integers, Python or numpy, lists or arrays, are the same stream
+    want = binomial_stream_check(**args, bits=[0, 1] * 100)
+    for bits in ([False, True] * 100, np.tile([0, 1], 100), np.tile([False, True], 100),
+                 [np.int8(0), np.int64(1)] * 100, [np.False_, np.True_] * 100):
+        assert binomial_stream_check(**args, bits=bits) == want
+
+
 def test_binomial_short_explicit_stream_rejected():
     with pytest.raises(InvalidParameter, match="need at least .* bits, got 10"):
         binomial_stream_check(n=1000, rho=0.006, epsilon=0.2, trials=1, seed=0,
@@ -392,20 +404,13 @@ def percolation_cases(draw):
     return g, lo, hi, draw(st.integers(0, 2 ** 32 - 1))
 
 
-def whole(out):
-    return out.retained, out.rejected, out.components, out.epochs, out.bits_consumed
-
-
 @settings(max_examples=200, deadline=None)
-@given(percolation_cases(), st.data())
-def test_dfs_matches_oracles_and_nests_across_rho(case, data):
+@given(percolation_cases())
+def test_dfs_matches_oracles_and_nests_across_rho(case):
     g, lo, hi, seed = case
     edges = edge_set(g)
-    u = u01(seed, g.n)
-    runs = [dfs_percolate(g, BernoulliStream(rho=rho, seed=seed)) for rho in (lo, hi)]
-    for rho, out in zip((lo, hi), runs):
-        assert whole(out) == reference_percolate(g, lambda v, _q: bool(u[v] < rho))
-        assert out.bits_consumed == g.n
+    runs = [assert_matches_reference(g, BernoulliStream(rho=rho, seed=seed)) for rho in (lo, hi)]
+    for out in runs:
         assert out.components == oracle_components(g, out.retained)
         kept = set(out.retained)
         induced = nx.Graph()
@@ -413,49 +418,9 @@ def test_dfs_matches_oracles_and_nests_across_rho(case, data):
         induced.add_edges_from(e for e in edges if kept.issuperset(e))
         assert out.components == sorted(sorted(c) for c in nx.connected_components(induced))
     assert set(runs[0].retained) <= set(runs[1].retained)
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
-    out = dfs_percolate(g, BernoulliStream(rho=lo, bits=bits))
-    assert whole(out) == reference_percolate(g, lambda _v, q: bool(bits[q]))
 
 
-# --- the two dfs_percolate paths against each other ---
-
-
-def query_order_bits(g, stream):
-    """Explicit bits that replay a per-vertex stream: keep[v] for each vertex
-    v in the order the reference exploration queries it."""
-    keep = u01(stream.seed, g.n) < stream.rho
-    order = []
-    reference_percolate(g, lambda v, _q: order.append(v) or bool(keep[v]))
-    return [int(keep[v]) for v in order]
-
-
-def assert_paths_agree(g, stream):
-    out = dfs_percolate(g, stream)
-    replay = dfs_percolate(g, BernoulliStream(rho=stream.rho, bits=query_order_bits(g, stream)))
-    assert whole(out) == whole(replay)
-    assert out.bits_consumed == g.n
-    return out
-
-
-def keeping(n, kept):
-    """A per-vertex stream on n vertices whose retained set is exactly `kept`:
-    the first seed whose uniforms put every kept vertex below every other."""
-    inside = np.isin(np.arange(n), list(kept))
-    for seed in range(100_000):
-        u = u01(seed, n)
-        lo, hi = u[inside].max(initial=0.0), u[~inside].min(initial=1.0)
-        if lo < hi:
-            return BernoulliStream(rho=(lo + hi) / 2, seed=seed)
-    raise AssertionError("no seed found")
-
-
-@settings(max_examples=200, deadline=None)
-@given(percolation_cases())
-def test_vertex_stream_equals_its_query_order_replay(case):
-    g, lo, hi, seed = case
-    for rho in (lo, hi):
-        assert_paths_agree(g, BernoulliStream(rho=rho, seed=seed))
+# --- pinned streams: the engine against the reference exploration ---
 
 
 SHUFFLED = np.random.default_rng(1).permutation(1500).tolist()
@@ -484,10 +449,7 @@ PINNED = {
 
 @pytest.mark.parametrize("name", PINNED)
 def test_pinned_streams_agree_across_paths(name):
-    g, stream = PINNED[name]
-    out = assert_paths_agree(g, stream)
-    u = u01(stream.seed, g.n)
-    assert whole(out) == reference_percolate(g, lambda v, _q: bool(u[v] < stream.rho))
+    assert_matches_reference(*PINNED[name])
 
 
 def test_full_retention_peaks_within_the_row_gather():
@@ -518,8 +480,7 @@ def test_rejected_vertex_below_a_later_root_is_queried_as_a_root():
     # it, so the root loop queries 1 before epoch 2 opens; 4 borders {0} and
     # is queried inside epoch 0
     g = build_graph(5, [(0, 4), (1, 2), (2, 3)])
-    stream = keeping(5, {0, 2, 3})
-    out = assert_paths_agree(g, stream)
+    out = assert_matches_reference(g, keeping(5, {0, 2, 3}))
     assert out.retained == [0, 2, 3]
     assert out.components == [[0], [2, 3]]
     assert out.epochs == [(0, 1), (3, 4)]
