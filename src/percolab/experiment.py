@@ -123,9 +123,9 @@ def _runs(g: Graph, grid: Sequence[float], rhos: Sequence[float], seeds: List[in
     for c, rho in zip(grid, rhos):
         for seed in seeds:
             outcome = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
-            run = Run(c, rho, seed, len(outcome.retained), *largest_two(outcome))
+            run = Run(c, rho, seed, len(outcome.ids), *largest_two(outcome))
             if outer is not None:
-                run.outer_ok = outer(max(outcome.components, key=len, default=[]))
+                run.outer_ok = outer(outcome.largest)
             runs.append(run)
     return runs
 

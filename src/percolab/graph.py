@@ -84,7 +84,8 @@ class Graph:
         return np.diff(self.offsets)
 
     def has_edge(self, u, v) -> bool:
-        row = self.neighbors_of(u)
+        row = self.neighbors_of(require_vertex_id(u))
+        v = require_vertex_id(v)
         i = np.searchsorted(row, v)
         return i < len(row) and row[i] == v
 
@@ -113,6 +114,7 @@ def adjacency_rows(g: Graph, rows) -> Tuple[np.ndarray, np.ndarray]:
 
 def co_degree(g: Graph, u, v) -> int:
     """Number of common neighbors |N_u ∩ N_v|; symmetric in (u, v)."""
+    u, v = require_vertex_id(u), require_vertex_id(v)
     if u == v:
         raise InvalidParameter(f"co_degree needs u != v, got {u}")
     return int(np.intersect1d(g.neighbors_of(u), g.neighbors_of(v), assume_unique=True).size)

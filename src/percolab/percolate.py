@@ -54,10 +54,17 @@ from the retained rows without replaying the queries:
     before r_e, and nothing else is, so
         start_e = r_e + |E queried before epoch e| - |{v in E : v < r_e}|
         end_e = start_e + (|C_e| - 1) + |rejected vertices queried in e|.
+
+`dfs_percolate` itself computes only the retained ids and each one's label,
+which is all a sweep row (retained, L1, L2) reads: the component sizes are
+one `bincount` of the labels. The returned `PercolationOutcome` holds a
+reference to its host and builds `retained`, `rejected`, `components`,
+`largest` and `epochs` as Python lists on first read; `epochs` gathers the
+retained rows of the host again for its border entries.
 """
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -84,25 +91,112 @@ class BernoulliStream:
         object.__setattr__(self, "rho", rho)
 
 
-@dataclass
+@dataclass(eq=False)
 class PercolationOutcome:
-    retained: List[int]
-    components: List[List[int]]
-    epochs: List[Tuple[int, int]]
-    bits_consumed: int
+    """One run's outcome on the host `g`, which it keeps a reference to:
+    `ids`, the retained vertices ascending, and `labels`, each one's
+    component root as an index into `ids`. The list fields are built on
+    first read (see the module docstring). Two outcomes are equal when their
+    retained sets, components, epochs, bits, rho and seed are."""
+
+    g: Graph = field(repr=False)
+    ids: np.ndarray
+    labels: np.ndarray
     rho: float
     seed: int = 0
 
     @property
+    def bits_consumed(self) -> int:
+        return self.g.n
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The component sizes in root order."""
+        count = np.bincount(self.labels)
+        return count[count > 0]
+
+    @cached_property
+    def retained(self) -> List[int]:
+        return self.ids.tolist()
+
+    @cached_property
     def rejected(self) -> List[int]:
         """The queried vertices that were not retained, in ascending order."""
-        kept = set(self.retained)
-        return [v for v in range(self.bits_consumed) if v not in kept]
+        return np.flatnonzero(_rejected_mask(self.g.n, self.ids)).tolist()
+
+    @cached_property
+    def _members(self) -> np.ndarray:
+        """The retained ids by component in root order, each one ascending."""
+        return self.ids[np.argsort(self.labels, kind="stable")]
+
+    @cached_property
+    def components(self) -> List[List[int]]:
+        sizes = self.sizes
+        cuts = np.cumsum(sizes) - sizes
+        # singletons come straight from the roots; only larger ones are sliced
+        components = self._members[cuts, None].tolist()
+        members = self._members.tolist()
+        big = np.flatnonzero(sizes > 1)
+        for j, at, size in zip(big.tolist(), cuts[big].tolist(), sizes[big].tolist()):
+            components[j] = members[at:at + size]
+        return components
+
+    @cached_property
+    def largest(self) -> List[int]:
+        """The largest component, ascending, the one with the least root among
+        equals; [] when nothing is retained."""
+        if not len(self.sizes):
+            return []
+        j = int(np.argmax(self.sizes))
+        end = int(self.sizes[:j + 1].sum())
+        return self._members[end - self.sizes[j]:end].tolist()
+
+    @cached_property
+    def epochs(self) -> List[Tuple[int, int]]:
+        """Each component's (start, end) query indices (see the module
+        docstring), from the border entries of the retained rows."""
+        n, ret, root = self.g.n, self.ids, self.labels
+        m = len(ret)
+        i, w = adjacency_rows(self.g, ret)
+        border = np.flatnonzero(_rejected_mask(n, ret).take(w))
+        border_w = w.take(border)
+        del w
+        border_x = i.take(border)
+        del i, border
+        sizes = self.sizes
+        root_ids = np.flatnonzero(root == np.arange(m))  # a root is its own label
+        roots = ret.take(root_ids)
+        # first[w] is the least root among w's retained neighbors, m where w
+        # has none; only the bordered vertices then test whether that root
+        # lies below them, i.e. whether they are queried inside an epoch
+        first = np.full(n, m)
+        np.minimum.at(first, border_w, root.take(border_x))
+        bordered = np.flatnonzero(first < m)
+        queried = bordered[ret.take(first.take(bordered)) < bordered]
+        # each epoch's queries after its root, then E's members below each
+        # root: the retained non-roots, then the rejected ones
+        k = sizes - 1 + np.bincount(first[queried], minlength=m)[root_ids]
+        below = root_ids - np.arange(len(root_ids)) + np.searchsorted(queried, roots)
+        starts = roots + np.cumsum(k) - k - below
+        return list(zip(starts.tolist(), (starts + k).tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, PercolationOutcome):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in
+                   ("retained", "components", "epochs", "bits_consumed", "rho", "seed"))
+
+
+def _rejected_mask(n: int, ret: np.ndarray) -> np.ndarray:
+    rejected = np.ones(n, dtype=bool)
+    rejected[ret] = False
+    return rejected
 
 
 def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
     """The four-set exploration's outcome, deterministic given (g, stream),
-    from the rows of the retained vertices (see the module docstring)."""
+    from the rows of the retained vertices (see the module docstring). Only
+    the retained ids and their component labels are computed here."""
     n = g.n
     ret = np.flatnonzero(uniforms(stream.seed, n) < stream.rho)
     m = len(ret)
@@ -112,49 +206,13 @@ def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
     local = np.full(n, -1, dtype=np.int32)
     local[ret] = np.arange(m, dtype=np.int32)
     lw = local.take(w)
-    # most entries of a sparse run are border entries (retained x, rejected
-    # w), so they are taken by index rather than by mask
-    border = np.flatnonzero(lw < 0)
-    border_w = w.take(border)
     del w
-    border_x = i.take(border)
-    del border
     up = lw > i  # each induced edge once, as local ids a < b
     a = i[up]
     del i
     b = lw[up]
     del lw, up
-    root = _least_labels(a, b, m)
-    # components in root order, members ascending: one sort of the keys
-    # root * m + x, all below m^2
-    key = np.sort(root * m + np.arange(m))
-    order = key % m
-    cuts = np.flatnonzero(np.diff(key // m, prepend=-1))
-    sizes = np.diff(cuts, append=m)
-    root_ids = order[cuts]
-    roots = ret[root_ids]
-    # singletons come straight from the roots; only larger ones are sliced
-    components = roots[:, None].tolist()
-    members = ret[order].tolist()
-    big = np.flatnonzero(sizes > 1)
-    for j, at, size in zip(big.tolist(), cuts[big].tolist(), sizes[big].tolist()):
-        components[j] = members[at:at + size]
-    # first[w] is the least root among w's retained neighbors, m where w
-    # has none; only the bordered vertices then test whether that root lies
-    # below them, i.e. whether they are queried inside an epoch
-    first = np.full(n, m)
-    np.minimum.at(first, border_w, root.take(border_x))
-    bordered = np.flatnonzero(first < m)
-    queried = bordered[ret.take(first.take(bordered)) < bordered]
-    # each epoch's queries after its root, then E's members below each root:
-    # the retained non-roots, then the rejected ones
-    k = sizes - 1 + np.bincount(first[queried], minlength=m)[root_ids]
-    below = root_ids - np.arange(len(cuts)) + np.searchsorted(queried, roots)
-    starts = roots + np.cumsum(k) - k - below
-    return PercolationOutcome(
-        retained=ret.tolist(), components=components,
-        epochs=list(zip(starts.tolist(), (starts + k).tolist())),
-        bits_consumed=n, rho=stream.rho, seed=stream.seed)
+    return PercolationOutcome(g, ret, _least_labels(a, b, m), stream.rho, stream.seed)
 
 
 def _least_labels(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -225,5 +283,5 @@ def oracle_components(g: Graph, retained) -> List[List[int]]:
 
 def largest_two(outcome: PercolationOutcome) -> Tuple[int, int]:
     """(L1, L2) component sizes; zeros fill in when fewer than two exist."""
-    top = heapq.nlargest(2, map(len, outcome.components)) + [0, 0]
+    top = np.sort(outcome.sizes)[::-1][:2].tolist() + [0, 0]
     return top[0], top[1]

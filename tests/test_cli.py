@@ -5,6 +5,7 @@ the front end cannot silently drift from the programmatic API.
 """
 
 import argparse
+import hashlib
 import importlib
 import json
 import math
@@ -166,6 +167,23 @@ def test_percolate_payload(tmp_path, capsys):
     }
     assert json.loads(out.read_text()) == expected
     assert f"retained {len(outcome.retained)} of 400" in capsys.readouterr().out
+
+
+# sha256 of `percolab percolate --out` payloads; the second run has 174
+# components and rejected vertices queried inside epochs
+PINNED_PAYLOADS = {
+    "gnp:n=400,p=0.05,seed=2 --rho 0.5 --seed 3":
+        "3d299daf9622024ee192de4cb0d6e31a6405fd93ae00ab73119b214111da698d",
+    "gnp:n=3000,p=0.002,seed=5 --rho 0.3 --seed 11":
+        "0bafa886116fbe973578b150880b013ad893590b9f4dbb7f32a9d6b50bfe5f82",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_PAYLOADS)
+def test_percolate_payload_is_pinned_bytes(args, tmp_path):
+    out = tmp_path / "run.json"
+    assert cli.main(["percolate", "--gen", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PAYLOADS[args]
 
 
 def test_percolate_bad_rho_exits_2(capsys):

@@ -158,6 +158,28 @@ def test_sweep_coupling_monotone_in_c():
             assert lo.L1 <= hi.L1
 
 
+def test_sweep_rows_build_no_component_list(monkeypatch):
+    """A sweep row reads only the retained count and the component sizes; a
+    trial row with the outer check builds the largest component alone."""
+    outcomes = []
+
+    def recorded(g, stream):
+        outcomes.append(dfs_percolate(g, stream))
+        return outcomes[-1]
+
+    monkeypatch.setattr(importlib.import_module("percolab.experiment"), "dfs_percolate",
+                        recorded)
+    res = run_sweep(SweepConfig(source=G2000, **SWEEP))
+    assert len(outcomes) == len(res.rows) == 60
+    for out, row in zip(outcomes, res.rows):
+        assert set(vars(out)) == {"g", "ids", "labels", "rho", "seed", "sizes"}
+        assert (row.retained, row.L1, row.L2) == (len(out.retained), *largest_two(out))
+    outcomes.clear()
+    supercritical_trial(G2000, 0.01, 0.3, (11, 5))
+    for out in outcomes:
+        assert "largest" in vars(out) and not {"retained", "components", "epochs"} & set(vars(out))
+
+
 def test_sweep_reruns_byte_identical(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     run_sweep(SweepConfig(source=G2000, out=a, **SWEEP))

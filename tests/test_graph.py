@@ -307,6 +307,20 @@ def test_degree_and_codegree_on_star():
         co_degree(g, 0, 17)
 
 
+def test_codegree_and_has_edge_refuse_non_integer_ids():
+    # co_degree(g, 1.5, 2) used to raise a bare IndexError, and
+    # co_degree(g, 1, True) to refuse with "needs u != v, got 1"
+    g = star_graph(6)
+    for u, v in ((1.5, 2), (1, True), (np.True_, 2), ("1", 2), (1, math.nan)):
+        with pytest.raises(InvalidParameter, match="vertices must be integer ids, got"):
+            co_degree(g, u, v)
+        with pytest.raises(InvalidParameter, match="vertices must be integer ids, got"):
+            g.has_edge(u, v)
+    # whole-valued reals and numpy integers read as their ids
+    assert co_degree(g, 1.0, np.int32(2)) == 1
+    assert g.has_edge(np.int64(0), 3.0) and not g.has_edge(1, 2)
+
+
 def test_neighbors_of_range_check(k4):
     with pytest.raises(InvalidParameter, match=r"vertex -1 not in 0\.\.3"):
         k4.neighbors_of(-1)

@@ -15,7 +15,8 @@ from percolab import graph, percolate
 def named_functions(fn):
     """(names, callees): every identifier fn's source names, and the percolab
     functions among them, resolved in fn's module. A percolab class stands
-    for the functions written on it (not those its decorators generate)."""
+    for the functions written on it, its properties' getters included (not
+    the functions its decorators generate)."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -27,7 +28,8 @@ def named_functions(fn):
         if inspect.isfunction(target):
             callees.add(target)
         elif inspect.isclass(target):
-            callees.update(f for f in vars(target).values() if inspect.isfunction(f)
+            members = (getattr(f, "fget", getattr(f, "func", f)) for f in vars(target).values())
+            callees.update(f for f in members if inspect.isfunction(f)
                            and f.__code__.co_filename == inspect.getfile(target))
     return names, callees
 
@@ -44,8 +46,10 @@ def reachable(fn):
 
 def test_nothing_reachable_from_dfs_percolate_names_the_oracle():
     reached = reachable(percolate.dfs_percolate)
-    # the walk does see the engine's label search and the shared gather
-    assert {percolate._least_labels, graph.adjacency_rows} <= reached
+    # the walk does see the engine's label search, the shared gather and
+    # the fields the outcome builds on first read
+    assert {percolate._least_labels, graph.adjacency_rows,
+            percolate.PercolationOutcome.epochs.func} <= reached
     for f in reached:
         assert "oracle_components" not in named_functions(f)[0], f.__qualname__
 

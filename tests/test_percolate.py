@@ -14,7 +14,6 @@ from conftest import build_graph, complete_graph, cycle_graph, edge_set, path_gr
 from percolab import (
     BernoulliStream,
     GeneratorSpec,
-    PercolationOutcome,
     binomial_stream_check,
     dfs_percolate,
     generate,
@@ -257,12 +256,15 @@ def test_oracle_components_against_bfs():
 
 
 def test_largest_two():
-    def wrap(comps):
-        return PercolationOutcome(retained=[], components=comps,
-                                  epochs=[], bits_consumed=0, rho=0.0)
-    assert largest_two(wrap([[0, 1], [3]])) == (2, 1)
-    assert largest_two(wrap([])) == (0, 0)
-    assert largest_two(wrap([[7]])) == (1, 0)
+    def run(n, kept):
+        return dfs_percolate(path_graph(n), keeping(n, kept))
+    assert run(4, {0, 1, 3}).components == [[0, 1], [3]]
+    assert largest_two(run(4, {0, 1, 3})) == (2, 1)
+    assert largest_two(run(4, set())) == (0, 0)
+    assert largest_two(run(8, {7})) == (1, 0)
+    # {0, 1} and {3, 4} tie: the least root wins
+    assert run(5, {0, 1, 3, 4}).largest == [0, 1]
+    assert largest_two(run(5, {0, 1, 3, 4})) == (2, 2)
 
 
 # --- binomial tail check ---
@@ -418,6 +420,45 @@ def test_dfs_matches_oracles_and_nests_across_rho(case):
         induced.add_edges_from(e for e in edges if kept.issuperset(e))
         assert out.components == sorted(sorted(c) for c in nx.connected_components(induced))
     assert set(runs[0].retained) <= set(runs[1].retained)
+
+
+# --- the outcome's fields, built on first read ---
+
+
+READ_ORDERS = {
+    "epochs-first": ("epochs", "components"),
+    "components-only": ("components",),
+    "retained-only": ("retained",),
+    "sizes-first": ("sizes", "largest", "rejected", "retained", "components", "epochs"),
+}
+
+
+@st.composite
+def lazy_cases(draw):
+    """A host from `percolation_cases`, or disjoint equal paths under a
+    shuffled labelling, whose largest components tie; a rho and a seed."""
+    if draw(st.booleans()):
+        g, lo, _, seed = draw(percolation_cases())
+        return g, lo, seed
+    k, length = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    label = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(k * length)
+    edges = [(label[p * length + j], label[p * length + j + 1])
+             for p in range(k) for j in range(length - 1)]
+    rho = draw(st.sampled_from([1.0, 0.9, 0.5]))
+    return build_graph(k * length, edges), rho, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lazy_cases(), st.sampled_from(sorted(READ_ORDERS)))
+def test_fields_read_in_any_order_match_the_reference(case, order):
+    g, rho, seed = case
+    out = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
+    for name in READ_ORDERS[order]:
+        getattr(out, name)
+    assert whole(out) == reference_percolate(g, u01(seed, g.n) < rho)
+    assert out.sizes.tolist() == [len(c) for c in out.components]
+    assert out.largest == max(out.components, key=len, default=[])
+    assert largest_two(out) == tuple((sorted(map(len, out.components), reverse=True) + [0, 0])[:2])
 
 
 # --- pinned streams: the engine against the reference exploration ---
