@@ -37,13 +37,14 @@ _MAX_N = int(np.iinfo(np.int32).max)
 _PERTURB_FRACTION = 0.01
 # Co-degree kernels (see max_co_degree), measured on a 2-vCPU Xeon VM with
 # numpy 2.4.6 and OpenBLAS 0.3.31, in float32 multiply-adds. One wedge key
-# cost 8-37 ns. The dense scan fitted 2 ps per multiply-add of C(t, 2) * cols
-# plus 1.4 ns per tile cell built and streamed; thin tiles cost most per
-# cell. Over gnp n=500..4000, p=0.005..0.2, Paley 1009 and the top-1% rows
-# of gnp 30000/0.03 and 50000/2e-4, these two picked the faster kernel on
-# every host (the top-1% rows of gnp 30000/0.03: 33 ms counting wedges, 66
-# ms with tiles).
-_WEDGE_KEY_MADDS = 3000
+# cost 7-10 ns on gnp n=2000..4000 and 12-53 ns on the scans of a few ms
+# at n=500..1000. The dense scan fitted 2 ps per multiply-add of
+# C(t, 2) * cols plus 1.4 ns per tile cell built and streamed; thin tiles
+# cost most per cell. Over gnp n=500..4000, p=0.005..0.2, Paley 1009 and
+# the top-1% rows of gnp 30000/0.03 and 50000/2e-4, these two picked a
+# kernel within 4 ms or 6% of the faster one on every host (the top-1% rows
+# of gnp 30000/0.03: 32 ms counting wedges, 183 ms with tiles).
+_WEDGE_KEY_MADDS = 1000
 _TILE_CELL_MADDS = 200
 # Bytes of one float32 tile of the dense kernel. The scan holds two row
 # tiles and their product, or one row per tile when a row is larger; a row
@@ -56,10 +57,11 @@ _DENSE_TILE_BYTES = 1 << 21
 # only while no count it sums can pass that: every row of the scan has fewer
 # neighbors. A loaded edge list may hold a hub of more.
 _FLOAT32_EXACT = 1 << 24
-# Keys made and sorted at once by the wedge count. On gnp n=20000,
-# p=0.002 (16M wedges) 2**17 took 0.51 s and 36 MB over the graph; 2**21
-# took 0.84 s and 144 MB, one chunk 0.85 s and 408 MB. save_edge_list
-# writes the neighbor entries of row ranges of this size.
+# Keys made and counted at once by the wedge count. On gnp n=20000,
+# p=0.002 (16M wedges, every chunk sorted) 2**17 took 0.41-0.58 s and 42
+# MB over the graph; 2**21 took 0.79 s and 136 MB, one chunk 0.89 s and
+# 791 MB. save_edge_list writes the neighbor entries of row ranges of this
+# size.
 _CODEGREE_CHUNK_KEYS = 1 << 17
 
 
@@ -76,6 +78,9 @@ class Graph:
         return len(self.neighbors_of(v))
 
     def neighbors_of(self, v) -> np.ndarray:
+        """The sorted neighbors of v, an id read by `errors.require_vertex_id`
+        in 0..n-1; InvalidParameter for any other v."""
+        v = require_vertex_id(v)
         if not 0 <= v < self.n:
             raise InvalidParameter(f"vertex {v} not in 0..{self.n - 1}")
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
@@ -84,7 +89,7 @@ class Graph:
         return np.diff(self.offsets)
 
     def has_edge(self, u, v) -> bool:
-        row = self.neighbors_of(require_vertex_id(u))
+        row = self.neighbors_of(u)
         v = require_vertex_id(v)
         i = np.searchsorted(row, v)
         return i < len(row) and row[i] == v
@@ -360,7 +365,9 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     An all-pairs scan over t rows uses one of two kernels, both exact. A
     wedge count makes one key per pair of rows sharing a neighbor w, sum
     over w of C(s_w, 2) keys where s_w is the number of the rows adjacent to
-    w. The dense kernel multiplies float32 0/1 tiles of the rows with BLAS
+    w, and counts equal keys in chunks of whole rows: a chunk of r rows with
+    at least r*t keys counts them in r*t bins, a sparser one sorts them.
+    The dense kernel multiplies float32 0/1 tiles of the rows with BLAS
     over the `cols` vertices with s_w >= 2, C(t, 2) * cols multiply-adds
     plus building and streaming the tiles. The wedge count scans when its
     keys times the cost of one key (_WEDGE_KEY_MADDS multiply-adds) are at
@@ -460,12 +467,18 @@ def _max_codegree_dense(rows: np.ndarray, i: np.ndarray, w: np.ndarray, shared: 
 def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.ndarray):
     """The scan of _max_codegree_among by counting wedges. (i, w) are the
     incidences of adjacency_rows(g, rows) and s[w] the number of rows
-    adjacent to w. Each pair a < b of rows adjacent to one w gives the key
-    a*t + b; the number of equal keys is the co-degree of the pair. Keys
-    are made and counted in chunks of whole rows a, in row order, so the
-    first largest count is the first attaining pair."""
+    adjacent to w. Each pair a < b of rows adjacent to one w gives a key;
+    the number of equal keys is the co-degree of the pair. Keys are made
+    and counted in chunks of whole rows [a0, a1), in row order, as
+    (a - a0)*t + b, below (a1 - a0)*t. A chunk with at least that many keys
+    counts them in one bin per key value (_first_largest_bin); a sparser
+    one sorts them (_first_largest_run). Either way the least key among the
+    most frequent wins, and a later chunk must beat the count, so the first
+    largest count is the first attaining pair."""
     t = len(rows)
-    by_w = np.argsort(w, kind="stable")  # grouped by w, rows ascending in a group
+    # the keys w*t + i are distinct and ascend with i inside a w group, so
+    # sorting them groups the incidences by w exactly as a stable sort by w
+    by_w = np.argsort(np.multiply(w, t, dtype=np.int64) + i)
     row_at = i[by_w]
     slot = np.empty(len(w), dtype=np.int64)
     slot[by_w] = np.arange(len(w))
@@ -481,15 +494,31 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
         count = owns[r0:r1]
         partner = np.repeat(slot[r0:r1] + 1 - (np.cumsum(count) - count), count)
         partner += np.arange(len(partner))
-        keys = np.repeat(i[r0:r1] * t, count)
+        keys = np.repeat((i[r0:r1] - a0) * t, count)
         keys += row_at[partner]
-        keys, runs = np.unique(keys, return_counts=True)
-        k = int(np.argmax(runs))
-        if runs[k] > best:
-            best = int(runs[k])
-            a, b = divmod(int(keys[k]), t)
-            pair = (int(rows[a]), int(rows[b]))
+        span = (a1 - a0) * t
+        key, runs = (_first_largest_bin if span <= len(keys) else _first_largest_run)(keys, span)
+        if runs > best:
+            best = runs
+            a, b = divmod(key, t)
+            pair = (int(rows[a0 + a]), int(rows[b]))
     return best, pair
+
+
+def _first_largest_bin(keys: np.ndarray, span: int):
+    """The least of the most frequent `keys` (all in 0..span-1) and its
+    count, from one bin per value: a sparse accumulator (Gilbert, Moler &
+    Schreiber 1992), no longer than `keys` where the caller uses it."""
+    bins = np.bincount(keys, minlength=span)
+    k = int(bins.argmax())
+    return k, int(bins[k])
+
+
+def _first_largest_run(keys: np.ndarray, span: int):
+    """_first_largest_bin by sorting, for keys far fewer than `span`."""
+    keys, runs = np.unique(keys, return_counts=True)
+    k = int(runs.argmax())
+    return int(keys[k]), int(runs[k])
 
 
 def _sampled_rows(g: Graph, sample_pairs: int) -> np.ndarray:

@@ -326,6 +326,20 @@ def test_neighbors_of_range_check(k4):
         k4.neighbors_of(-1)
 
 
+def test_neighbors_of_and_degree_refuse_non_integer_ids():
+    # neighbors_of(True) used to raise numpy's TypeError, and 1.5 a bare
+    # IndexError; ids read as in vertex_set
+    g = star_graph(6)
+    for v in (True, np.True_, 1.5, "3", math.nan):
+        with pytest.raises(InvalidParameter, match="vertices must be integer ids, got"):
+            g.neighbors_of(v)
+        with pytest.raises(InvalidParameter, match="vertices must be integer ids, got"):
+            g.degree(v)
+    for v in (2.0, np.int8(2)):
+        assert g.neighbors_of(v).tolist() == [0] and g.degree(v) == 1
+    assert g.degree(np.float64(0.0)) == 5
+
+
 def naive_max_codegree(g, rows=None):
     """Largest co-degree over the pairs of `rows` (default: every vertex),
     with the first pair in (u, v) order attaining it."""
@@ -468,6 +482,57 @@ def test_kernels_scan_ascending_row_subsets(g, data):
             assert _max_codegree_among(g, np.array(rows, dtype=np.int64)) == (best, pair)
 
 
+def wedge_counts(g, **constants):
+    """The forced wedge-count scan of every vertex of g, with the number of
+    chunks counted in bins and of chunks sorted."""
+    with mock.patch("percolab.graph._first_largest_bin", wraps=graph._first_largest_bin) as bins, \
+            mock.patch("percolab.graph._first_largest_run", wraps=graph._first_largest_run) as runs:
+        r = codegree_with(g, _WEDGE_KEY_MADDS=0, _max_codegree_dense=refuse, **constants)
+    return (r.value, r.pair), bins.call_count, runs.call_count
+
+
+@pytest.mark.parametrize("spec, best", [
+    (GeneratorSpec(kind="paley", q=101), (25, (0, 2))),  # many pairs tie at 25
+    (GeneratorSpec(kind="gnp", n=300, p=0.2, seed=3), None),
+])
+def test_dense_chunks_count_their_keys_in_bins(spec, best):
+    # each chunk of r rows holds more keys than its r * t key values
+    g = generate(spec)
+    found, bins, runs = wedge_counts(g)
+    assert found == naive_max_codegree(g) == (best or found)
+    assert bins >= 1 and runs == 0
+
+
+def test_sparse_chunks_sort_their_keys():
+    # gnp 400/0.02: about 11k keys against 160k key values
+    g = generate(GeneratorSpec(kind="gnp", n=400, p=0.02, seed=1))
+    found, bins, runs = wedge_counts(g)
+    assert found == naive_max_codegree(g)
+    assert bins == 0 and runs >= 1
+
+
+def test_one_scan_counts_some_chunks_and_sorts_others():
+    # three hubs joined to every other vertex of a sparse gnp: with one row a
+    # chunk, an early row v shares a hub with each later row three times
+    # (3 (n - 1 - v) keys >= n key values) and a late row does not
+    n = 60
+    base = edge_set(generate(GeneratorSpec(kind="gnp", n=n, p=0.05, seed=4)))
+    g = build_graph(n, base | {(h, v) for h in range(3) for v in range(h + 1, n)})
+    found, bins, runs = wedge_counts(g, _CODEGREE_CHUNK_KEYS=1)
+    assert found == naive_max_codegree(g)
+    assert bins >= 1 and runs >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1), st.integers(0, 10))
+def test_bins_and_sorting_find_the_same_first_largest_key(keys, extra):
+    keys = np.array(keys, dtype=np.int64)
+    span = int(keys.max()) + 1 + extra
+    most = max(keys.tolist().count(k) for k in set(keys.tolist()))
+    want = (min(k for k in set(keys.tolist()) if keys.tolist().count(k) == most), most)
+    assert graph._first_largest_bin(keys, span) == graph._first_largest_run(keys, span) == want
+
+
 @pytest.mark.parametrize("budget, rows_per_tile", [(4, 1), (4 * 707, 7), (4 * 5050, 50),
                                                    (1 << 21, 101)])
 def test_dense_tiles_keep_the_first_of_many_ties(budget, rows_per_tile):
@@ -517,8 +582,8 @@ def test_negative_sample_pairs_is_rejected_in_both_modes(cap):
     (GeneratorSpec(kind="paley", q=101), "_max_codegree_dense"),
 ])
 def test_kernel_follows_the_estimated_work(spec, kernel):
-    # in multiply-adds: sparse, 53k wedges (1.6e8) against 2.9e10 for the
-    # tiles; dense, 1.3M wedges (3.8e9) against 6.4e7 for the tiles
+    # in multiply-adds: sparse, 53k wedges (5.3e7) against 2.9e10 for the
+    # tiles; dense, 1.3M wedges (1.3e9) against 6.4e7 for the tiles
     g = generate(spec)
     with mock.patch(f"percolab.graph.{kernel}", wraps=getattr(graph, kernel)) as spy:
         r = max_co_degree(g)
