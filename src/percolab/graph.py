@@ -37,8 +37,8 @@ _MAX_N = int(np.iinfo(np.int32).max)
 _PERTURB_FRACTION = 0.01
 # Co-degree kernels (see max_co_degree), measured on a 2-vCPU Xeon VM with
 # numpy 2.4.6 and OpenBLAS 0.3.31, in float32 multiply-adds. One wedge key
-# cost 7-10 ns on gnp n=2000..4000 and 12-53 ns on the scans of a few ms
-# at n=500..1000. The dense scan fitted 2 ps per multiply-add of
+# cost 7-16 ns on gnp n=1000..4000 at p >= 0.04, and 9-80 ns on sparser or
+# smaller hosts. The dense scan fitted 2 ps per multiply-add of
 # C(t, 2) * cols plus 1.4 ns per tile cell built and streamed; thin tiles
 # cost most per cell. Over gnp n=500..4000, p=0.005..0.2, Paley 1009 and
 # the top-1% rows of gnp 30000/0.03 and 50000/2e-4, these two picked a
@@ -497,7 +497,7 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
         keys = np.repeat((i[r0:r1] - a0) * t, count)
         keys += row_at[partner]
         span = (a1 - a0) * t
-        key, runs = (_first_largest_bin if span <= len(keys) else _first_largest_run)(keys, span)
+        key, runs = _first_largest_bin(keys, span) if span <= len(keys) else _first_largest_run(keys)
         if runs > best:
             best = runs
             a, b = divmod(key, t)
@@ -508,14 +508,15 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
 def _first_largest_bin(keys: np.ndarray, span: int):
     """The least of the most frequent `keys` (all in 0..span-1) and its
     count, from one bin per value: a sparse accumulator (Gilbert, Moler &
-    Schreiber 1992), no longer than `keys` where the caller uses it."""
+    Schreiber 1992). The caller asks for no more bins than keys, so the
+    chunk's memory bound holds."""
     bins = np.bincount(keys, minlength=span)
     k = int(bins.argmax())
     return k, int(bins[k])
 
 
-def _first_largest_run(keys: np.ndarray, span: int):
-    """_first_largest_bin by sorting, for keys far fewer than `span`."""
+def _first_largest_run(keys: np.ndarray):
+    """_first_largest_bin by sorting, for keys fewer than their span."""
     keys, runs = np.unique(keys, return_counts=True)
     k = int(runs.argmax())
     return int(keys[k]), int(runs[k])

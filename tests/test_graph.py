@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -493,13 +494,13 @@ def wedge_counts(g, **constants):
 
 @pytest.mark.parametrize("spec, best", [
     (GeneratorSpec(kind="paley", q=101), (25, (0, 2))),  # many pairs tie at 25
-    (GeneratorSpec(kind="gnp", n=300, p=0.2, seed=3), None),
+    (GeneratorSpec(kind="gnp", n=300, p=0.2, seed=3), (28, (156, 181))),
 ])
 def test_dense_chunks_count_their_keys_in_bins(spec, best):
     # each chunk of r rows holds more keys than its r * t key values
     g = generate(spec)
     found, bins, runs = wedge_counts(g)
-    assert found == naive_max_codegree(g) == (best or found)
+    assert found == naive_max_codegree(g) == best
     assert bins >= 1 and runs == 0
 
 
@@ -507,7 +508,7 @@ def test_sparse_chunks_sort_their_keys():
     # gnp 400/0.02: about 11k keys against 160k key values
     g = generate(GeneratorSpec(kind="gnp", n=400, p=0.02, seed=1))
     found, bins, runs = wedge_counts(g)
-    assert found == naive_max_codegree(g)
+    assert found == naive_max_codegree(g) == (4, (69, 219))
     assert bins == 0 and runs >= 1
 
 
@@ -526,11 +527,12 @@ def test_one_scan_counts_some_chunks_and_sorts_others():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 30), min_size=1), st.integers(0, 10))
 def test_bins_and_sorting_find_the_same_first_largest_key(keys, extra):
+    counts = Counter(keys)
+    most = max(counts.values())
+    want = (min(k for k, c in counts.items() if c == most), most)
     keys = np.array(keys, dtype=np.int64)
     span = int(keys.max()) + 1 + extra
-    most = max(keys.tolist().count(k) for k in set(keys.tolist()))
-    want = (min(k for k in set(keys.tolist()) if keys.tolist().count(k) == most), most)
-    assert graph._first_largest_bin(keys, span) == graph._first_largest_run(keys, span) == want
+    assert graph._first_largest_bin(keys, span) == graph._first_largest_run(keys) == want
 
 
 @pytest.mark.parametrize("budget, rows_per_tile", [(4, 1), (4 * 707, 7), (4 * 5050, 50),
