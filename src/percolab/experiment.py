@@ -47,7 +47,17 @@ def seed_block(seeds: Union[Sequence[int], Tuple[int, int]]) -> List[int]:
     out = [require_int("seed", s) for s in seeds]
     if not out:
         raise InvalidParameter("need at least one seed")
+    _refuse_repeats("seed", out)
     return out
+
+
+def _refuse_repeats(name: str, values: list) -> None:
+    """Refuse a value listed twice: it would run, and count, twice."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise InvalidParameter(f"{name} {v!r} is listed twice")
+        seen.add(v)
 
 
 @dataclass
@@ -157,6 +167,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     p, epsilon, giant_size, l2_bound = _thresholds(g.n, cfg.p, cfg.epsilon)
     seeds = seed_block(cfg.seeds)
     grid = [require_finite(multiplier=c)[0] for c in cfg.rho_grid]
+    _refuse_repeats("multiplier", [float(c) for c in grid])
     rhos = [_rho_for(c, g.n, p, cfg.clip_rho) for c in grid]
     profile = derive_profile(g, p)
     rows = _runs(g, grid, rhos, seeds)

@@ -40,27 +40,27 @@ from the retained rows without replaying the queries:
     once from the retained rows, labels every retained vertex with the
     least vertex of its component, and one sort of (label, vertex) keys
     lists the components with their members in ascending order.
-  * Number the components C_1, C_2, ... by root r_1 < r_2 < ... A rejected
-    vertex w leaves T at the first query that reaches it. That is in epoch
-    e when C_e is the first component adjacent to w and r_e < w; otherwise
-    (no adjacent component, or r_e > w) the root loop queries it before
-    any epoch reaches it. The first adjacent component is the least label
-    over the border entries (retained x, rejected w) of the retained rows,
-    taken with one unbuffered minimum into a length-n array; only the
-    vertices that got a label then compare it with themselves.
-  * Let E be the non-root vertices queried inside epochs: the retained
-    non-roots and the rejected vertices of the rule above. Every vertex
-    below r_e and every member of E queried in an earlier epoch is queried
-    before r_e, and nothing else is, so
-        start_e = r_e + |E queried before epoch e| - |{v in E : v < r_e}|
-        end_e = start_e + (|C_e| - 1) + |rejected vertices queried in e|.
+  * Every vertex is queried exactly once: by the root loop at its own turn,
+    or inside the epoch of a root below it. Call that root, or the vertex
+    itself, the vertex's anchor. A retained vertex's anchor is its
+    component's root. A rejected vertex w is reached by the first epoch
+    adjacent to it if that epoch's root lies below w, and by the root loop
+    otherwise, so its anchor is the least of w and the roots of its retained
+    neighbours. The root loop visits anchors in ascending order and each
+    epoch directly follows its root's own query, so the query order is a
+    sort by anchor, and with r_e the root of epoch e
+        start_e = |{v : anchor(v) < r_e}|
+        end_e = start_e + |{v : anchor(v) = r_e}| - 1.
+    One unbuffered minimum over the retained rows finds the anchors. A
+    retained neighbour lies in the same component and brings its own root,
+    so no border filter is needed.
 
 `dfs_percolate` itself computes only the retained ids and each one's label,
 which is all a sweep row (retained, L1, L2) reads: the component sizes are
 one `bincount` of the labels. The returned `PercolationOutcome` holds a
 reference to its host and builds `retained`, `rejected`, `components`,
 `largest` and `epochs` as Python lists on first read; `epochs` gathers the
-retained rows of the host again for its border entries.
+retained rows of the host again for the anchors.
 """
 
 from dataclasses import dataclass, field
@@ -122,7 +122,9 @@ class PercolationOutcome:
     @cached_property
     def rejected(self) -> List[int]:
         """The queried vertices that were not retained, in ascending order."""
-        return np.flatnonzero(_rejected_mask(self.g.n, self.ids)).tolist()
+        rejected = np.ones(self.g.n, dtype=bool)
+        rejected[self.ids] = False
+        return np.flatnonzero(rejected).tolist()
 
     @cached_property
     def _members(self) -> np.ndarray:
@@ -153,44 +155,25 @@ class PercolationOutcome:
 
     @cached_property
     def epochs(self) -> List[Tuple[int, int]]:
-        """Each component's (start, end) query indices (see the module
-        docstring), from the border entries of the retained rows."""
-        n, ret, root = self.g.n, self.ids, self.labels
-        m = len(ret)
+        """Each component's (start, end) query indices, from each vertex's
+        anchor (see the module docstring)."""
+        n, ret, labels = self.g.n, self.ids, self.labels
+        root = ret.take(labels)
+        anchor = np.arange(n)
+        anchor[ret] = root
         i, w = adjacency_rows(self.g, ret)
-        border = np.flatnonzero(_rejected_mask(n, ret).take(w))
-        border_w = w.take(border)
-        del w
-        border_x = i.take(border)
-        del i, border
-        sizes = self.sizes
-        root_ids = np.flatnonzero(root == np.arange(m))  # a root is its own label
-        roots = ret.take(root_ids)
-        # first[w] is the least root among w's retained neighbors, m where w
-        # has none; only the bordered vertices then test whether that root
-        # lies below them, i.e. whether they are queried inside an epoch
-        first = np.full(n, m)
-        np.minimum.at(first, border_w, root.take(border_x))
-        bordered = np.flatnonzero(first < m)
-        queried = bordered[ret.take(first.take(bordered)) < bordered]
-        # each epoch's queries after its root, then E's members below each
-        # root: the retained non-roots, then the rejected ones
-        k = sizes - 1 + np.bincount(first[queried], minlength=m)[root_ids]
-        below = root_ids - np.arange(len(root_ids)) + np.searchsorted(queried, roots)
-        starts = roots + np.cumsum(k) - k - below
-        return list(zip(starts.tolist(), (starts + k).tolist()))
+        np.minimum.at(anchor, w, root.take(i))
+        del i, w
+        count = np.bincount(anchor, minlength=n)
+        roots = ret[labels == np.arange(len(ret))]  # a root is its own label
+        starts = (np.cumsum(count) - count)[roots]
+        return list(zip(starts.tolist(), (starts + count[roots] - 1).tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, PercolationOutcome):
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in
                    ("retained", "components", "epochs", "bits_consumed", "rho", "seed"))
-
-
-def _rejected_mask(n: int, ret: np.ndarray) -> np.ndarray:
-    rejected = np.ones(n, dtype=bool)
-    rejected[ret] = False
-    return rejected
 
 
 def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:

@@ -436,6 +436,9 @@ BAD_INPUT = {
     "lemma-b-without-a": f"lemma --which variance {GEN} --p 0.1 --b 5",  # exit 0, b_n estimated
     "outer-root-above-n": f"lemma --which outer {GEN} --p 0.1 --root 999",  # IndexError
     "gen-seed-repeated": "generate --gen gnp:n=10,p=0.5,seed=1,seed=2 --out g.txt",  # seed 2
+    # every CSV row twice, and "runs": 4 under one key for a 2-seed block
+    "sweep-grid-repeated": f"sweep {GEN} --p 0.1 --grid 1,1 --seeds 1:2",
+    "sweep-seed-repeated": f"sweep {GEN} --p 0.1 --grid 1 --seeds 1,1",
 }
 
 

@@ -43,10 +43,13 @@ def test_seed_block():
     with pytest.raises(InvalidParameter):  # a library error, so the CLI exits 2
         seed_block((5, 0))
     # [1.5] used to run seed 1, (1, 2.5) to raise TypeError, (1.5, 2) to
-    # give seeds 1.5 and 2.5, and [True] to run seed 1
-    for bad in ([1.5], (1, 2.5), (1.5, 2), [True]):
+    # give seeds 1.5 and 2.5, [True] to run seed 1, and [1, 1] to count
+    # seed 1 twice in every fraction
+    for bad in ([1.5], (1, 2.5), (1.5, 2), [True], [1, 1], [3, 1, 2, 1]):
         with pytest.raises(InvalidParameter):
             seed_block(bad)
+    with pytest.raises(InvalidParameter, match="seed 1 is listed twice"):
+        seed_block([1, 2, 1])
 
 
 def test_derive_profile_round_trips():
@@ -98,6 +101,10 @@ def test_sweep_rho_clipping():
     assert row.L1 == max(len(c) for c in comps)
     with pytest.raises(InvalidParameter, match="multiplier must be finite and >= 0, got -0.5"):
         run_sweep(SweepConfig(source=g, p=0.1, rho_grid=[-0.5], seeds=[1]))
+    # a repeated multiplier used to run twice under one aggregate key
+    for grid, again in (([1, 1.0], "1.0"), ([0.0, -0.0], "-0.0"), ([0.5, 1, 0.5], "0.5")):
+        with pytest.raises(InvalidParameter, match=f"multiplier {again} is listed twice"):
+            run_sweep(SweepConfig(source=g, p=0.1, rho_grid=grid, seeds=[1]))
 
 
 def test_sweep_rows_and_aggregates(tmp_path):

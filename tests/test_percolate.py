@@ -485,6 +485,10 @@ PINNED = {
     "star": (star_graph(40), BernoulliStream(rho=1.0, seed=3)),
     # the hub is rejected, so every retained leaf is its own component
     "star-leaves": (star_graph(40), keeping(40, range(1, 40))),
+    # rejected 2 borders the roots 0 below it and 4 above it: its anchor is 0,
+    # so epoch 0 queries it; rejected 1 borders only the root 3 above it, so
+    # the root loop queries it
+    "anchor-both-sides": (build_graph(5, [(0, 2), (2, 4), (1, 3)]), keeping(5, {0, 3, 4})),
 }
 
 
@@ -498,7 +502,8 @@ def test_full_retention_peaks_within_the_row_gather():
     index in int64 and w in int32 peak at 6x the CSR bytes. Each gather
     array is dropped once read and the search keeps only the edges' labels,
     so nothing later peaks higher; a search that kept every edge beside its
-    two labels peaked at 7.7x."""
+    two labels peaked at 7.7x. `epochs` gathers the rows again, and that
+    gather sets its peak as well (5.98x)."""
     g = generate(GeneratorSpec(kind="gnp", n=10_000, p=0.03, seed=1))
     csr = g.offsets.nbytes + g.neighbors.nbytes
     started = not tracemalloc.is_tracing()
@@ -509,11 +514,16 @@ def test_full_retention_peaks_within_the_row_gather():
         before = tracemalloc.get_traced_memory()[0]
         out = dfs_percolate(g, BernoulliStream(rho=1.0, seed=1))
         peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        epochs = out.epochs
+        epochs_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
             tracemalloc.stop()
-    assert len(out.retained) == g.n
+    assert len(out.retained) == g.n and len(epochs) == len(out.sizes)
     assert peak <= 6.5 * csr
+    assert epochs_peak <= 6.5 * csr
 
 
 def test_rejected_vertex_below_a_later_root_is_queried_as_a_root():
