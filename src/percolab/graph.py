@@ -186,19 +186,16 @@ def generate(spec: GeneratorSpec) -> Graph:
     spec = _validate_spec(spec)
     if spec.kind == "gnp":
         _check_cap(spec.n, spec.n * (spec.n - 1) / 2 * spec.p)
-        eu, ev = _gnp_pairs(spec.n, spec.p, spec.seed)
-        return _from_edge_arrays(spec.n, eu, ev)
+        return _from_upper_rows(spec.n, *_gnp_pairs(spec.n, spec.p, spec.seed))
     if spec.kind == "complete":
         _check_cap(spec.n, spec.n * (spec.n - 1) / 2)
-        eu, ev = _circulant_pairs(spec.n, np.arange(1, spec.n))
-        return _from_edge_arrays(spec.n, eu, ev)
+        return _from_upper_rows(spec.n, *_circulant_pairs(spec.n, np.arange(1, spec.n)))
     if spec.kind == "paley":
         # x ~ y iff x - y is a nonzero square mod q; q = 1 mod 4 makes -1 a
         # square, so adjacency is symmetric
         _check_cap(spec.q, spec.q * (spec.q - 1) / 4)
         squares = np.flatnonzero(np.bincount(np.arange(1, spec.q, dtype=np.int64) ** 2 % spec.q))
-        eu, ev = _circulant_pairs(spec.q, squares)
-        return _from_edge_arrays(spec.q, eu, ev)
+        return _from_upper_rows(spec.q, *_circulant_pairs(spec.q, squares))
     _check_cap(spec.n, spec.n * (spec.n - 1) / 2 * spec.p)
     return _near_regular_perturbed(spec.n, spec.p, spec.seed)
 
@@ -209,49 +206,49 @@ def _check_cap(n: int, expected_edges: float):
                             f"exceeds cap {DEFAULT_EDGE_CAP}")
 
 
-def _from_edge_arrays(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
-    """CSR of the graph on n vertices whose edges are the pairs (eu[i], ev[i]).
+def _from_upper_rows(n: int, upper: np.ndarray, ev: np.ndarray) -> Graph:
+    """CSR of the graph on n vertices whose row u holds the upper neighbors
+    ev[a:a + upper[u]], a = upper[:u].sum(): the pairs (u, w), u < w.
 
-    Precondition: the pairs are unique, eu < ev, and sorted lexicographically
-    (every generator and the loader produce them so); eu and ev are int32 or
-    int64. Row v holds its lower neighbors {u < v} followed by its upper
-    neighbors {w > v}, each part ascending. The upper parts, concatenated in
-    row order, are `ev` as given; the lower parts are `eu` re-sorted by
-    (ev, eu). Repeating True, False over the interleaved part lengths
-    (lower[0], upper[0], lower[1], ...) marks the lower slots. Each
-    temporary goes once used, so beside the pairs the build holds at most
-    the int64 keys and the int32 lower parts, then those and `neighbors`.
+    Precondition: the pairs are unique, each row's part of `ev` ascends, and
+    the rows come in order (every generator and the loader produce them so);
+    `upper` has length n and `ev` is int32 or int64. Row v holds its lower
+    neighbors {u < v} followed by its upper neighbors {w > v}, each part
+    ascending. The upper parts, concatenated in row order, are `ev` as
+    given; the lower parts are the rows u sorted by (ev, u), from one sort
+    of the keys ev << s | u, s the bits of n - 1. Those keys fit in uint32
+    up to n = 65536, and take int64 beyond. Repeating True, False over the
+    interleaved part lengths (lower[0], upper[0], lower[1], ...) marks the
+    lower slots. Beside `upper` and `ev` the build holds the keys, then
+    those, masked in place to the rows u, with `neighbors` and the mask.
     """
-    # int64 keys: an int32 ev times n would wrap
-    key = np.multiply(ev, n, dtype=np.int64)
-    key += eu
+    s = max(1, (n - 1).bit_length())
+    key = np.left_shift(ev, s, dtype=np.uint32 if n << s <= 1 << 32 else np.int64,
+                        casting="unsafe")
+    key |= np.repeat(np.arange(n, dtype=key.dtype), upper)
     key.sort()
-    # the pairs with ev < v, and with eu < v, for v = 0..n
-    bounds = np.arange(n + 1, dtype=np.int64)
-    below = np.searchsorted(key, bounds * n)
-    above = np.searchsorted(eu, bounds.astype(eu.dtype))
-    lengths = np.column_stack((np.diff(below), np.diff(above))).ravel()
-    offsets = np.add(below, above, out=below)
-    del bounds, above
-    lower = np.empty(len(eu), dtype=np.int32)
-    np.remainder(key, n, out=lower, casting="unsafe")
+    key &= (1 << s) - 1
+    lower = np.bincount(ev, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lower + upper, out=offsets[1:])
+    is_lower = np.repeat(np.tile([True, False], n), np.column_stack((lower, upper)).ravel())
+    neighbors = np.empty(2 * len(ev), dtype=np.int32)
+    neighbors[is_lower] = key
     del key
-    is_lower = np.repeat(np.tile([True, False], n), lengths)
-    neighbors = np.empty(2 * len(eu), dtype=np.int32)
-    neighbors[is_lower] = lower
-    del lower
     np.logical_not(is_lower, out=is_lower)
     neighbors[is_lower] = ev
     offsets.setflags(write=False)
     neighbors.setflags(write=False)
-    return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=len(eu))
+    return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=len(ev))
 
 
 def _gnp_pairs(n: int, p: float, seed: int):
-    """The pairs (eu[i], ev[i]) of G(n, p), eu < ev, in lexicographic order,
-    as int32 arrays. Batches of _GNP_BATCH gaps are drawn in place; each
-    batch's pairs are sorted, so its rows are found from the few row starts
-    that fall inside it."""
+    """The upper rows (upper, ev) of G(n, p): row u holds upper[u] pairs
+    (u, w), u < w, whose w are the next upper[u] entries of the int32 array
+    `ev`, ascending; the pairs are in lexicographic order. Batches of
+    _GNP_BATCH gaps are drawn in place; each batch's pairs are sorted, so
+    its per-row counts are found from the few row starts that fall inside
+    it."""
     total = n * (n - 1) // 2
     rng = generator(seed)
     log1mp = np.log1p(-p)
@@ -262,8 +259,9 @@ def _gnp_pairs(n: int, p: float, seed: int):
     shift = cum - rows - 1
     gaps = np.empty(_GNP_BATCH)
     ks = np.empty(_GNP_BATCH, dtype=np.int64)
+    upper = np.zeros(n, dtype=np.int64)
     # the first gap alone may overshoot every pair
-    out_u, out_v = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    out_v = [np.zeros(0, dtype=np.int32)]
     pos = -1
     while True:
         rng.random(out=gaps)
@@ -287,32 +285,30 @@ def _gnp_pairs(n: int, p: float, seed: int):
             counts = np.diff(np.searchsorted(batch, cum[u0 + 1:u1 + 1]), prepend=0,
                              append=len(batch))
             batch -= np.repeat(shift[u0:u1 + 1], counts)
-            out_u.append(np.repeat(np.arange(u0, u1 + 1, dtype=np.int32), counts))
+            upper[u0:u1 + 1] += counts
             out_v.append(batch.astype(np.int32))
         if done:
             break
-    eu = np.concatenate(out_u)
-    del out_u  # the eu batches go before ev is joined
-    return eu, np.concatenate(out_v)
+    return upper, np.concatenate(out_v)
 
 
 def _circulant_pairs(n: int, steps: np.ndarray):
-    """The pairs (eu[i], ev[i]), eu < ev, in lexicographic order, of the
+    """The upper rows (upper, ev), as _gnp_pairs gives them, of the
     circulant graph on Z_n whose connection set is the ascending int64
     array `steps` of distinct values in 1..n-1, closed under s -> n - s:
     row a of the upper triangle is a + s for each step s < n - a."""
     rows = np.arange(n, dtype=np.int64)
     counts = np.searchsorted(steps, n - rows)
-    eu = np.repeat(rows, counts)
+    ev = np.repeat(rows, counts)
     first = np.cumsum(counts) - counts
-    ev = eu + steps[np.arange(len(eu)) - np.repeat(first, counts)]
-    return eu, ev
+    ev += steps[np.arange(len(ev)) - np.repeat(first, counts)]
+    return counts, ev
 
 
 def _near_regular_perturbed(n: int, p: float, seed: int) -> Graph:
-    eu, ev = _gnp_pairs(n, p, seed)
+    upper, ev = _gnp_pairs(n, p, seed)
     if n < 2:
-        return _from_edge_arrays(n, eu, ev)  # no pair to toggle
+        return _from_upper_rows(n, upper, ev)  # no pair to toggle
     rng = derived(seed, 1)
     k = max(1, int(np.ceil(_PERTURB_FRACTION * n)))
     x = rng.choice(n, size=min(k, n), replace=False)
@@ -320,8 +316,9 @@ def _near_regular_perturbed(n: int, p: float, seed: int) -> Graph:
     y += y >= x  # uniform over [n] \ {x}
     # toggle each chosen pair; a pair drawn twice keeps its original state
     toggled, times = np.unique(np.minimum(x, y) * n + np.maximum(x, y), return_counts=True)
-    codes = np.setxor1d(eu.astype(np.int64) * n + ev, toggled[times % 2 == 1], assume_unique=True)
-    return _from_edge_arrays(n, codes // n, codes % n)
+    codes = np.repeat(np.arange(n, dtype=np.int64) * n, upper) + ev
+    codes = np.setxor1d(codes, toggled[times % 2 == 1], assume_unique=True)
+    return _from_upper_rows(n, np.bincount(codes // n, minlength=n), codes % n)
 
 
 def degrees_into(g: Graph, in_set: np.ndarray) -> np.ndarray:
@@ -668,7 +665,7 @@ def load_edge_list(path) -> Graph:
             raise NonSimple(line_no, f"duplicate edge {(int(lo[k]), int(hi[k]))}")
         raise ParseError(line_no, f"vertex {hi[k]} outside declared n={declared_n}")
     n = declared_n if declared_n is not None else span if len(key) else 0
-    return _from_edge_arrays(n, key // span, key % span)
+    return _from_upper_rows(n, np.bincount(key // span, minlength=n), key % span)
 
 
 def _shape_error(line_no: int, raw: bytes) -> ParseError:

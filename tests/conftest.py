@@ -8,7 +8,7 @@ in the individual test modules.
 import numpy as np
 import pytest
 
-from percolab.graph import _from_edge_arrays
+from percolab.graph import _from_upper_rows
 
 
 def build_graph(n, edges):
@@ -16,7 +16,7 @@ def build_graph(n, edges):
     pairs = sorted((min(u, v), max(u, v)) for u, v in edges)
     eu = np.array([a for a, _ in pairs], dtype=np.int64)
     ev = np.array([b for _, b in pairs], dtype=np.int64)
-    return _from_edge_arrays(n, eu, ev)
+    return _from_upper_rows(n, np.bincount(eu, minlength=n), ev)
 
 
 def complete_graph(n):

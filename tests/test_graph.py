@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_graph, complete_graph, cycle_graph, edge_set, path_graph, star_graph
@@ -34,7 +34,7 @@ from percolab import (
 )
 from percolab.errors import InvalidParameter, NonSimple, ParseError, PercolabError, ResourceLimit
 from percolab.graph import (
-    _from_edge_arrays,
+    _from_upper_rows,
     _is_prime,
     _max_codegree_among,
     _near_regular_perturbed,
@@ -154,10 +154,13 @@ def test_gnp_matches_scalar_oracle():
 ])
 def test_gnp_batches_match_scalar_oracle(monkeypatch, batch, n, p, seed):
     """Batch boundaries fall inside rows and across runs of rows; the pairs
-    come out in the scalar sampler's order, as int32."""
+    come out in the scalar sampler's order, as per-row counts and int32
+    upper neighbors."""
     monkeypatch.setattr(graph, "_GNP_BATCH", batch)
-    eu, ev = graph._gnp_pairs(n, p, seed)
-    assert eu.dtype == ev.dtype == np.int32
+    upper, ev = graph._gnp_pairs(n, p, seed)
+    assert ev.dtype == np.int32
+    assert len(upper) == n and upper.sum() == len(ev)
+    eu = np.repeat(np.arange(n), upper)
     assert list(zip(eu.tolist(), ev.tolist())) == gnp_scalar_oracle(n, p, seed)
 
 
@@ -745,13 +748,25 @@ def sorted_adjacency_csr(n, pairs):
     return np.cumsum(degree).tolist(), [w for v in sorted(adjacency) for w in sorted(adjacency[v])]
 
 
+def widest_keys(n):
+    """Pairs on vertices 0, 1, n - 2 and n - 1, whose rows have distinct
+    lower parts: the largest sort keys the builder makes for n."""
+    return n, {(0, 1), (1, n - 1), (0, n - 1), (n - 2, n - 1)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(edge_sets(), st.sampled_from([np.int32, np.int64]))
+# 65536 is the last n with uint32 keys (up to 2**32 - 2), 65537 the first
+# with int64 keys: int32 keys, or uint32 keys past 65536, wrap and misorder
+@example(widest_keys(65536), np.int32)
+@example(widest_keys(65536), np.int64)
+@example(widest_keys(65537), np.int32)
+@example(widest_keys(65537), np.int64)
 def test_builder_matches_lexsort_reference(case, dtype):
     """The generators give the builder int32 pairs and the loader int64."""
     n, pairs = case
     eu, ev = (a.astype(dtype) for a in pair_arrays(pairs))
-    g = _from_edge_arrays(n, eu, ev)
+    g = _from_upper_rows(n, np.bincount(eu, minlength=n), ev)
     offsets, neighbors = lexsort_csr(n, eu, ev)
     assert g.n == n and g.edge_count == len(pairs)
     assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
@@ -766,7 +781,7 @@ def graphs_and_rows(draw):
     """A random graph and a row array into it: empty, repeated or unsorted."""
     n, pairs = draw(edge_sets())
     rows = draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []
-    return _from_edge_arrays(n, *pair_arrays(pairs)), np.array(rows, dtype=np.int64)
+    return build_graph(n, pairs), np.array(rows, dtype=np.int64)
 
 
 @settings(max_examples=100, deadline=None)
@@ -846,9 +861,11 @@ def test_perturbed_pair_codes_do_not_wrap():
 @pytest.mark.parametrize("n,p", [(6000, 0.03), (50000, 2e-4)])
 def test_generate_peak_memory(n, p):
     """numpy reports its buffers to tracemalloc. Building the graph peaks
-    below 3.75x the bytes of its own offsets and neighbors: 2.8x on both
-    here, against 4.2x and 4.3x when the sampler kept int64 batches and the
-    builder scattered the upper rows through an int64 index."""
+    below 3.0x the bytes of its own offsets and neighbors: 2.4x on both
+    here, against 2.9x and 2.8x when the sampler kept every pair's row id
+    and the builder sorted int64 keys, and 4.2x and 4.3x when the sampler
+    kept int64 batches and the builder scattered the upper rows through an
+    int64 index."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -860,14 +877,14 @@ def test_generate_peak_memory(n, p):
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 3.75 * (g.offsets.nbytes + g.neighbors.nbytes)
+    assert peak < 3.0 * (g.offsets.nbytes + g.neighbors.nbytes)
 
 
 @settings(max_examples=60, deadline=None)
 @given(edge_sets().filter(lambda case: case[0] <= 30))
 def test_save_load_save_is_byte_identical(tmp_path_factory, case):
     n, pairs = case
-    g = _from_edge_arrays(n, *pair_arrays(pairs))
+    g = build_graph(n, pairs)
     d = tmp_path_factory.mktemp("io")
     save_edge_list(g, d / "a.edges")
     h = load_edge_list(d / "a.edges")
