@@ -60,9 +60,15 @@ _FLOAT32_EXACT = 1 << 24
 # Keys made and counted at once by the wedge count. On gnp n=20000,
 # p=0.002 (16M wedges, every chunk sorted) 2**17 took 0.41-0.58 s and 42
 # MB over the graph; 2**21 took 0.79 s and 136 MB, one chunk 0.89 s and
-# 791 MB. save_edge_list writes the neighbor entries of row ranges of this
-# size.
+# 791 MB. save_edge_list gathers the lines of row ranges of this many
+# neighbor entries at once, so its peak follows this size and not the file's.
 _CODEGREE_CHUNK_KEYS = 1 << 17
+# Bytes read at a time by load_edge_list; a block's numpy scan peaks at
+# about 20x its bytes. In a fresh process that starts at 30 MB RSS,
+# loading gnp 50000/2e-4 (a 2.9 MB file) peaked at 41 MB in blocks of
+# 256 KiB, 38 MB in 64 KiB, 58 MB in 1 MiB and 83 MB in 4 MiB (one block),
+# as the whole-file scan did (84 MB), all in 0.08-0.15 s.
+_LOAD_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -562,110 +568,185 @@ def load_edge_list(path) -> Graph:
     decimal digits; each unordered pair may appear once. Without a header,
     n is the largest id plus one. The first bad line raises ParseError, or
     NonSimple for a self-loop or a repeated edge, with its 1-based number.
+    Refused with ResourceLimit once the edge lines pass DEFAULT_EDGE_CAP,
+    or when n plus the edge count does.
 
-    The whole file is scanned at once with numpy: tokens are the runs of
-    non-space bytes. Each check marks the lines it fails, whatever the
-    lines before them hold; the first marked line reports the first check
-    it fails.
+    The file is read in blocks of whole lines (_line_blocks), each scanned
+    with numpy: tokens are the runs of non-space bytes. Each check marks
+    the lines of the block it fails, whatever the lines before them hold,
+    and the block's first marked line reports the first check it fails.
+    Across blocks the load keeps the header state and, per well-formed
+    pair, its ends as int32 and its line within its block. Repeated pairs
+    are found once, over every pair read (_upper_pairs): after the last
+    block, or at the first block with a bad line, where a repeat on an
+    earlier line is reported instead. So the first bad line of the file
+    wins, and no block after it is read.
     """
+    declared_n, header_seen, first_edge = None, False, None
+    los, his, pair_lines = ([np.zeros(0, dtype=np.int32)] for _ in range(3))
+    pair_starts, line_starts = [0], [0]  # per block: its first pair and line
     with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    line_ends = np.flatnonzero(raw == ord("\n"))
-    n_lines = len(line_ends) + 1
+        for data in _line_blocks(fh):
+            line0 = line_starts[-1]
+            raw = np.frombuffer(data, dtype=np.uint8)
+            line_ends = np.flatnonzero(raw == ord("\n"))
+            n_lines = len(line_ends) + 1
 
-    def line_bytes(i):
-        start = int(line_ends[i - 1]) + 1 if i else 0
-        return data[start:int(line_ends[i]) if i < len(line_ends) else len(data)]
+            def line_bytes(i):
+                start = int(line_ends[i - 1]) + 1 if i else 0
+                return data[start:int(line_ends[i]) if i < len(line_ends) else len(data)]
 
-    space = np.concatenate(([True], _SPACE[raw], [True]))
-    bounds = np.flatnonzero(space[1:] != space[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    tok_line = np.searchsorted(line_ends, starts)
-    leading = np.ones(len(starts), dtype=bool)
-    leading[1:] = tok_line[1:] != tok_line[:-1]
-    comment_lines = tok_line[leading & (raw[starts] == ord("#"))]
-    is_comment = np.zeros(n_lines, dtype=bool)
-    is_comment[comment_lines] = True
-    on_edge_line = ~is_comment[tok_line]
-    starts, ends, tok_line = starts[on_edge_line], ends[on_edge_line], tok_line[on_edge_line]
-    first_edge_line = int(tok_line[0]) if len(tok_line) else n_lines
+            space = np.concatenate(([True], _SPACE[raw], [True]))
+            bounds = np.flatnonzero(space[1:] != space[:-1])
+            starts, ends = bounds[0::2], bounds[1::2]
+            tok_line = np.searchsorted(line_ends, starts)
+            leading = np.ones(len(starts), dtype=bool)
+            leading[1:] = tok_line[1:] != tok_line[:-1]
+            comment_lines = tok_line[leading & (raw[starts] == ord("#"))]
+            is_comment = np.zeros(n_lines, dtype=bool)
+            is_comment[comment_lines] = True
+            on_edge_line = ~is_comment[tok_line]
+            starts, ends, tok_line = starts[on_edge_line], ends[on_edge_line], tok_line[on_edge_line]
+            if first_edge is None and len(tok_line):
+                first_edge = line0 + int(tok_line[0])
 
-    # Headers: only the first one, if it comes before the first edge, sets n.
-    declared_n, header_seen, header_errors = None, False, {}
-    for i in comment_lines.tolist():
-        try:
-            line = line_bytes(i).decode("utf-8").strip()
-        except UnicodeDecodeError:
-            header_errors[i] = ParseError(i + 1, "line is not UTF-8")
-            continue
-        body = line[1:].strip()
-        if not body.startswith("n="):
-            continue
-        if header_seen:
-            header_errors[i] = ParseError(i + 1, f"repeated header {line!r}")
-        elif i > first_edge_line:
-            header_errors[i] = ParseError(i + 1, f"header {line!r} after the first edge")
-        else:
-            try:
-                declared_n = int(body[2:])
-            except ValueError:
-                declared_n = -1
-            if not 0 <= declared_n <= _MAX_N:
-                header_errors[i] = ParseError(i + 1, f"bad header {line!r}")
-                declared_n = None
-        header_seen = True
+            # Headers: only the first one, if it comes before the first edge, sets n.
+            header_errors = {}
+            for i in comment_lines.tolist():
+                try:
+                    line = line_bytes(i).decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    header_errors[i] = ParseError(line0 + i + 1, "line is not UTF-8")
+                    continue
+                body = line[1:].strip()
+                if not body.startswith("n="):
+                    continue
+                if header_seen:
+                    header_errors[i] = ParseError(line0 + i + 1, f"repeated header {line!r}")
+                elif first_edge is not None and line0 + i > first_edge:
+                    header_errors[i] = ParseError(line0 + i + 1,
+                                                  f"header {line!r} after the first edge")
+                else:
+                    try:
+                        declared_n = int(body[2:])
+                    except ValueError:
+                        declared_n = -1
+                    if not 0 <= declared_n <= _MAX_N:
+                        header_errors[i] = ParseError(line0 + i + 1, f"bad header {line!r}")
+                        declared_n = None
+                header_seen = True
 
-    # Shape: two tokens of ASCII digits per edge line, none too long to parse.
-    counts = np.bincount(tok_line, minlength=n_lines)
-    bad_shape = (counts != 0) & (counts != 2)
-    odd_line = np.searchsorted(line_ends, np.flatnonzero(~_DIGIT_OR_SPACE[raw]))
-    bad_shape[odd_line[~is_comment[odd_line]]] = True
-    bad_shape[tok_line[ends - starts > _MAX_DIGITS]] = True
-    well_formed = ~bad_shape[tok_line]
-    starts, ends, tok_line = starts[well_formed], ends[well_formed], tok_line[well_formed]
+            # Shape: two tokens of ASCII digits per edge line, none too long to parse.
+            counts = np.bincount(tok_line, minlength=n_lines)
+            bad_shape = (counts != 0) & (counts != 2)
+            odd_line = np.searchsorted(line_ends, np.flatnonzero(~_DIGIT_OR_SPACE[raw]))
+            bad_shape[odd_line[~is_comment[odd_line]]] = True
+            bad_shape[tok_line[ends - starts > _MAX_DIGITS]] = True
+            well_formed = ~bad_shape[tok_line]
+            starts, ends, tok_line = starts[well_formed], ends[well_formed], tok_line[well_formed]
 
-    ids = np.zeros(len(starts), dtype=np.int64)
-    width = ends - starts
-    for j in range(int(width.max()) if len(width) else 0):
-        live = width > j
-        ids[live] = ids[live] * 10 + (raw[starts[live] + j] - ord("0"))
-    u, v, line_of = ids[0::2], ids[1::2], tok_line[0::2]
+            ids = np.zeros(len(starts), dtype=np.int64)
+            width = ends - starts
+            for j in range(int(width.max()) if len(width) else 0):
+                live = width > j
+                ids[live] = ids[live] * 10 + (raw[starts[live] + j] - ord("0"))
+            u, v, line_of = ids[0::2], ids[1::2], tok_line[0::2]
 
-    # Values of the well-formed lines. Ids clipped to _MAX_N only make
-    # false duplicates after a line that is already too large.
-    too_large = np.maximum(u, v) >= _MAX_N
-    self_loop = u == v
-    lo = np.minimum(np.minimum(u, v), _MAX_N)
-    hi = np.minimum(np.maximum(u, v), _MAX_N)
-    span = int(hi.max()) + 1 if len(hi) else 1
-    key = lo * span + hi
-    duplicate = np.zeros(len(key), dtype=bool)
+            # Values of the well-formed lines. Ids clipped to _MAX_N only make
+            # false duplicates after a line that is already too large. Any
+            # header that sets n comes before the first edge, so declared_n
+            # is final for every pair.
+            too_large = np.maximum(u, v) >= _MAX_N
+            self_loop = u == v
+            lo = np.minimum(np.minimum(u, v), _MAX_N)
+            hi = np.minimum(np.maximum(u, v), _MAX_N)
+            outside = hi >= declared_n if declared_n is not None else np.zeros(len(hi), dtype=bool)
+
+            pair_lines.append(line_of.astype(np.int32))
+            los.append(lo.astype(np.int32))
+            his.append(hi.astype(np.int32))
+            pair_starts.append(pair_starts[-1] + len(lo))
+            line_starts.append(line0 + len(line_ends))
+
+            first_bad = min(header_errors, default=n_lines)
+            for bad_lines in (np.flatnonzero(bad_shape), line_of[too_large | self_loop | outside]):
+                first_bad = min([first_bad, *bad_lines[:1].tolist()])
+            if first_bad < n_lines:
+                line_no = line0 + first_bad + 1
+                _upper_pairs(los, his, pair_lines, pair_starts, line_starts, before=line_no)
+                if first_bad in header_errors:
+                    raise header_errors[first_bad]
+                if bad_shape[first_bad]:
+                    raise _shape_error(line_no, line_bytes(first_bad))
+                k = int(np.searchsorted(line_of, first_bad))
+                if too_large[k]:
+                    raise ParseError(line_no, f"vertex id {max(u[k], v[k])} above {_MAX_N - 1}")
+                if self_loop[k]:
+                    raise NonSimple(line_no, f"self-loop {u[k]}")
+                raise ParseError(line_no, f"vertex {hi[k]} outside declared n={declared_n}")
+            if pair_starts[-1] > DEFAULT_EDGE_CAP:
+                raise ResourceLimit(f"{pair_starts[-1]} edges by line {line_starts[-1]} "
+                                    f"exceed cap {DEFAULT_EDGE_CAP}")
+
+    lo, hi = _upper_pairs(los, his, pair_lines, pair_starts, line_starts)
+    n = declared_n if declared_n is not None else int(hi.max()) + 1 if len(hi) else 0
+    _check_cap(n, len(hi))
+    upper = np.bincount(lo, minlength=n)
+    del lo
+    return _from_upper_rows(n, upper, hi)
+
+
+def _upper_pairs(los, his, pair_lines, pair_starts, line_starts, before=None):
+    """The pairs (lo, hi) of a load as int32 arrays in (lo, hi) order,
+    from its per-block lists, which this empties: `los`, `his` and
+    `pair_lines` hold each block's pairs in file order and their lines
+    within the block; block b starts at pair pair_starts[b] and at line
+    line_starts[b]. Raises NonSimple for the first pair that repeats an
+    earlier one when its 1-based line comes before `before` (None: any).
+    One stable sort of the keys lo << 31 | hi finds the repeats, and runs
+    only when the keys do not already ascend."""
+    lo = np.concatenate(los)
+    los.clear()
+    hi = np.concatenate(his)
+    his.clear()
+    key = np.left_shift(lo, 31, dtype=np.int64)
+    key |= hi
     if not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
         key = key[order]
-        duplicate[order[1:][key[1:] == key[:-1]]] = True
-    outside = hi >= declared_n if declared_n is not None else np.zeros(len(hi), dtype=bool)
+        repeats = order[1:][key[1:] == key[:-1]]
+        if len(repeats):
+            k = int(repeats.min())
+            block = int(np.searchsorted(pair_starts, k, "right")) - 1
+            line_no = line_starts[block] + int(np.concatenate(pair_lines)[k]) + 1
+            if before is None or line_no < before:
+                raise NonSimple(line_no, f"duplicate edge {(int(lo[k]), int(hi[k]))}")
+        hi = hi[order]
+    pair_lines.clear()
+    return lo, hi
 
-    bad_value = too_large | self_loop | duplicate | outside
-    first_bad = min(header_errors, default=n_lines)
-    for bad_lines in (np.flatnonzero(bad_shape), line_of[bad_value]):
-        first_bad = min([first_bad, *bad_lines[:1].tolist()])
-    if first_bad in header_errors:
-        raise header_errors[first_bad]
-    if first_bad < n_lines and bad_shape[first_bad]:
-        raise _shape_error(first_bad + 1, line_bytes(first_bad))
-    if first_bad < n_lines:
-        k, line_no = int(np.searchsorted(line_of, first_bad)), first_bad + 1
-        if too_large[k]:
-            raise ParseError(line_no, f"vertex id {max(u[k], v[k])} above {_MAX_N - 1}")
-        if self_loop[k]:
-            raise NonSimple(line_no, f"self-loop {u[k]}")
-        if duplicate[k]:
-            raise NonSimple(line_no, f"duplicate edge {(int(lo[k]), int(hi[k]))}")
-        raise ParseError(line_no, f"vertex {hi[k]} outside declared n={declared_n}")
-    n = declared_n if declared_n is not None else span if len(key) else 0
-    return _from_upper_rows(n, np.bincount(key // span, minlength=n), key % span)
+
+def _line_blocks(fh):
+    """The bytes of the binary file `fh` in blocks of whole lines, with
+    every '\r\n' and '\r' turned into '\n'. Each block ends after the
+    last line end of the bytes read so far, _LOAD_BLOCK_BYTES at a time: a
+    '\n', or a '\r' that is not the last byte read, since only that '\r'
+    can be the first half of a '\r\n'. The rest carries over to the next
+    block, so a line longer than a read spans several reads."""
+    buf = bytearray()
+    while True:
+        read = fh.read(_LOAD_BLOCK_BYTES)
+        # the bytes carried over hold no line end but their last '\r'
+        searched = max(0, len(buf) - 1)
+        buf += read
+        cut = len(buf)
+        if read:
+            cut = 1 + max(buf.rfind(b"\n", searched), buf.rfind(b"\r", searched, len(buf) - 1))
+        if cut:
+            yield bytes(buf[:cut]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            del buf[:cut]
+        if not read:
+            return
 
 
 def _shape_error(line_no: int, raw: bytes) -> ParseError:
@@ -684,13 +765,43 @@ def _shape_error(line_no: int, raw: bytes) -> ParseError:
 
 def save_edge_list(g: Graph, path):
     """Write canonical form: '# n=<N>' header, then 'u v' lines with u < v,
-    sorted by (u, v). save -> load -> save is byte-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER_PREFIX}{g.n}\n")
-        # by row ranges: Python ints for every edge at once raised the
-        # peak RSS of saving gnp n=2000, p=0.1 by 13 MB, ranges by 3 MB
+    sorted by (u, v). save -> load -> save is byte-identical.
+
+    Every id's line entry (its digits and '\n') is made once (_id_entries).
+    The lines of each row range of _chunks are then one gather from those
+    entries, u's then w's for each edge, through an int32 index when the
+    entries allow; the '\n' after u is set to ' ' in place."""
+    entries, at = _id_entries(g.n)
+    index_type = np.int32 if len(entries) <= _MAX_N else np.int64
+    with open(path, "wb") as fh:
+        fh.write(f"{_HEADER_PREFIX}{g.n}\n".encode())
         for a, b in _chunks(g.offsets):
-            i, w = adjacency_rows(g, np.arange(a, b))
-            u = i + a
+            w = g.neighbors[g.offsets[a]:g.offsets[b]]
+            u = np.repeat(np.arange(a, b, dtype=np.int32), np.diff(g.offsets[a:b + 1]))
             upper = u < w
-            fh.writelines(f"{x} {y}\n" for x, y in zip(u[upper].tolist(), w[upper].tolist()))
+            ends = np.column_stack((u[upper], w[upper])).ravel()
+            first = at[ends]
+            size = at[ends + 1] - first
+            done = np.cumsum(size)  # bytes written up to each entry's end
+            index = np.repeat((first - done + size).astype(index_type), size)
+            index += np.arange(len(index), dtype=index_type)
+            out = entries[index]
+            out[done[0::2] - 1] = ord(" ")
+            fh.write(out)
+
+
+def _id_entries(n: int):
+    """Every id 0..n-1 in ASCII decimal digits followed by '\n', as one
+    uint8 array, and the n + 1 offsets of the entries in it (int64)."""
+    ids = np.arange(n, dtype=np.int64)
+    # the ids from lows[k] = 10**k on (from 0 for k = 0) have a digit k
+    lows = [0] + [10 ** k for k in range(1, len(str(n - 1)))] if n else []
+    size = np.ones(n, dtype=np.int64)
+    for low in lows:
+        size[low:] += 1
+    at = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(size, out=at[1:])
+    entries = np.full(int(at[-1]), ord("\n"), dtype=np.uint8)
+    for k, low in enumerate(lows):
+        entries[at[low + 1:] - 2 - k] = ids[low:] // 10 ** k % 10 + ord("0")
+    return entries, at

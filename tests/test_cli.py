@@ -439,11 +439,17 @@ BAD_INPUT = {
     # every CSV row twice, and "runs": 4 under one key for a 2-seed block
     "sweep-grid-repeated": f"sweep {GEN} --p 0.1 --grid 1,1 --seeds 1:2",
     "sweep-seed-repeated": f"sweep {GEN} --p 0.1 --grid 1 --seeds 1,1",
+    # a 15-byte file whose n = 2e9 row starts took 16 GB: a MemoryError traceback
+    "graph-n-above-edge-cap": "certify --graph huge-n.txt --p 0.1",
 }
+# the input files that BAD_INPUT names, written beside each run
+BAD_FILES = {"huge-n.txt": "# n=2000000000\n"}
 
 
 @pytest.mark.parametrize("args", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_bad_input_exits_2_without_traceback(args, tmp_path):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
     done = run_cli(args.split(), tmp_path)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr

@@ -4,8 +4,9 @@ Generated families are checked against independent re-implementations: a
 scalar geometric-skip sampler for gnp, a quadratic-residue table for paley,
 a set-toggling loop for the perturbed family, dense-matrix co-degree counts,
 a lexsort CSR builder, per-vertex sorted Python lists and a line-at-a-time
-edge-list reader. The property tests draw their inputs with hypothesis; a
-tracemalloc test bounds the peak memory of generation.
+edge-list reader. The property tests draw their inputs with hypothesis;
+tracemalloc tests bound the peak memory of generation and of edge-list
+load and save.
 """
 
 import math
@@ -705,6 +706,97 @@ def test_save_load_round_trip(tmp_path, monkeypatch):
     assert f1.read_text() == f"# n={g.n}\n" + "".join(lines)
 
 
+def test_save_writes_ids_across_powers_of_ten(tmp_path):
+    # the digit entries change width at 10, 100, 1000 and 10000
+    pairs = [(0, 9), (9, 10), (10, 99), (99, 100), (100, 999), (999, 1000), (9999, 10000),
+             (10000, 10001)]
+    f = tmp_path / "g.edges"
+    save_edge_list(build_graph(10002, pairs), f)
+    assert f.read_text() == "# n=10002\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+def load_outcome(path):
+    """(n, edge set) of a loaded file, or (error class, line_no, message)."""
+    try:
+        g = load_edge_list(path)
+    except PercolabError as err:
+        return type(err), err.line_no, str(err)
+    return g.n, edge_set(g)
+
+
+# The first bad line of each check, with good lines before it that fill
+# several small blocks and bad lines of other checks after it.
+BOUNDARY_CASES = {
+    "header-after-edge": ("0 1\n1 2\n2 3\n# n=9\n3 3\n", ParseError, 4,
+                          "header '# n=9' after the first edge"),
+    "repeated-header": ("# n=9\n0 1\n\n# n=9\nx\n", ParseError, 4, "repeated header '# n=9'"),
+    "shape": ("# n=9\n0 1\n1 2\n3 x\n4 4\n", ParseError, 4, "non-integer vertex id in '3 x'"),
+    "too-large": ("0 1\n1 2\n2147483647 3\n4 4\n", ParseError, 3,
+                  "vertex id 2147483647 above 2147483646"),
+    "self-loop": ("0 1\r\n1 2\r\n3 3\r\n0 1\r\n", NonSimple, 3, "self-loop 3"),
+    "duplicate-across-blocks": ("0 1\n1 2\n2 3\n1 0\n4 4\n", NonSimple, 4,
+                                "duplicate edge (0, 1)"),
+    "duplicate-before-self-loop": ("0 1\n1 2\n1 0\n3 3\n", NonSimple, 3,
+                                   "duplicate edge (0, 1)"),
+    "outside-n": ("# n=4\n0 1\n1 2\n2 5\n1 0\n", ParseError, 4,
+                  "vertex 5 outside declared n=4"),
+}
+
+
+@pytest.mark.parametrize("text,err,line_no,message", BOUNDARY_CASES.values(),
+                         ids=BOUNDARY_CASES.keys())
+def test_first_bad_line_wins_wherever_the_blocks_are_cut(tmp_path, monkeypatch, text, err,
+                                                         line_no, message):
+    # every block size up to the whole file puts a cut on, before and after
+    # the bad line and between a '\r' and its '\n'
+    f = tmp_path / "bad.edges"
+    f.write_bytes(text.encode())
+    for block in range(1, len(text) + 2):
+        monkeypatch.setattr("percolab.graph._LOAD_BLOCK_BYTES", block)
+        assert load_outcome(f) == (err, line_no, f"line {line_no}: {message}"), block
+
+
+def test_cr_only_file_is_cut_at_its_line_ends(tmp_path, monkeypatch):
+    # a file with no '\n' is still cut into blocks: at each '\r' that is not
+    # the last byte read, so it cannot be the first half of a '\r\n'
+    g = generate(GeneratorSpec(kind="gnp", n=60, p=0.1, seed=3))
+    save_edge_list(g, tmp_path / "lf.edges")
+    text = (tmp_path / "lf.edges").read_bytes()
+    (tmp_path / "cr.edges").write_bytes(text.replace(b"\n", b"\r"))
+    monkeypatch.setattr("percolab.graph._LOAD_BLOCK_BYTES", 16)
+    blocks, real = [], graph._line_blocks
+
+    def recorded(fh):
+        for block in real(fh):
+            blocks.append(block)
+            yield block
+    with mock.patch("percolab.graph._line_blocks", recorded):
+        h = load_edge_list(tmp_path / "cr.edges")
+    assert h.n == g.n and edge_set(h) == edge_set(g)
+    assert b"".join(blocks) == text
+    longest = max(len(line) for line in text.split(b"\n"))
+    assert len(blocks) > 1 and max(map(len, blocks)) <= 16 + longest
+
+
+def test_load_edge_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr("percolab.graph.DEFAULT_EDGE_CAP", 10)
+    f = tmp_path / "g.edges"
+    f.write_text("# n=7\n0 1\n1 2\n2 3\n")  # 7 + 3 entries
+    assert load_edge_list(f).edge_count == 3
+    f.write_text("# n=8\n0 1\n1 2\n2 3\n")
+    with pytest.raises(ResourceLimit, match=r"n = 8 plus 3 expected edges exceeds cap 10"):
+        load_edge_list(f)
+    # the edge lines alone pass the cap: refused in the block where they do,
+    # before the malformed line that follows is read
+    f.write_text("".join(f"0 {v}\n" for v in range(1, 13)) + "x y\n")
+    monkeypatch.setattr("percolab.graph._LOAD_BLOCK_BYTES", 8)
+    with pytest.raises(ResourceLimit, match=r"^11 edges by line 11 exceed cap 10$"):
+        load_edge_list(f)
+    monkeypatch.setattr("percolab.graph._LOAD_BLOCK_BYTES", 1 << 18)
+    with pytest.raises(ParseError):
+        load_edge_list(f)
+
+
 # --- properties ---
 
 
@@ -858,26 +950,52 @@ def test_perturbed_pair_codes_do_not_wrap():
     assert edge_set(g) == perturbed_reference(n, p, seed, 0.01)
 
 
-@pytest.mark.parametrize("n,p", [(6000, 0.03), (50000, 2e-4)])
-def test_generate_peak_memory(n, p):
-    """numpy reports its buffers to tracemalloc. Building the graph peaks
-    below 3.0x the bytes of its own offsets and neighbors: 2.4x on both
-    here, against 2.9x and 2.8x when the sampler kept every pair's row id
-    and the builder sorted int64 keys, and 4.2x and 4.3x when the sampler
-    kept int64 batches and the builder scattered the upper rows through an
-    int64 index."""
+def traced_peak(call):
+    """call()'s result and the bytes its allocations peaked at above those
+    live before it; numpy reports its buffers to tracemalloc."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=1))
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,p", [(6000, 0.03), (50000, 2e-4)])
+def test_generate_peak_memory(n, p):
+    """Building the graph peaks below 3.0x the bytes of its own offsets
+    and neighbors: 2.4x on both here, against 2.9x and 2.8x when the
+    sampler kept every pair's row id and the builder sorted int64 keys, and
+    4.2x and 4.3x when the sampler kept int64 batches and the builder
+    scattered the upper rows through an int64 index."""
+    g, peak = traced_peak(lambda: generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=1)))
     assert peak < 3.0 * (g.offsets.nbytes + g.neighbors.nbytes)
+
+
+def test_load_peak_memory(tmp_path):
+    """Loading gnp 10000/0.05 (2.5M edges, a 24.5 MB file) peaks at 2.7x
+    the CSR bytes: the pairs as int32 ends and block lines, then the build.
+    The whole-file scan it replaced peaked at 26x."""
+    save_edge_list(generate(GeneratorSpec(kind="gnp", n=10000, p=0.05, seed=1)),
+                   tmp_path / "g.edges")
+    g, peak = traced_peak(lambda: load_edge_list(tmp_path / "g.edges"))
+    assert peak < 4.0 * (g.offsets.nbytes + g.neighbors.nbytes)
+
+
+@pytest.mark.parametrize("n,p", [(2000, 0.1), (10000, 0.05)])
+def test_save_peak_memory(tmp_path, n, p):
+    """The save holds one row range of neighbor entries and its lines at a
+    time, so its peak follows the range size and not the file size: 14 MB
+    for the 1.8 MB file of gnp 2000/0.1 and 19 MB for the 24.5 MB file of
+    gnp 10000/0.05, whose first ranges are nearly all upper pairs."""
+    g = generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=1))
+    _, peak = traced_peak(lambda: save_edge_list(g, tmp_path / "g.edges"))
+    assert peak < 24 << 20
 
 
 @settings(max_examples=60, deadline=None)
@@ -955,9 +1073,26 @@ ODD_LINES = st.one_of(
 LINES = st.integers(0, 9).flatmap(lambda i: ODD_LINES if i == 0 else GOOD_LINES)
 
 
+FILES = st.lists(st.tuples(LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.tuples(LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+@given(FILES)
 def test_fuzzed_edge_list_matches_line_reader(tmp_path_factory, lines):
+    check_against_line_reader(tmp_path_factory, lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FILES, st.integers(1, 8))
+def test_fuzzed_edge_list_in_small_blocks_matches_line_reader(tmp_path_factory, lines, block):
+    # blocks of a few bytes cut on every line, and between the '\r' and '\n'
+    # of a '\r\n' that a read splits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("percolab.graph._LOAD_BLOCK_BYTES", block)
+        check_against_line_reader(tmp_path_factory, lines)
+
+
+def check_against_line_reader(tmp_path_factory, lines):
     text = "".join(line + end for line, end in lines)
     f = tmp_path_factory.mktemp("fuzz") / "g.edges"
     f.write_bytes(text.encode("utf-8"))
