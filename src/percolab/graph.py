@@ -605,8 +605,8 @@ def load_edge_list(path) -> Graph:
             comment_lines = tok_line[leading & (raw[starts] == ord("#"))]
             is_comment = np.zeros(n_lines, dtype=bool)
             is_comment[comment_lines] = True
-            on_edge_line = ~is_comment[tok_line]
-            starts, ends, tok_line = starts[on_edge_line], ends[on_edge_line], tok_line[on_edge_line]
+            edge = ~is_comment[tok_line]
+            starts, ends, tok_line = starts[edge], ends[edge], tok_line[edge]
             if first_edge is None and len(tok_line):
                 first_edge = line0 + int(tok_line[0])
 
@@ -673,6 +673,7 @@ def load_edge_list(path) -> Graph:
                 first_bad = min([first_bad, *bad_lines[:1].tolist()])
             if first_bad < n_lines:
                 line_no = line0 + first_bad + 1
+                # a repeated pair on an earlier line is the first bad line
                 _upper_pairs(los, his, pair_lines, pair_starts, line_starts, before=line_no)
                 if first_bad in header_errors:
                     raise header_errors[first_bad]
