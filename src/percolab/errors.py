@@ -27,7 +27,7 @@ class InvalidParameter(PercolabError, ValueError):
 
 class ResourceLimit(PercolabError):
     """Deciding the instance would exceed a cap: the expected edges of a
-    generator, the exact co-degree scan, or an exhaustive set enumeration."""
+    generator, the edges of a loaded edge list, or the exact co-degree scan."""
 
 
 class NotCertified(PercolabError):

@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (InvalidParameter, NonSimple, ParseError, ResourceLimit, require_finite,
-                     require_int, require_vertex_id)
+from .errors import (InvalidParameter, NonSimple, ParseError, PercolabError, ResourceLimit,
+                     require_finite, require_int, require_vertex_id)
 from .rng import derived, generator
 
 # Ceiling on a build's array entries, n plus the expected edge count (the
@@ -84,21 +84,26 @@ class Graph:
         return len(self.neighbors_of(v))
 
     def neighbors_of(self, v) -> np.ndarray:
-        """The sorted neighbors of v, an id read by `errors.require_vertex_id`
-        in 0..n-1; InvalidParameter for any other v."""
-        v = require_vertex_id(v)
-        if not 0 <= v < self.n:
-            raise InvalidParameter(f"vertex {v} not in 0..{self.n - 1}")
+        """The sorted neighbors of v (see `_vertex`)."""
+        v = self._vertex(v)
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
     def has_edge(self, u, v) -> bool:
-        row = self.neighbors_of(u)
-        v = require_vertex_id(v)
+        """Whether {u, v} is an edge; both ids pass `_vertex`."""
+        row, v = self.neighbors_of(u), self._vertex(v)
         i = np.searchsorted(row, v)
         return i < len(row) and row[i] == v
+
+    def _vertex(self, v) -> int:
+        """v as an id read by `errors.require_vertex_id` in 0..n-1;
+        InvalidParameter for any other v."""
+        v = require_vertex_id(v)
+        if not 0 <= v < self.n:
+            raise InvalidParameter(f"vertex {v} not in 0..{self.n - 1}")
+        return v
 
 
 def vertex_set(g: Graph, vertices) -> np.ndarray:
@@ -572,18 +577,17 @@ def load_edge_list(path) -> Graph:
     or when n plus the edge count does.
 
     The file is read in blocks of whole lines (_line_blocks), each scanned
-    with numpy: tokens are the runs of non-space bytes. Each check marks
-    the lines of the block it fails, whatever the lines before them hold,
-    and the block's first marked line reports the first check it fails.
-    Across blocks the load keeps the header state and, per well-formed
-    pair, its ends as int32 and its line within its block. Repeated pairs
-    are found once, over every pair read (_upper_pairs): after the last
-    block, or at the first block with a bad line, where a repeat on an
-    earlier line is reported instead. So the first bad line of the file
-    wins, and no block after it is read.
+    with numpy: tokens are the runs of non-space bytes. The scan marks each
+    edge line of the block that breaks a rule, whatever the lines before it
+    hold. At the block's first bad line, a marked line (explained by
+    _line_error) or a header error, the load records the error and reads no
+    further. Each pair on a line before it is kept as one int64 key
+    lo << 31 | hi, with its line within its block. Repeated pairs are found
+    once, over every kept key; a repeat comes before the recorded line, so
+    it is the first bad line of the file.
     """
-    declared_n, header_seen, first_edge = None, False, None
-    los, his, pair_lines = ([np.zeros(0, dtype=np.int32)] for _ in range(3))
+    declared_n, header_seen, first_edge, error = None, False, None, None
+    keys, pair_lines = [np.zeros(0, dtype=np.int64)], []
     pair_starts, line_starts = [0], [0]  # per block: its first pair and line
     with open(path, "rb") as fh:
         for data in _line_blocks(fh):
@@ -636,13 +640,16 @@ def load_edge_list(path) -> Graph:
                         declared_n = None
                 header_seen = True
 
-            # Shape: two tokens of ASCII digits per edge line, none too long to parse.
+            # Marked: edge lines that are not two tokens of ASCII digits short
+            # enough to parse, then those whose pair is a self-loop or has an
+            # id of _MAX_N or more, or outside n. Any header that sets n comes
+            # before the first edge, so declared_n is final for every pair.
             counts = np.bincount(tok_line, minlength=n_lines)
-            bad_shape = (counts != 0) & (counts != 2)
+            marked = (counts != 0) & (counts != 2)
             odd_line = np.searchsorted(line_ends, np.flatnonzero(~_DIGIT_OR_SPACE[raw]))
-            bad_shape[odd_line[~is_comment[odd_line]]] = True
-            bad_shape[tok_line[ends - starts > _MAX_DIGITS]] = True
-            well_formed = ~bad_shape[tok_line]
+            marked[odd_line[~is_comment[odd_line]]] = True
+            marked[tok_line[ends - starts > _MAX_DIGITS]] = True
+            well_formed = ~marked[tok_line]
             starts, ends, tok_line = starts[well_formed], ends[well_formed], tok_line[well_formed]
 
             ids = np.zeros(len(starts), dtype=np.int64)
@@ -651,80 +658,53 @@ def load_edge_list(path) -> Graph:
                 live = width > j
                 ids[live] = ids[live] * 10 + (raw[starts[live] + j] - ord("0"))
             u, v, line_of = ids[0::2], ids[1::2], tok_line[0::2]
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            limit = _MAX_N if declared_n is None else declared_n
+            marked[line_of[(lo == hi) | (hi >= limit)]] = True
 
-            # Values of the well-formed lines. Ids clipped to _MAX_N only make
-            # false duplicates after a line that is already too large. Any
-            # header that sets n comes before the first edge, so declared_n
-            # is final for every pair.
-            too_large = np.maximum(u, v) >= _MAX_N
-            self_loop = u == v
-            lo = np.minimum(np.minimum(u, v), _MAX_N)
-            hi = np.minimum(np.maximum(u, v), _MAX_N)
-            outside = hi >= declared_n if declared_n is not None else np.zeros(len(hi), dtype=bool)
-
-            pair_lines.append(line_of.astype(np.int32))
-            los.append(lo.astype(np.int32))
-            his.append(hi.astype(np.int32))
-            pair_starts.append(pair_starts[-1] + len(lo))
+            first_bad = min([*header_errors, *np.flatnonzero(marked)[:1].tolist(), n_lines])
+            k = int(np.searchsorted(line_of, first_bad))
+            key = lo[:k] << 31
+            key |= hi[:k]
+            keys.append(key)
+            pair_lines.append(line_of[:k].astype(np.int32))
+            pair_starts.append(pair_starts[-1] + k)
             line_starts.append(line0 + len(line_ends))
-
-            first_bad = min(header_errors, default=n_lines)
-            for bad_lines in (np.flatnonzero(bad_shape), line_of[too_large | self_loop | outside]):
-                first_bad = min([first_bad, *bad_lines[:1].tolist()])
             if first_bad < n_lines:
                 line_no = line0 + first_bad + 1
-                # a repeated pair on an earlier line is the first bad line
-                _upper_pairs(los, his, pair_lines, pair_starts, line_starts, before=line_no)
-                if first_bad in header_errors:
-                    raise header_errors[first_bad]
-                if bad_shape[first_bad]:
-                    raise _shape_error(line_no, line_bytes(first_bad))
-                k = int(np.searchsorted(line_of, first_bad))
-                if too_large[k]:
-                    raise ParseError(line_no, f"vertex id {max(u[k], v[k])} above {_MAX_N - 1}")
-                if self_loop[k]:
-                    raise NonSimple(line_no, f"self-loop {u[k]}")
-                raise ParseError(line_no, f"vertex {hi[k]} outside declared n={declared_n}")
+                error = (header_errors[first_bad] if first_bad in header_errors
+                         else _line_error(line_no, line_bytes(first_bad), declared_n))
+                break
             if pair_starts[-1] > DEFAULT_EDGE_CAP:
                 raise ResourceLimit(f"{pair_starts[-1]} edges by line {line_starts[-1]} "
                                     f"exceed cap {DEFAULT_EDGE_CAP}")
 
-    lo, hi = _upper_pairs(los, his, pair_lines, pair_starts, line_starts)
+    # Repeats: two equal neighbours once the keys are sorted. Only then does
+    # a stable sort find the first repeat in file order.
+    key = np.concatenate(keys)
+    del keys
+    if not (key[1:] > key[:-1]).all():
+        key, in_file = np.sort(key), key
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            k = int(np.argsort(in_file, kind="stable")[1:][repeat].min())
+            block = int(np.searchsorted(pair_starts, k, "right")) - 1
+            line_no = line_starts[block] + int(pair_lines[block][k - pair_starts[block]]) + 1
+            lo, hi = divmod(int(in_file[k]), 1 << 31)
+            raise NonSimple(line_no, f"duplicate edge {(lo, hi)}")
+        del in_file, repeat
+    if error is not None:
+        raise error
+    del pair_lines
+    # _MAX_N is 2**31 - 1, the mask of a key's hi part
+    hi = np.empty(len(key), dtype=np.int32)
+    np.bitwise_and(key, _MAX_N, out=hi, casting="unsafe")
+    key >>= 31
     n = declared_n if declared_n is not None else int(hi.max()) + 1 if len(hi) else 0
     _check_cap(n, len(hi))
-    upper = np.bincount(lo, minlength=n)
-    del lo
+    upper = np.bincount(key, minlength=n)
+    del key
     return _from_upper_rows(n, upper, hi)
-
-
-def _upper_pairs(los, his, pair_lines, pair_starts, line_starts, before=None):
-    """The pairs (lo, hi) of a load as int32 arrays in (lo, hi) order,
-    from its per-block lists, which this empties: `los`, `his` and
-    `pair_lines` hold each block's pairs in file order and their lines
-    within the block; block b starts at pair pair_starts[b] and at line
-    line_starts[b]. Raises NonSimple for the first pair that repeats an
-    earlier one when its 1-based line comes before `before` (None: any).
-    One stable sort of the keys lo << 31 | hi finds the repeats, and runs
-    only when the keys do not already ascend."""
-    lo = np.concatenate(los)
-    los.clear()
-    hi = np.concatenate(his)
-    his.clear()
-    key = np.left_shift(lo, 31, dtype=np.int64)
-    key |= hi
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        repeats = order[1:][key[1:] == key[:-1]]
-        if len(repeats):
-            k = int(repeats.min())
-            block = int(np.searchsorted(pair_starts, k, "right")) - 1
-            line_no = line_starts[block] + int(np.concatenate(pair_lines)[k]) + 1
-            if before is None or line_no < before:
-                raise NonSimple(line_no, f"duplicate edge {(int(lo[k]), int(hi[k]))}")
-        hi = hi[order]
-    pair_lines.clear()
-    return lo, hi
 
 
 def _line_blocks(fh):
@@ -750,18 +730,26 @@ def _line_blocks(fh):
             return
 
 
-def _shape_error(line_no: int, raw: bytes) -> ParseError:
-    """The error for an edge line that is not two ids of at most
-    _MAX_DIGITS ASCII digits."""
+def _line_error(line_no: int, raw: bytes, declared_n) -> PercolabError:
+    """The error for the marked edge line `raw`: the first rule it breaks of
+    two ids of at most _MAX_DIGITS ASCII digits, each below _MAX_N, two
+    distinct ids, and both below the declared n."""
     parts = raw.split()
     line = raw.decode("utf-8", errors="replace").strip()
     if len(parts) != 2:
         return ParseError(line_no, f"expected two vertex ids, got {line!r}")
-    if all(part.isdigit() for part in parts):
+    if not all(part.isdigit() for part in parts):
+        if any(part[:1] == b"-" and part[1:].isdigit() for part in parts):
+            return ParseError(line_no, f"negative vertex id in {line!r}")
+        return ParseError(line_no, f"non-integer vertex id in {line!r}")
+    if max(map(len, parts)) > _MAX_DIGITS:
         return ParseError(line_no, f"vertex id too large in {line!r}")
-    if any(part[:1] == b"-" and part[1:].isdigit() for part in parts):
-        return ParseError(line_no, f"negative vertex id in {line!r}")
-    return ParseError(line_no, f"non-integer vertex id in {line!r}")
+    u, v = map(int, parts)
+    if max(u, v) >= _MAX_N:
+        return ParseError(line_no, f"vertex id {max(u, v)} above {_MAX_N - 1}")
+    if u == v:
+        return NonSimple(line_no, f"self-loop {u}")
+    return ParseError(line_no, f"vertex {max(u, v)} outside declared n={declared_n}")
 
 
 def save_edge_list(g: Graph, path):

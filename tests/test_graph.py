@@ -11,6 +11,7 @@ load and save.
 
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -329,6 +330,13 @@ def test_codegree_and_has_edge_refuse_non_integer_ids():
 def test_neighbors_of_range_check(k4):
     with pytest.raises(InvalidParameter, match=r"vertex -1 not in 0\.\.3"):
         k4.neighbors_of(-1)
+
+
+def test_has_edge_refuses_either_id_out_of_range(k4):
+    # has_edge(0, 99) and has_edge(0, -1) used to return False
+    for u, v, bad in ((99, 0, 99), (0, 99, 99), (-1, 0, -1), (0, -1, -1)):
+        with pytest.raises(InvalidParameter, match=rf"vertex {bad} not in 0\.\.3"):
+            k4.has_edge(u, v)
 
 
 def test_neighbors_of_and_degree_refuse_non_integer_ids():
@@ -740,6 +748,9 @@ BOUNDARY_CASES = {
                                    "duplicate edge (0, 1)"),
     "outside-n": ("# n=4\n0 1\n1 2\n2 5\n1 0\n", ParseError, 4,
                   "vertex 5 outside declared n=4"),
+    # the first repeat in key order, (0, 1) on line 4, is not the first in file order
+    "first-repeat-in-file-order": ("3 4\n0 1\n4 3\n1 0\n", NonSimple, 3,
+                                   "duplicate edge (3, 4)"),
 }
 
 
@@ -978,13 +989,23 @@ def test_generate_peak_memory(n, p):
 
 
 def test_load_peak_memory(tmp_path):
-    """Loading gnp 10000/0.05 (2.5M edges, a 24.5 MB file) peaks at 2.7x
-    the CSR bytes: the pairs as int32 ends and block lines, then the build.
-    The whole-file scan it replaced peaked at 26x."""
-    save_edge_list(generate(GeneratorSpec(kind="gnp", n=10000, p=0.05, seed=1)),
-                   tmp_path / "g.edges")
-    g, peak = traced_peak(lambda: load_edge_list(tmp_path / "g.edges"))
-    assert peak < 4.0 * (g.offsets.nbytes + g.neighbors.nbytes)
+    """Loading gnp 10000/0.05 (2.5M edges, a 24.5 MB file) peaks at 2.6x
+    the CSR bytes: the pairs as int64 keys and int32 block lines, then the
+    build. The same lines out of order peak at 2.7x, holding the keys and
+    their sorted copy; with a stable argsort beside them they peaked at
+    4.6x, and the whole-file scan at 26x. Every order of the lines takes
+    the same sort, so the second file shuffles runs of whole lines."""
+    f = tmp_path / "g.edges"
+    save_edge_list(generate(GeneratorSpec(kind="gnp", n=10000, p=0.05, seed=1)), f)
+    text = f.read_bytes()
+    cuts = sorted({text.index(b"\n", k) + 1 for k in range(0, len(text), len(text) // 64)})
+    runs = [text[a:b] for a, b in zip(cuts, cuts[1:] + [len(text)])]
+    random.Random(1).shuffle(runs)
+    (tmp_path / "shuffled.edges").write_bytes(text[:cuts[0]] + b"".join(runs))
+    del text, runs
+    for name in ("g.edges", "shuffled.edges"):
+        g, peak = traced_peak(lambda: load_edge_list(tmp_path / name))
+        assert peak < 4.0 * (g.offsets.nbytes + g.neighbors.nbytes), name
 
 
 @pytest.mark.parametrize("n,p", [(2000, 0.1), (10000, 0.05)])
