@@ -62,6 +62,8 @@ _FLOAT32_EXACT = 1 << 24
 # MB over the graph; 2**21 took 0.79 s and 136 MB, one chunk 0.89 s and
 # 791 MB. save_edge_list gathers the lines of row ranges of this many
 # neighbor entries at once, so its peak follows this size and not the file's.
+# _from_upper_rows makes the row ids of its keys and lays out its rows in
+# ranges of this many entries, so its scratch beside the CSR does too.
 _CODEGREE_CHUNK_KEYS = 1 << 17
 # Bytes read at a time by load_edge_list; a block's numpy scan peaks at
 # about 20x its bytes. In a fresh process that starts at 30 MB RSS,
@@ -227,30 +229,50 @@ def _from_upper_rows(n: int, upper: np.ndarray, ev: np.ndarray) -> Graph:
     neighbors {u < v} followed by its upper neighbors {w > v}, each part
     ascending. The upper parts, concatenated in row order, are `ev` as
     given; the lower parts are the rows u sorted by (ev, u), from one sort
-    of the keys ev << s | u, s the bits of n - 1. Those keys fit in uint32
-    up to n = 65536, and take int64 beyond. Repeating True, False over the
-    interleaved part lengths (lower[0], upper[0], lower[1], ...) marks the
-    lower slots. Beside `upper` and `ev` the build holds the keys, then
-    those, masked in place to the rows u, with `neighbors` and the mask.
+    of the m = len(ev) keys ev << s | u, s the bits of n - 1. With L(v) and
+    U(v) the lower and upper entries of the rows before v, row v starts at
+    L(v) + U(v), and L(v) is the number of keys below v << s. Row n's bound
+    is m, not a search: n << s is 2**32 at n = 65536, which wraps in uint32.
+
+    The build works inside the `neighbors` it returns (2m int32). Up to
+    n = 65536 the keys fit in uint32 and are made and sorted in its back
+    half, neighbors[m:]; beyond, in a separate int64 array. The row ids u
+    are ORed in one _chunks range of U at a time. After the search the keys
+    are masked in place to u, and the rows are laid out front to back, one
+    _chunks range [a, b) of L + U at a time: the range's keys are copied
+    out, then written to its lower slots, and its part of `ev` to its upper
+    slots. Its output ends at L(b) + U(b) <= m + L(b), where the next
+    range's keys start, so no write passes a key not yet read. Beside
+    `upper` and `ev` the build holds `neighbors`, two n + 1 int64 arrays
+    (`offsets`, first U, and L) and one range's row ids, keys and mask.
     """
+    m = len(ev)
     s = max(1, (n - 1).bit_length())
-    key = np.left_shift(ev, s, dtype=np.uint32 if n << s <= 1 << 32 else np.int64,
-                        casting="unsafe")
-    key |= np.repeat(np.arange(n, dtype=key.dtype), upper)
-    key.sort()
-    key &= (1 << s) - 1
-    lower = np.bincount(ev, minlength=n)
+    neighbors = np.empty(2 * m, dtype=np.int32)
+    key = neighbors[m:].view(np.uint32) if n << s <= 1 << 32 else np.empty(m, dtype=np.int64)
+    key[:] = ev
+    key <<= s
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lower + upper, out=offsets[1:])
-    is_lower = np.repeat(np.tile([True, False], n), np.column_stack((lower, upper)).ravel())
-    neighbors = np.empty(2 * len(ev), dtype=np.int32)
-    neighbors[is_lower] = key
-    del key
-    np.logical_not(is_lower, out=is_lower)
-    neighbors[is_lower] = ev
+    np.cumsum(upper, out=offsets[1:])
+    for a, b in _chunks(offsets):
+        key[offsets[a]:offsets[b]] |= np.repeat(np.arange(a, b, dtype=key.dtype), upper[a:b])
+    key.sort()
+    lower_at = np.empty(n + 1, dtype=np.int64)
+    lower_at[:n] = np.searchsorted(key, np.arange(n, dtype=key.dtype) << s)
+    lower_at[n] = m
+    offsets += lower_at
+    key &= (1 << s) - 1
+    for a, b in _chunks(offsets):
+        out = neighbors[offsets[a]:offsets[b]]
+        is_lower = np.repeat(np.tile([True, False], b - a),
+                             np.column_stack((np.diff(lower_at[a:b + 1]), upper[a:b])).ravel())
+        # astype copies the range's keys before any write, since `out` may cover them
+        out[is_lower] = key[lower_at[a]:lower_at[b]].astype(np.int32)
+        np.logical_not(is_lower, out=is_lower)
+        out[is_lower] = ev[offsets[a] - lower_at[a]:offsets[b] - lower_at[b]]
     offsets.setflags(write=False)
     neighbors.setflags(write=False)
-    return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=len(ev))
+    return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=m)
 
 
 def _gnp_pairs(n: int, p: float, seed: int):
