@@ -36,23 +36,45 @@ def test_non_simple_is_a_sibling_of_parse_error():
     assert ParseError(3, "x").line_no == NonSimple(3, "x").line_no == 3
 
 
+# (file, function, name) of each `raise <name>`: it raises an error built
+# elsewhere, so the tests of its function pin the classes it carries (the
+# loader's recorded bad line: test_load_rejects_bad_lines and
+# test_first_bad_line_wins_wherever_the_blocks_are_cut in test_graph.py)
+RERAISES = [("graph.py", "load_edge_list", "error")]
+
+
+def raises(tree, where=""):
+    """(innermost enclosing function name, node) of every raise in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Raise):
+            yield where, node
+        inner = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from raises(node, node.name if inner else where)
+
+
 def test_every_raise_names_a_percolab_error():
     # `raise f(...)` for a function f counts by f's return annotation
     allowed = set(error_classes().values())
-    checked = 0
+    reraises = []
+    total = checked = 0
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module(f"percolab.{path.stem}".removesuffix(".__init__"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and isinstance(node.exc.func, ast.Name)):
+        tree = ast.parse(path.read_text(), str(path))
+        total += sum(isinstance(node, ast.Raise) for node in ast.walk(tree))
+        for where, node in raises(tree):
+            if isinstance(node.exc, ast.Name):
+                reraises.append((path.name, where, node.exc.id))
                 continue
+            assert isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name), \
+                f"{path.name}:{node.lineno}: {ast.unparse(node)}"
             name = node.exc.func.id
             target = getattr(module, name, getattr(builtins, name, None))
             if inspect.isfunction(target):
                 target = inspect.signature(target).return_annotation
             assert target in allowed, f"{path.name}:{node.lineno} raises {name}"
             checked += 1
-    assert checked > 50
+    assert reraises == RERAISES
+    assert checked + len(reraises) == total
 
 
 # the number types whose isinstance test decides what an integer or a real is
