@@ -127,16 +127,20 @@ def _thresholds(n: int, p: float, epsilon: float) -> Tuple[float, float, int, fl
 
 def _runs(g: Graph, grid: Sequence[float], rhos: Sequence[float], seeds: List[int],
           outer: Optional[Callable[[List[int]], Optional[bool]]] = None) -> List[Run]:
-    """One percolation run per (c, seed), grid-major: the CSV row order. With
-    `outer`, each run's outer_ok is outer(its largest component)."""
-    runs = []
-    for c, rho in zip(grid, rhos):
-        for seed in seeds:
-            outcome = dfs_percolate(g, BernoulliStream(rho=rho, seed=seed))
-            run = Run(c, rho, seed, len(outcome.ids), *largest_two(outcome))
+    """One percolation run per (c, seed), returned grid-major: the CSV row
+    order. The runs are made seed by seed, each seed's in ascending rho on
+    one walk (`BernoulliStream.coupled`). With `outer`, each run's outer_ok
+    is outer(its largest component)."""
+    runs: List[Optional[Run]] = [None] * (len(grid) * len(seeds))
+    ascending = sorted(range(len(rhos)), key=rhos.__getitem__)
+    for s, seed in enumerate(seeds):
+        streams = BernoulliStream.coupled(rhos, seed)
+        for j in ascending:
+            outcome = dfs_percolate(g, streams[j])
+            run = Run(grid[j], rhos[j], seed, len(outcome.ids), *largest_two(outcome))
             if outer is not None:
                 run.outer_ok = outer(outcome.largest)
-            runs.append(run)
+            runs[j * len(seeds) + s] = run
     return runs
 
 

@@ -111,23 +111,39 @@ class Graph:
 def vertex_set(g: Graph, vertices) -> np.ndarray:
     """The distinct ids of `vertices`, each read by `errors.require_vertex_id`,
     ascending, as int64. Raises InvalidParameter for an id that gate refuses
-    or one outside 0..n-1."""
-    ids = sorted({require_vertex_id(v) for v in vertices})
-    for v in ids[:1] + ids[-1:]:
+    or one outside 0..n-1. A 1-d integer array passes the gate by its dtype,
+    so it is read without a per-id check."""
+    if isinstance(vertices, np.ndarray) and vertices.ndim == 1 and vertices.dtype.kind in "iu":
+        ids = np.unique(vertices)
+        ends = ids[[0, -1]].tolist() if len(ids) else []
+    else:
+        ids = sorted({require_vertex_id(v) for v in vertices})
+        ends = ids[:1] + ids[-1:]
+    for v in ends:
         if not 0 <= v < g.n:
             raise InvalidParameter(f"vertex {v} not in 0..{g.n - 1}")
-    return np.array(ids, dtype=np.int64)
+    return np.asarray(ids, dtype=np.int64)
 
 
 def adjacency_rows(g: Graph, rows) -> Tuple[np.ndarray, np.ndarray]:
     """Every neighbor w[k] of rows[i[k]], row by row, each row ascending.
-    `rows` holds valid ids, in any order and possibly repeated."""
+    `rows` holds valid ids, in any order and possibly repeated. The gather
+    index steps by one inside a row and jumps to the next row's start
+    between rows: one cumsum of the jumps, in place. It is dropped before
+    `i` is made, so the gather holds at most one int64 and one int32 array
+    of its length."""
     rows = np.asarray(rows, dtype=np.int64)
-    deg = g.offsets[rows + 1] - g.offsets[rows]
-    i = np.repeat(np.arange(len(rows)), deg)
-    at = np.repeat(g.offsets[rows] - np.cumsum(deg) + deg, deg)
-    at += np.arange(len(i))
-    return i, g.neighbors[at]
+    start = g.offsets[rows]
+    deg = g.offsets[rows + 1] - start
+    full = deg > 0
+    first, start, end = np.cumsum(deg[full]) - deg[full], start[full], start[full] + deg[full]
+    at = np.ones(int(deg.sum()), dtype=np.int64)
+    # from the last entry of the row before, end - 1, to this row's start
+    at[first] = start - np.concatenate(([1], end[:-1])) + 1
+    np.cumsum(at, out=at)
+    w = g.neighbors[at]
+    del at
+    return np.repeat(np.arange(len(rows)), deg), w
 
 
 def co_degree(g: Graph, u, v) -> int:
@@ -674,11 +690,17 @@ def load_edge_list(path) -> Graph:
             well_formed = ~marked[tok_line]
             starts, ends, tok_line = starts[well_formed], ends[well_formed], tok_line[well_formed]
 
-            ids = np.zeros(len(starts), dtype=np.int64)
+            # Ids by Horner's rule over right-aligned digit columns: column j
+            # of a token is its digit j places before its last, or 0 once j
+            # reaches its width.
+            digit = raw - np.uint8(ord("0"))
             width = ends - starts
-            for j in range(int(width.max()) if len(width) else 0):
-                live = width > j
-                ids[live] = ids[live] * 10 + (raw[starts[live] + j] - ord("0"))
+            ids = np.zeros(len(starts), dtype=np.int64)
+            for j in range(int(width.max()) - 1 if len(width) else -1, -1, -1):
+                column = digit.take(ends - 1 - j, mode="clip")
+                column[width <= j] = 0
+                ids *= 10
+                ids += column
             u, v, line_of = ids[0::2], ids[1::2], tok_line[0::2]
             lo, hi = np.minimum(u, v), np.maximum(u, v)
             limit = _MAX_N if declared_n is None else declared_n

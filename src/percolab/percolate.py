@@ -61,11 +61,22 @@ one `bincount` of the labels. The returned `PercolationOutcome` holds a
 reference to its host and builds `retained`, `rejected`, `components`,
 `largest` and `epochs` as Python lists on first read; `epochs` gathers the
 retained rows of the host again for the anchors.
+
+Runs of one seed at several rho share the work below their largest rho,
+top (Newman & Ziff, PRE 64, 016706 (2001)). Since the retained sets are
+nested, an induced edge (a, b) of G[keep(top)] is in G[keep(rho)] exactly
+when it has arrived, max(u_a, u_b) < rho, and components only merge as rho
+grows. So streams made together (`BernoulliStream.coupled`) share one walk:
+the first run draws the uniforms and gathers the rows of keep(top) once,
+keeping the induced edges in arrival order, and each run at rho extends one
+min-label forest by the edges that arrived since the walk's last rho (or
+rebuilds it from singletons when rho went down). A lone stream is a walk of
+one rho: every edge of the gather has arrived at top, so it sorts nothing.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,10 +88,12 @@ from .rng import uniforms
 @dataclass(frozen=True)
 class BernoulliStream:
     """Retention-bit source for one percolation run: the per-vertex uniforms
-    of `seed` against rho."""
+    of `seed` against rho. Streams made by `coupled` share their seed's
+    walk; any other stream walks alone."""
 
     rho: float
     seed: int = 0
+    _walk: Optional["_Walk"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # frozen: the gated plain numbers replace the given ones
@@ -89,6 +102,19 @@ class BernoulliStream:
         if not 0.0 <= rho <= 1.0:
             raise InvalidParameter(f"rho must be in [0, 1], got {rho}")
         object.__setattr__(self, "rho", rho)
+
+    @classmethod
+    def coupled(cls, rhos: Sequence[float], seed: int = 0) -> List["BernoulliStream"]:
+        """The streams of `seed` at each of `rhos`, in order, sharing one
+        walk (see the module docstring): runs at ascending rho each cost
+        only the edges that arrived since the last, and any order stays
+        exact."""
+        streams = [cls(rho, seed) for rho in rhos]
+        if streams:
+            walk = _Walk(streams[0].seed, [s.rho for s in streams])
+            for s in streams:
+                object.__setattr__(s, "_walk", walk)
+        return streams
 
 
 @dataclass(eq=False)
@@ -179,53 +205,102 @@ class PercolationOutcome:
 def dfs_percolate(g: Graph, stream: BernoulliStream) -> PercolationOutcome:
     """The four-set exploration's outcome, deterministic given (g, stream),
     from the rows of the retained vertices (see the module docstring). Only
-    the retained ids and their component labels are computed here."""
-    n = g.n
-    ret = np.flatnonzero(uniforms(stream.seed, n) < stream.rho)
-    m = len(ret)
-    i, w = adjacency_rows(g, ret)
-    # local ids 0..m-1 ascend with ret; -1 marks a rejected vertex. Each
-    # gather array is dropped once read, which bounds a dense run's peak.
-    local = np.full(n, -1, dtype=np.int32)
-    local[ret] = np.arange(m, dtype=np.int32)
-    lw = local.take(w)
-    del w
-    up = lw > i  # each induced edge once, as local ids a < b
-    a = i[up]
-    del i
-    b = lw[up]
-    del lw, up
-    return PercolationOutcome(g, ret, _least_labels(a, b, m), stream.rho, stream.seed)
+    the retained ids and their component labels are computed here, on the
+    walk of the stream's seed."""
+    walk = stream._walk or _Walk(stream.seed, [stream.rho])
+    ids, labels = walk.run(g, stream.rho)
+    return PercolationOutcome(g, ids, labels, stream.rho, stream.seed)
 
 
-def _least_labels(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """root[x], the least vertex of x's component in the graph on 0..m-1
-    with edges (a[k], b[k]), a[k] < b[k].
+class _Walk:
+    """The runs of one seed at the given rhos (see the module docstring):
+    the retained ids `ret` at their largest, `top`, ascending, with their
+    uniforms `u`, and the induced edges (a, b) as local ids a < b into
+    `ret`, in arrival order when the rhos differ; `cuts[rho]` edges have
+    arrived at rho. `root` is the forest of the first `done` edges, that of
+    the walk's last rho."""
 
-    Min-label search (Shiloach & Vishkin, J. Algorithms 3, 1982): hook the
-    larger label of each edge under the smaller, then jump pointers to fixed
-    points. Each round then replaces every edge by the labels of its ends and
-    keeps only the edges whose labels still differ, so the edges stay pairs
-    of fixed points and their arrays only shrink. Labels only go down and
-    each stays a vertex of its component, so once no edge is left every
+    def __init__(self, seed: int, rhos: List[float]):
+        self.seed, self.rhos, self.top = seed, rhos, max(rhos)
+        self.g = None
+
+    def _gather(self, g: Graph):
+        u = uniforms(self.seed, g.n)
+        ret = np.flatnonzero(u < self.top)
+        u = u[ret]
+        m = len(ret)
+        i, w = adjacency_rows(g, ret)
+        # local ids 0..m-1 ascend with ret; -1 marks a rejected vertex. Each
+        # array is dropped once read, which bounds a dense run's peak.
+        local = np.full(g.n, -1, dtype=np.int32)
+        local[ret] = np.arange(m, dtype=np.int32)
+        lw = local[w]  # not take: it would copy w to int64 first
+        del w
+        up = lw > i  # each induced edge once
+        a = i[up]
+        del i
+        b = lw[up]
+        del lw, up
+        self.cuts = {self.top: len(a)}  # every edge has arrived at top
+        if len(self.cuts) < len(set(self.rhos)):
+            arrival = u[a]
+            np.maximum(arrival, u[b], out=arrival)
+            order = np.argsort(arrival)
+            self.cuts = dict(zip(self.rhos, np.searchsorted(arrival, self.rhos, sorter=order).tolist()))
+            del arrival
+            a = a[order]
+            b = b[order]
+        self.g, self.ret, self.u, self.a, self.b = g, ret, u, a, b
+        self.root, self.done, self.rho = np.arange(m), 0, 0.0
+
+    def run(self, g: Graph, rho: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(ids, labels) of the run at rho, one of the walk's rhos, on g."""
+        if self.g is not g:
+            self._gather(g)
+        if rho < self.rho:
+            self.root, self.done = np.arange(len(self.ret)), 0
+        k = self.cuts[rho]
+        self.root = _least_labels(self.a[self.done:k], self.b[self.done:k], self.root)
+        self.done, self.rho = k, rho
+        if rho == self.top:
+            return self.ret, self.root
+        keep = self.u < rho
+        # a retained vertex's root is retained: it lies in its component
+        return self.ret[keep], (np.cumsum(keep) - 1)[self.root[keep]]
+
+
+def _least_labels(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The forest `root` extended by the edges (a[k], b[k]): root[x]
+    becomes the least vertex of x's component in the graph on
+    0..len(root)-1 with the edges so far and these. `root` must label each
+    vertex with the least vertex of its component so far, a fixed point of
+    `root`, as np.arange does for the graph with no edge.
+
+    Min-label search (Shiloach & Vishkin, J. Algorithms 3, 1982): replace
+    every edge by the labels of its ends and keep only the edges whose
+    labels differ, hook the larger label of each under the smaller, then
+    jump pointers to fixed points. So the edges are pairs of fixed points
+    when hooked and their arrays only shrink. Labels only go down and each
+    stays a vertex of its component, so once no edge is left every
     component carries its least vertex. Every round hooks each tree that
     still has an edge onto another or another onto it, so the rounds are
-    logarithmic in m."""
-    root = np.arange(m)
-    np.minimum.at(root, b, a)  # the first round: every label is its vertex
+    logarithmic in the vertex count."""
     while True:
-        while True:
-            hop = root[root]
-            if np.array_equal(hop, root):
-                break
-            root = hop
         a = root[a]
         b = root[b]
         split = a != b
         if not split.any():
             return root
-        a, b = a[split], b[split]
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        # one edge array made at a time bounds a dense search's peak
+        a = a[split]
+        b = b[split]
+        a, b = np.minimum(a, b), np.maximum(a, b, out=b)
+        np.minimum.at(root, b, a)
+        while True:
+            hop = root[root]
+            if np.array_equal(hop, root):
+                break
+            root = hop
 
 
 def oracle_components(g: Graph, retained) -> List[List[int]]:

@@ -167,7 +167,9 @@ def test_sweep_coupling_monotone_in_c():
 
 def test_sweep_rows_build_no_component_list(monkeypatch):
     """A sweep row reads only the retained count and the component sizes; a
-    trial row with the outer check builds the largest component alone."""
+    trial row with the outer check builds the largest component alone. The
+    runs are made seed by seed and the rows are grid-major, so each outcome
+    is matched to its row by (c, seed)."""
     outcomes = []
 
     def recorded(g, stream):
@@ -177,14 +179,50 @@ def test_sweep_rows_build_no_component_list(monkeypatch):
     monkeypatch.setattr(importlib.import_module("percolab.experiment"), "dfs_percolate",
                         recorded)
     res = run_sweep(SweepConfig(source=G2000, **SWEEP))
-    assert len(outcomes) == len(res.rows) == 60
-    for out, row in zip(outcomes, res.rows):
+    c_of = {r.rho: r.c for r in res.rows}
+    rows = {(r.c, r.seed): r for r in res.rows}
+    assert len(outcomes) == len(rows) == len(res.rows) == 60
+    assert len(c_of) == len(SWEEP["rho_grid"])
+    for out in outcomes:
+        row = rows.pop((c_of[out.rho], out.seed))
         assert set(vars(out)) == {"g", "ids", "labels", "rho", "seed", "sizes"}
         assert (row.retained, row.L1, row.L2) == (len(out.retained), *largest_two(out))
+    assert not rows
     outcomes.clear()
     supercritical_trial(G2000, 0.01, 0.3, (11, 5))
     for out in outcomes:
         assert "largest" in vars(out) and not {"retained", "components", "epochs"} & set(vars(out))
+
+
+def test_sweep_and_trials_percolate_once_per_row(monkeypatch):
+    """run_sweep and each trial call experiment.dfs_percolate exactly once
+    per row. On an unsorted clipped grid, where 25 and 20 both map to
+    rho = 1, every outcome of a seed's walk equals a lone run of its stream."""
+    calls = []
+
+    def recorded(g, stream):
+        calls.append((stream, dfs_percolate(g, stream)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(importlib.import_module("percolab.experiment"), "dfs_percolate",
+                        recorded)
+    grid = [1.5, 25.0, 0.0, 20.0, 0.7]
+    res = run_sweep(SweepConfig(source=G2000, p=0.01, rho_grid=grid, seeds=[3, 1, 2],
+                                clip_rho=True))
+    assert len(calls) == len(res.rows) == 15
+    assert [(r.c, r.seed) for r in res.rows] == [(c, s) for c in grid for s in (3, 1, 2)]
+    assert sum(r.rho == 1.0 for r in res.rows) == 6
+    rows = {(r.rho, r.seed): r for r in res.rows}
+    for stream, out in calls:
+        alone = dfs_percolate(G2000, BernoulliStream(rho=stream.rho, seed=stream.seed))
+        assert out == alone and out.largest == alone.largest
+        row = rows[stream.rho, stream.seed]
+        assert (row.retained, row.L1, row.L2) == (len(alone.retained), *largest_two(alone))
+    for trial in (supercritical_trial, subcritical_trial,
+                  lambda *a: hd_uniqueness_trial(*a[:3], 0.3 ** 5, a[3])):
+        calls.clear()
+        summary = trial(G2000, 0.01, 0.3, (11, 5))
+        assert len(calls) == len(summary.rows) == 5
 
 
 def test_sweep_reruns_byte_identical(tmp_path):

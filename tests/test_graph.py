@@ -927,6 +927,37 @@ def test_vertex_set_sorts_dedups_and_range_checks(k4):
     assert vertex_set(k4, [2.0, np.float64(3.0), np.int8(1)]).tolist() == [1, 2, 3]
 
 
+@st.composite
+def id_lists(draw):
+    """A host size, an integer dtype and ids that dtype holds: small ones
+    around 0..n-1, negatives included where it has them, and its extremes."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int32", "int64", "uint16", "uint64"])))
+    info = np.iinfo(dtype)
+    small = st.integers(max(-3, int(info.min)), 40)
+    ids = draw(st.lists(st.one_of(small, small, st.sampled_from([int(info.min), int(info.max)])),
+                        max_size=30))
+    return draw(st.integers(0, 30)), dtype, ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_lists())
+def test_vertex_set_reads_an_integer_array_as_its_list(case):
+    """An integer array skips the per-id gate; it gives the ids, or the
+    refusal, that the same ids in a list give."""
+    n, dtype, ids = case
+    g = build_graph(n, [])
+
+    def read(vertices):
+        try:
+            out = vertex_set(g, vertices)
+        except InvalidParameter as e:
+            return str(e)
+        assert out.dtype == np.int64
+        return out.tolist()
+
+    assert read(np.array(ids, dtype=dtype)) == read(ids)
+
+
 PALEY_Q = [q for q in range(5, 400) if q % 4 == 1 and _is_prime(q)]
 
 
