@@ -63,7 +63,8 @@ _FLOAT32_EXACT = 1 << 24
 # 791 MB. save_edge_list gathers the lines of row ranges of this many
 # neighbor entries at once, so its peak follows this size and not the file's.
 # _from_upper_rows makes the row ids of its keys and lays out its rows in
-# ranges of this many entries, so its scratch beside the CSR does too.
+# ranges of this many entries, so its scratch beside the CSR does too, and
+# adjacency_rows offsets its gather index in ranges of this many entries.
 _CODEGREE_CHUNK_KEYS = 1 << 17
 # Bytes read at a time by load_edge_list; a block's numpy scan peaks at
 # about 20x its bytes. In a fresh process that starts at 30 MB RSS,
@@ -127,20 +128,18 @@ def vertex_set(g: Graph, vertices) -> np.ndarray:
 
 def adjacency_rows(g: Graph, rows) -> Tuple[np.ndarray, np.ndarray]:
     """Every neighbor w[k] of rows[i[k]], row by row, each row ascending.
-    `rows` holds valid ids, in any order and possibly repeated. The gather
-    index steps by one inside a row and jumps to the next row's start
-    between rows: one cumsum of the jumps, in place. It is dropped before
-    `i` is made, so the gather holds at most one int64 and one int32 array
-    of its length."""
+    `rows` holds valid ids, in any order and possibly repeated. Entry k of
+    the gather index is k plus its row's start less the entries before that
+    row; the k are added one _chunks-sized range at a time, and the index is
+    dropped before `i` is made, so the gather holds at most one int64 and
+    one int32 array of its length."""
     rows = np.asarray(rows, dtype=np.int64)
     start = g.offsets[rows]
     deg = g.offsets[rows + 1] - start
-    full = deg > 0
-    first, start, end = np.cumsum(deg[full]) - deg[full], start[full], start[full] + deg[full]
-    at = np.ones(int(deg.sum()), dtype=np.int64)
-    # from the last entry of the row before, end - 1, to this row's start
-    at[first] = start - np.concatenate(([1], end[:-1])) + 1
-    np.cumsum(at, out=at)
+    at = np.repeat(start - np.cumsum(deg) + deg, deg)
+    for a in range(0, len(at), _CODEGREE_CHUNK_KEYS):
+        b = min(a + _CODEGREE_CHUNK_KEYS, len(at))
+        at[a:b] += np.arange(a, b)
     w = g.neighbors[at]
     del at
     return np.repeat(np.arange(len(rows)), deg), w

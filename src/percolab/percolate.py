@@ -81,7 +81,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidParameter, require_finite, require_int
-from .graph import Graph, adjacency_rows, vertex_set
+from .graph import _CODEGREE_CHUNK_KEYS, Graph, adjacency_rows, vertex_set
 from .rng import uniforms
 
 
@@ -218,7 +218,7 @@ class _Walk:
     uniforms `u`, and the induced edges (a, b) as local ids a < b into
     `ret`, in arrival order when the rhos differ; `cuts[rho]` edges have
     arrived at rho. `root` is the forest of the first `done` edges, that of
-    the walk's last rho."""
+    the walk's last rho, once a run has made it."""
 
     def __init__(self, seed: int, rhos: List[float]):
         self.seed, self.rhos, self.top = seed, rhos, max(rhos)
@@ -234,7 +234,10 @@ class _Walk:
         # array is dropped once read, which bounds a dense run's peak.
         local = np.full(g.n, -1, dtype=np.int32)
         local[ret] = np.arange(m, dtype=np.int32)
-        lw = local[w]  # not take: it would copy w to int64 first
+        # take copies its index to int64 first, so it reads w a range at a time
+        lw = np.empty(len(w), dtype=np.int32)
+        for s in range(0, len(w), _CODEGREE_CHUNK_KEYS):
+            local.take(w[s:s + _CODEGREE_CHUNK_KEYS], out=lw[s:s + _CODEGREE_CHUNK_KEYS])
         del w
         up = lw > i  # each induced edge once
         a = i[up]
@@ -242,7 +245,7 @@ class _Walk:
         b = lw[up]
         del lw, up
         self.cuts = {self.top: len(a)}  # every edge has arrived at top
-        if len(self.cuts) < len(set(self.rhos)):
+        if len(set(self.rhos)) > 1:
             arrival = u[a]
             np.maximum(arrival, u[b], out=arrival)
             order = np.argsort(arrival)
@@ -251,16 +254,24 @@ class _Walk:
             a = a[order]
             b = b[order]
         self.g, self.ret, self.u, self.a, self.b = g, ret, u, a, b
-        self.root, self.done, self.rho = np.arange(m), 0, 0.0
+        self.done, self.rho = 0, 0.0
 
     def run(self, g: Graph, rho: float) -> Tuple[np.ndarray, np.ndarray]:
         """(ids, labels) of the run at rho, one of the walk's rhos, on g."""
         if self.g is not g:
             self._gather(g)
-        if rho < self.rho:
-            self.root, self.done = np.arange(len(self.ret)), 0
         k = self.cuts[rho]
-        self.root = _least_labels(self.a[self.done:k], self.b[self.done:k], self.root)
+        # below the last rho, or with as many new edges as old, the forest
+        # starts again from singletons: that costs no more than the new
+        # edges twice, and only the new edges of a smaller half are mapped
+        if rho < self.rho or k - self.done >= self.done:
+            self.root, self.done = np.arange(len(self.ret)), 0
+        a, b = self.a[self.done:k], self.b[self.done:k]
+        if self.done:  # the forest has edges: the new ones join it at its roots
+            a = self.root[a]
+            b = self.root[b]
+            a, b = np.minimum(a, b), np.maximum(a, b, out=b)
+        self.root = _least_labels(a, b, self.root)
         self.done, self.rho = k, rho
         if rho == self.top:
             return self.ret, self.root
@@ -270,22 +281,28 @@ class _Walk:
 
 
 def _least_labels(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """The forest `root` extended by the edges (a[k], b[k]): root[x]
-    becomes the least vertex of x's component in the graph on
-    0..len(root)-1 with the edges so far and these. `root` must label each
-    vertex with the least vertex of its component so far, a fixed point of
-    `root`, as np.arange does for the graph with no edge.
+    """The forest `root` extended by the edges (a[k], b[k]), a[k] <= b[k],
+    each a fixed point of it, in place or anew: root[x] becomes the least
+    vertex of x's component in the graph on 0..len(root)-1 with the edges
+    so far and these. `root` must label each vertex with the least vertex
+    of its component so far, as np.arange does for the graph with no edge.
 
-    Min-label search (Shiloach & Vishkin, J. Algorithms 3, 1982): replace
-    every edge by the labels of its ends and keep only the edges whose
-    labels differ, hook the larger label of each under the smaller, then
-    jump pointers to fixed points. So the edges are pairs of fixed points
-    when hooked and their arrays only shrink. Labels only go down and each
-    stays a vertex of its component, so once no edge is left every
+    Min-label search (Shiloach & Vishkin, J. Algorithms 3, 1982): hook the
+    larger label of each edge under the smaller, then jump pointers to fixed
+    points. Each round then replaces every edge by the labels of its ends and
+    keeps only the edges whose labels still differ, so the edges stay pairs
+    of fixed points and their arrays only shrink. Labels only go down and
+    each stays a vertex of its component, so once no edge is left every
     component carries its least vertex. Every round hooks each tree that
     still has an edge onto another or another onto it, so the rounds are
     logarithmic in the vertex count."""
     while True:
+        np.minimum.at(root, b, a)
+        while True:
+            hop = root[root]
+            if np.array_equal(hop, root):
+                break
+            root = hop
         a = root[a]
         b = root[b]
         split = a != b
@@ -295,12 +312,6 @@ def _least_labels(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
         a = a[split]
         b = b[split]
         a, b = np.minimum(a, b), np.maximum(a, b, out=b)
-        np.minimum.at(root, b, a)
-        while True:
-            hop = root[root]
-            if np.array_equal(hop, root):
-                break
-            root = hop
 
 
 def oracle_components(g: Graph, retained) -> List[List[int]]:

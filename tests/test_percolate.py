@@ -515,8 +515,8 @@ def traced_peak(call):
 
 DENSE = generate(GeneratorSpec(kind="gnp", n=10_000, p=0.03, seed=1))
 DENSE_CSR = DENSE.offsets.nbytes + DENSE.neighbors.nbytes
-# A rho = 1 run on DENSE measured 4.63x the CSR bytes, the six-point walk
-# below 4.24x and `epochs` 4.99x; each bound adds about 8%.
+# On DENSE a rho = 1 run measured 4.57x the CSR bytes, the six-point walk
+# below 4.59x and `epochs` 4.99x; each bound adds about 8%.
 RUN_PEAK, EPOCHS_PEAK = 5.0, 5.4
 
 
@@ -537,7 +537,9 @@ def test_full_retention_peaks_within_the_row_gather():
 
 def test_walk_up_to_full_retention_peaks_as_one_run():
     """Six coupled runs up to rho = 1 hold the gather of rho = 1 once, with
-    its edges sorted by arrival, and peak within the bound of one run."""
+    its edges sorted by arrival. A step that brings as many new edges as
+    the forest holds rebuilds it rather than mapping them (here 0.7 -> 1),
+    so the walk peaks within the bound of one run."""
     def walk():
         return [dfs_percolate(DENSE, s) for s in
                 BernoulliStream.coupled([0.05, 0.1, 0.2, 0.4, 0.7, 1.0], seed=1)]
