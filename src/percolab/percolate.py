@@ -69,9 +69,10 @@ when it has arrived, max(u_a, u_b) < rho, and components only merge as rho
 grows. So streams made together (`BernoulliStream.coupled`) share one walk:
 the first run draws the uniforms and gathers the rows of keep(top) once,
 keeping the induced edges in arrival order, and each run at rho extends one
-min-label forest by the edges that arrived since the walk's last rho (or
-rebuilds it from singletons when rho went down). A lone stream is a walk of
-one rho: every edge of the gather has arrived at top, so it sorts nothing.
+min-label forest by the edges that arrived since the walk's last rho. It
+rebuilds the forest from singletons instead when rho went down, or when as
+many edges arrived as the forest holds. A lone stream is a walk of one rho:
+every edge of the gather has arrived at top, so it sorts nothing.
 """
 
 from dataclasses import dataclass, field

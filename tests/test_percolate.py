@@ -571,12 +571,17 @@ def test_coupled_streams_match_lone_runs_in_any_order(case):
     g, rhos, seed, order = case
     streams = BernoulliStream.coupled(rhos, seed)
     assert streams == [BernoulliStream(rho=rho, seed=seed) for rho in rhos]
+    runs = []
     for j in order:
         walked = dfs_percolate(g, streams[j])
         alone = dfs_percolate(g, BernoulliStream(rho=rhos[j], seed=seed))
         assert walked == alone
         assert walked.largest == alone.largest
         assert whole(walked) == reference_percolate(g, u01(seed, g.n) < rhos[j])
+        runs.append((walked, alone))
+    # later runs of the walk leave the arrays of earlier outcomes as they were
+    for walked, alone in runs:
+        assert np.array_equal(walked.ids, alone.ids) and np.array_equal(walked.labels, alone.labels)
 
 
 def test_rejected_vertex_below_a_later_root_is_queried_as_a_root():
