@@ -112,17 +112,10 @@ class Graph:
 def vertex_set(g: Graph, vertices) -> np.ndarray:
     """The distinct ids of `vertices`, each read by `errors.require_vertex_id`,
     ascending, as int64. Raises InvalidParameter for an id that gate refuses
-    or one outside 0..n-1. A 1-d integer array passes the gate by its dtype,
-    so it is read without a per-id check."""
-    if isinstance(vertices, np.ndarray) and vertices.ndim == 1 and vertices.dtype.kind in "iu":
-        ids = np.unique(vertices)
-        ends = ids[[0, -1]].tolist() if len(ids) else []
-    else:
-        ids = sorted({require_vertex_id(v) for v in vertices})
-        ends = ids[:1] + ids[-1:]
-    for v in ends:
-        if not 0 <= v < g.n:
-            raise InvalidParameter(f"vertex {v} not in 0..{g.n - 1}")
+    or, by `Graph._vertex` on the least and the largest, one outside 0..n-1."""
+    ids = sorted({require_vertex_id(v) for v in vertices})
+    for v in ids[:1] + ids[-1:]:
+        g._vertex(v)
     return np.asarray(ids, dtype=np.int64)
 
 
@@ -605,8 +598,9 @@ def load_edge_list(path) -> Graph:
     """Parse the canonical edge-list format (see save_edge_list).
 
     Blank lines and lines whose first non-blank character is '#' are
-    skipped, except a single '# n=<N>' header, which must come before the
-    first edge. Every other line holds two distinct vertex ids in ASCII
+    skipped, whatever bytes follow it, except a single '# n=<N>' header,
+    which must come before the first edge (a comment is read as UTF-8, bad
+    bytes replaced, only to look for 'n='). Every other line holds two distinct vertex ids in ASCII
     decimal digits; each unordered pair may appear once. Without a header,
     n is the largest id plus one. The first bad line raises ParseError, or
     NonSimple for a self-loop or a repeated edge, with its 1-based number.
@@ -616,14 +610,14 @@ def load_edge_list(path) -> Graph:
     The file is read in blocks of whole lines (_line_blocks), each scanned
     with numpy: tokens are the runs of non-space bytes. The scan marks each
     edge line of the block that breaks a rule, whatever the lines before it
-    hold. At the block's first bad line, a marked line (explained by
-    _line_error) or a header error, the load records the error and reads no
-    further. Each pair on a line before it is kept as one int64 key
+    hold, and the first header that does not set n. At the block's first
+    marked line the load records the error that _line_error names and reads
+    no further. Each pair on a line before it is kept as one int64 key
     lo << 31 | hi, with its line within its block. Repeated pairs are found
     once, over every kept key; a repeat comes before the recorded line, so
     it is the first bad line of the file.
     """
-    declared_n, header_seen, first_edge, error = None, False, None, None
+    declared_n, first_edge, error = None, None, None
     keys, pair_lines = [np.zeros(0, dtype=np.int64)], []
     pair_starts, line_starts = [0], [0]  # per block: its first pair and line
     with open(path, "rb") as fh:
@@ -649,40 +643,30 @@ def load_edge_list(path) -> Graph:
             edge = ~is_comment[tok_line]
             starts, ends, tok_line = starts[edge], ends[edge], tok_line[edge]
             if first_edge is None and len(tok_line):
-                first_edge = line0 + int(tok_line[0])
+                first_edge = line0 + int(tok_line[0]) + 1
 
-            # Headers: only the first one, if it comes before the first edge, sets n.
-            header_errors = {}
-            for i in comment_lines.tolist():
-                try:
-                    line = line_bytes(i).decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    header_errors[i] = ParseError(line0 + i + 1, "line is not UTF-8")
-                    continue
-                body = line[1:].strip()
-                if not body.startswith("n="):
-                    continue
-                if header_seen:
-                    header_errors[i] = ParseError(line0 + i + 1, f"repeated header {line!r}")
-                elif first_edge is not None and line0 + i > first_edge:
-                    header_errors[i] = ParseError(line0 + i + 1,
-                                                  f"header {line!r} after the first edge")
-                else:
-                    try:
-                        declared_n = int(body[2:])
-                    except ValueError:
-                        declared_n = -1
-                    if not 0 <= declared_n <= _MAX_N:
-                        header_errors[i] = ParseError(line0 + i + 1, f"bad header {line!r}")
-                        declared_n = None
-                header_seen = True
-
-            # Marked: edge lines that are not two tokens of ASCII digits short
-            # enough to parse, then those whose pair is a self-loop or has an
-            # id of _MAX_N or more, or outside n. Any header that sets n comes
-            # before the first edge, so declared_n is final for every pair.
+            # Marked: the first header (a comment '# n=...') that does not set
+            # n, as only the first header sets n and only before the first
+            # edge; then edge lines that are not two tokens of ASCII digits
+            # short enough to parse, and those whose pair is a self-loop or
+            # has an id of _MAX_N or more, or outside n. A header that sets n
+            # comes before the first edge, so declared_n is final for every pair.
             counts = np.bincount(tok_line, minlength=n_lines)
             marked = (counts != 0) & (counts != 2)
+            for i in comment_lines.tolist():
+                body = line_bytes(i).decode("utf-8", errors="replace").strip()[1:].strip()
+                if not body.startswith("n="):
+                    continue
+                value = -1
+                if declared_n is None and (first_edge is None or line0 + i + 1 < first_edge):
+                    try:
+                        value = int(body[2:])
+                    except ValueError:
+                        pass
+                if not 0 <= value <= _MAX_N:
+                    marked[i] = True
+                    break
+                declared_n = value
             odd_line = np.searchsorted(line_ends, np.flatnonzero(~_DIGIT_OR_SPACE[raw]))
             marked[odd_line[~is_comment[odd_line]]] = True
             marked[tok_line[ends - starts > _MAX_DIGITS]] = True
@@ -705,7 +689,7 @@ def load_edge_list(path) -> Graph:
             limit = _MAX_N if declared_n is None else declared_n
             marked[line_of[(lo == hi) | (hi >= limit)]] = True
 
-            first_bad = min([*header_errors, *np.flatnonzero(marked)[:1].tolist(), n_lines])
+            first_bad = min([*np.flatnonzero(marked)[:1].tolist(), n_lines])
             k = int(np.searchsorted(line_of, first_bad))
             key = lo[:k] << 31
             key |= hi[:k]
@@ -714,9 +698,8 @@ def load_edge_list(path) -> Graph:
             pair_starts.append(pair_starts[-1] + k)
             line_starts.append(line0 + len(line_ends))
             if first_bad < n_lines:
-                line_no = line0 + first_bad + 1
-                error = (header_errors[first_bad] if first_bad in header_errors
-                         else _line_error(line_no, line_bytes(first_bad), declared_n))
+                error = _line_error(line0 + first_bad + 1, line_bytes(first_bad), declared_n,
+                                    first_edge)
                 break
             if pair_starts[-1] > DEFAULT_EDGE_CAP:
                 raise ResourceLimit(f"{pair_starts[-1]} edges by line {line_starts[-1]} "
@@ -773,12 +756,23 @@ def _line_blocks(fh):
             return
 
 
-def _line_error(line_no: int, raw: bytes, declared_n) -> PercolabError:
-    """The error for the marked edge line `raw`: the first rule it breaks of
-    two ids of at most _MAX_DIGITS ASCII digits, each below _MAX_N, two
-    distinct ids, and both below the declared n."""
+def _line_error(line_no: int, raw: bytes, declared_n, first_edge) -> PercolabError:
+    """The error for the marked line `raw`, number `line_no` of the file;
+    `first_edge` is the number of the first edge line (None before one).
+    A marked comment is a header that does not set n: repeated once n is
+    declared, else late if it follows the first edge line, else bad (its
+    value is not an integer in 0.._MAX_N). A marked edge line breaks one of these rules,
+    and the first it breaks names it: two ids of at most _MAX_DIGITS ASCII
+    digits, each below _MAX_N, two distinct ids, and both below the
+    declared n."""
     parts = raw.split()
     line = raw.decode("utf-8", errors="replace").strip()
+    if parts[0].startswith(b"#"):
+        if declared_n is not None:
+            return ParseError(line_no, f"repeated header {line!r}")
+        if first_edge is not None and first_edge < line_no:
+            return ParseError(line_no, f"header {line!r} after the first edge")
+        return ParseError(line_no, f"bad header {line!r}")
     if len(parts) != 2:
         return ParseError(line_no, f"expected two vertex ids, got {line!r}")
     if not all(part.isdigit() for part in parts):

@@ -299,7 +299,7 @@ def grow_connected_set(g: Graph, root: int, size: int,
     confined to `within`, read as a vertex-id set); raises InvalidParameter
     for a size not an integer >= 1, a bad id or too few reachable vertices."""
     size = require_int("size", size, 1)
-    root = int(vertex_set(g, [root])[0])
+    root = g._vertex(root)
     allowed = None if within is None else vertex_set(g, within)
     if allowed is not None and root not in allowed:
         raise InvalidParameter(f"root {root} not in the confining set")

@@ -160,15 +160,8 @@ class PercolationOutcome:
 
     @cached_property
     def components(self) -> List[List[int]]:
-        sizes = self.sizes
-        cuts = np.cumsum(sizes) - sizes
-        # singletons come straight from the roots; only larger ones are sliced
-        components = self._members[cuts, None].tolist()
-        members = self._members.tolist()
-        big = np.flatnonzero(sizes > 1)
-        for j, at, size in zip(big.tolist(), cuts[big].tolist(), sizes[big].tolist()):
-            components[j] = members[at:at + size]
-        return components
+        members, ends = self._members.tolist(), np.cumsum(self.sizes).tolist()
+        return [members[a:b] for a, b in zip([0] + ends, ends)]
 
     @cached_property
     def largest(self) -> List[int]:

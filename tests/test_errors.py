@@ -83,7 +83,9 @@ NUMBER_TYPES = {"int", "bool", "float", "np.integer", "np.floating", "numpy.inte
 
 
 def number_type_tests(path):
-    """The number types named in the isinstance calls of a source file."""
+    """The number types named in the isinstance calls of a source file, and
+    its other number-type tests: each `.dtype.kind` read and each
+    `np.issubdtype` call."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance" and len(node.args) == 2):
@@ -91,6 +93,12 @@ def number_type_tests(path):
             for t in types.elts if isinstance(types, ast.Tuple) else [types]:
                 if ast.unparse(t) in NUMBER_TYPES:
                     yield node.lineno, ast.unparse(t)
+        elif (isinstance(node, ast.Attribute) and node.attr == "kind"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+            yield node.lineno, ast.unparse(node)
+        elif (isinstance(node, ast.Call)
+                and ast.unparse(node.func) in {"np.issubdtype", "numpy.issubdtype"}):
+            yield node.lineno, ast.unparse(node.func)
 
 
 def test_only_errors_decides_what_a_number_is():

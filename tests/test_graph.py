@@ -767,6 +767,33 @@ def test_first_bad_line_wins_wherever_the_blocks_are_cut(tmp_path, monkeypatch, 
         assert load_outcome(f) == (err, line_no, f"line {line_no}: {message}"), block
 
 
+# Comment lines are skipped whatever their bytes: a comment is read as UTF-8,
+# bad bytes replaced, only to look for 'n='. Each case is the load's outcome
+# (n and edges, or the first bad line's error). b"\xe9" is Latin-1 'é' and
+# not UTF-8; it reads as '\ufffd'.
+BYTE_CASES = {
+    "latin-1-comments": (b"# caf\xe9\n# n=3\n0 1\n# \xe9t\xe9\n1 2\n", (3, {(0, 1), (1, 2)})),
+    "bad-header": (b"# caf\xe9\n# n=\xe9\n0 1\n1 1\n",
+                   (ParseError, 2, "line 2: bad header '# n=\ufffd'")),
+    "header-after-edge": (b"0 1\n1 2\n# n=\xe9\n3 3\n",
+                          (ParseError, 3, "line 3: header '# n=\ufffd' after the first edge")),
+    "repeated-header": (b"# n=9\n0 1\n# n=\xe9\nx\n",
+                        (ParseError, 3, "line 3: repeated header '# n=\ufffd'")),
+    "edge-line": (b"# \xe9\n0 1\n1 \xe9\n2 2\n",
+                  (ParseError, 3, "line 3: non-integer vertex id in '1 \ufffd'")),
+}
+
+
+@pytest.mark.parametrize("data,outcome", BYTE_CASES.values(), ids=BYTE_CASES.keys())
+def test_comment_bytes_give_one_outcome_wherever_the_blocks_are_cut(tmp_path, monkeypatch, data,
+                                                                    outcome):
+    f = tmp_path / "bytes.edges"
+    f.write_bytes(data)
+    for block in range(1, len(data) + 2):
+        monkeypatch.setattr("percolab.graph._LOAD_BLOCK_BYTES", block)
+        assert load_outcome(f) == outcome, block
+
+
 def test_cr_only_file_is_cut_at_its_line_ends(tmp_path, monkeypatch):
     # a file with no '\n' is still cut into blocks: at each '\r' that is not
     # the last byte read, so it cannot be the first half of a '\r\n'
@@ -942,8 +969,8 @@ def id_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(id_lists())
 def test_vertex_set_reads_an_integer_array_as_its_list(case):
-    """An integer array skips the per-id gate; it gives the ids, or the
-    refusal, that the same ids in a list give."""
+    """An integer array is read id by id, as any iterable is: it gives the
+    ids, or the refusal, that the same ids in a list give."""
     n, dtype, ids = case
     g = build_graph(n, [])
 
