@@ -600,12 +600,12 @@ def load_edge_list(path) -> Graph:
     Blank lines and lines whose first non-blank character is '#' are
     skipped, whatever bytes follow it, except a single '# n=<N>' header,
     which must come before the first edge (a comment is read as UTF-8, bad
-    bytes replaced, only to look for 'n='). Every other line holds two distinct vertex ids in ASCII
-    decimal digits; each unordered pair may appear once. Without a header,
-    n is the largest id plus one. The first bad line raises ParseError, or
-    NonSimple for a self-loop or a repeated edge, with its 1-based number.
-    Refused with ResourceLimit once the edge lines pass DEFAULT_EDGE_CAP,
-    or when n plus the edge count does.
+    bytes replaced, only to look for 'n='). Every other line holds two
+    distinct vertex ids in ASCII decimal digits; each unordered pair may
+    appear once. Without a header, n is the largest id plus one. The first
+    bad line raises ParseError, or NonSimple for a self-loop or a repeated
+    edge, with its 1-based number. Refused with ResourceLimit once the edge
+    lines pass DEFAULT_EDGE_CAP, or when n plus the edge count does.
 
     The file is read in blocks of whole lines (_line_blocks), each scanned
     with numpy: tokens are the runs of non-space bytes. The scan marks each
@@ -761,10 +761,9 @@ def _line_error(line_no: int, raw: bytes, declared_n, first_edge) -> PercolabErr
     `first_edge` is the number of the first edge line (None before one).
     A marked comment is a header that does not set n: repeated once n is
     declared, else late if it follows the first edge line, else bad (its
-    value is not an integer in 0.._MAX_N). A marked edge line breaks one of these rules,
-    and the first it breaks names it: two ids of at most _MAX_DIGITS ASCII
-    digits, each below _MAX_N, two distinct ids, and both below the
-    declared n."""
+    value is not an integer in 0.._MAX_N). A marked edge line is named by
+    the first rule it breaks of two ids of at most _MAX_DIGITS ASCII digits,
+    each below _MAX_N, two distinct ids, and both below the declared n."""
     parts = raw.split()
     line = raw.decode("utf-8", errors="replace").strip()
     if parts[0].startswith(b"#"):
