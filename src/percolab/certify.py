@@ -47,10 +47,12 @@ class PseudoRandomProfile:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def require(self, *verdicts: str):
-        """Raise NotCertified naming each of `verdicts` ("a1", "a2", "a3") that
-        is False. A verdict holds unless it is False, so a sampled a2 = None
-        (not falsified) passes."""
+    def require(self, g: Graph, *verdicts: str):
+        """Raise NotCertified when the profile is for another n than the host
+        g's, or naming each of `verdicts` ("a1", "a2", "a3") that is False. A
+        verdict holds unless it is False, so a sampled a2 = None passes."""
+        if self.n != g.n:
+            raise NotCertified(f"profile is for n={self.n}, not n={g.n}")
         failed = [v for v in verdicts if getattr(self, v) is False]
         if failed:
             raise NotCertified(f"profile falsifies {', '.join(failed)} "
@@ -118,8 +120,8 @@ def _slacks(g: Graph, p: float, co: CoDegreeResult) -> Tuple[float, float]:
 
 
 def _degree_extremes(g: Graph) -> Tuple[int, int]:
-    deg = g.degrees()
-    return (int(deg.min()), int(deg.max())) if g.n else (0, 0)
+    deg = g.degrees()  # every caller has run max_co_degree, which needs n >= 2
+    return int(deg.min()), int(deg.max())
 
 
 def _bump(x: float, scale: float) -> float:

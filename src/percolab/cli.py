@@ -3,10 +3,10 @@
 Subcommands: generate, certify, percolate, lemma, sweep, trial. Graphs come
 either from an edge-list file (--graph) or a compact generator spec (--gen),
 e.g. --gen gnp:n=2000,p=0.05,seed=7 or --gen paley:q=13. Seed blocks are
-either comma lists (--seeds 1,2,3) or base:count (--seeds 1000:200). All JSON
-artifacts carry a top-level "schema": "percolab/1". Exit code 2 means an
-input error, a file that cannot be read or written included; exit code 1
-means a lemma check evaluated false.
+either comma lists (--seeds 1,2,3) or base:count (--seeds 1000:200). Every
+JSON artifact is written by experiment.write_json, which adds its top-level
+"schema": "percolab/1". Exit code 2 means an input error, a file that cannot
+be read or written included; exit code 1 means a lemma check evaluated false.
 """
 
 import argparse
@@ -153,7 +153,6 @@ def cmd_percolate(args) -> int:
         g, percolate.BernoulliStream(rho=args.rho, seed=args.seed))
     l1, l2 = percolate.largest_two(outcome)
     payload = {
-        "schema": experiment.SCHEMA,
         "rho": outcome.rho,
         "seed": outcome.seed,
         "retained_count": len(outcome.retained),
@@ -195,7 +194,7 @@ def cmd_lemma(args) -> int:
             raise InvalidParameter("incl-excl needs --h v1,v2,...")
         H = [_number(int, v, "--h") for v in args.h.split(",")]
         report = lemmas.inclusion_exclusion_check(g, H)
-    write_json(dict(report.to_dict(), schema=experiment.SCHEMA), args.out)
+    write_json(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
 

@@ -196,7 +196,7 @@ def emit_csv(result: SweepResult, path):
 
 def _header(kind: str, result) -> dict:
     """The keys every sweep and trial artifact shares."""
-    return {"schema": SCHEMA, "kind": kind, "n": result.n, "p": result.p,
+    return {"kind": kind, "n": result.n, "p": result.p,
             "epsilon": result.epsilon, "giant_size": result.giant_size,
             "l2_bound": result.l2_bound, "profile": result.profile.to_dict()}
 
@@ -274,12 +274,12 @@ def _trial(kind: str, g: Graph, p: float, epsilon: float, seeds, profile, check_
     report = hd_check(g, beta=beta, trials=10, p=p) if kind == "hd" else None
     if profile is None:
         profile = derive_profile(g, p)
-    elif (profile.n, profile.p) != (g.n, p):
-        raise NotCertified(f"profile is for n={profile.n}, p={profile.p}, not n={g.n}, p={p}")
+    elif profile.p != p:
+        raise NotCertified(f"profile is for p={profile.p}, not p={p}")
     if kind == "sub":
-        profile.require("a3")
+        profile.require(g, "a3")
     else:
-        profile.require("a1", "a2")
+        profile.require(g, "a1", "a2")
     c = 1 - epsilon if kind == "sub" else 1 + epsilon
     rho = _rho_for(c, g.n, p, clip=False)
 
@@ -313,9 +313,11 @@ def emit_trial_json(summary: TrialSummary, path):
 
 
 def write_json(payload: dict, path=None):
-    """The one writer of JSON artifacts: strict (NaN and inf raise ValueError),
-    keys sorted, indented, newline-terminated; stdout when no path is given."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The one writer of JSON artifacts: stamps `schema` on the payload, strict
+    (NaN and inf raise ValueError), keys sorted, indented, newline-terminated;
+    stdout when no path is given."""
+    text = json.dumps(dict(payload, schema=SCHEMA), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if not path:
         sys.stdout.write(text)
         return

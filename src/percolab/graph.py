@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, NonSimple, ParseError, PercolabError, ResourceLimit,
                      require_finite, require_int, require_vertex_id)
-from .rng import derived, generator
+from .rng import derived
 
 # Ceiling on a build's array entries, n plus the expected edge count (the
 # CSR holds n + 1 offsets and two entries per edge); largest n whose
@@ -291,7 +291,7 @@ def _gnp_pairs(n: int, p: float, seed: int):
     its per-row counts are found from the few row starts that fall inside
     it."""
     total = n * (n - 1) // 2
-    rng = generator(seed)
+    rng = derived(seed)
     log1mp = np.log1p(-p)
     # cum[u] = lexicographic index of pair (u, u+1); pair k of row u is
     # (u, k - shift[u])
@@ -599,13 +599,15 @@ def load_edge_list(path) -> Graph:
 
     Blank lines and lines whose first non-blank character is '#' are
     skipped, whatever bytes follow it, except a single '# n=<N>' header,
-    which must come before the first edge (a comment is read as UTF-8, bad
-    bytes replaced, only to look for 'n='). Every other line holds two
-    distinct vertex ids in ASCII decimal digits; each unordered pair may
-    appear once. Without a header, n is the largest id plus one. The first
-    bad line raises ParseError, or NonSimple for a self-loop or a repeated
-    edge, with its 1-based number. Refused with ResourceLimit once the edge
-    lines pass DEFAULT_EDGE_CAP, or when n plus the edge count does.
+    which must come before the first edge. A comment is a header when 'n='
+    follows its '#' after ASCII whitespace alone; N is then at most
+    _MAX_DIGITS ASCII digits, like an id, with ASCII whitespace around it.
+    Every other line holds two distinct vertex ids in ASCII decimal digits;
+    each unordered pair may appear once. Without a header, n is the largest
+    id plus one. The first bad line raises ParseError, or NonSimple for a
+    self-loop or a repeated edge, with its 1-based number. Refused with
+    ResourceLimit once the edge lines pass DEFAULT_EDGE_CAP, or when n plus
+    the edge count does.
 
     The file is read in blocks of whole lines (_line_blocks), each scanned
     with numpy: tokens are the runs of non-space bytes. The scan marks each
@@ -654,19 +656,16 @@ def load_edge_list(path) -> Graph:
             counts = np.bincount(tok_line, minlength=n_lines)
             marked = (counts != 0) & (counts != 2)
             for i in comment_lines.tolist():
-                body = line_bytes(i).decode("utf-8", errors="replace").strip()[1:].strip()
-                if not body.startswith("n="):
+                body = line_bytes(i).strip()[1:].strip()
+                if not body.startswith(b"n="):
                     continue
-                value = -1
-                if declared_n is None and (first_edge is None or line0 + i + 1 < first_edge):
-                    try:
-                        value = int(body[2:])
-                    except ValueError:
-                        pass
-                if not 0 <= value <= _MAX_N:
+                value = body[2:].strip()
+                early = declared_n is None and (first_edge is None or line0 + i + 1 < first_edge)
+                if not (early and value.isdigit() and len(value) <= _MAX_DIGITS
+                        and int(value) <= _MAX_N):
                     marked[i] = True
                     break
-                declared_n = value
+                declared_n = int(value)
             odd_line = np.searchsorted(line_ends, np.flatnonzero(~_DIGIT_OR_SPACE[raw]))
             marked[odd_line[~is_comment[odd_line]]] = True
             marked[tok_line[ends - starts > _MAX_DIGITS]] = True

@@ -98,6 +98,7 @@ def expansion_check(g: Graph, profile, m: int, alpha0: float,
     ("exhaustive" or "sampled"). Both constants are read at call time.
     """
     alpha0, c = require_finite(alpha0=alpha0, c=c)
+    profile.require(g)
     n, p = g.n, profile.p
     m = require_int("m", m, 1, n)
     if not 0.0 < c < 1.0 / 3.0:
@@ -234,7 +235,7 @@ def variance_bound_check(g: Graph, U: Sequence[int], profile) -> LemmaReport:
 
     and additionally the coarse bound 2p|U| + (3 b_n / n)|U|^2 when |U| >= n/2.
     """
-    profile.require("a1", "a2", "a3")
+    profile.require(g, "a1", "a2", "a3")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     us = vertex_set(g, U)
     mask = np.zeros(n, dtype=bool)
@@ -242,14 +243,14 @@ def variance_bound_check(g: Graph, U: Sequence[int], profile) -> LemmaReport:
     d = degrees_into(g, mask)
     sd = int(d.sum())
     sd2 = int((d * d).sum())
-    var = sd2 / n - (sd / n) ** 2 if n else 0.0
+    var = sd2 / n - (sd / n) ** 2
     u = len(us)
     rhs = (p * (1 - p) * u + u * (a - b) / n + (b / n) * u * u
-           + 2 * (a * p / n) * u - (a * a * u * u) / (n * n)) if n else 0.0
+           + 2 * (a * p / n) * u - (a * a * u * u) / (n * n))
     require_finite(bound=rhs)
     remark_rhs = None
     remark_passed = None
-    if n and 2 * u >= n:
+    if 2 * u >= n:
         remark_rhs = 2 * p * u + (3 * b / n) * u * u
         require_finite(remark_bound=remark_rhs)
         remark_passed = bool(var <= remark_rhs)
@@ -266,7 +267,7 @@ def xi_count_check(g: Graph, U: Sequence[int], profile, alpha: float) -> LemmaRe
     """Exact count of vertices with d(v, U) >= (1+alpha) p |U| against
     4/(alpha p)^2 * (4p + 12 b_n). Needs |U| >= n/2 and a_n <= alpha p n / 2."""
     [alpha] = require_finite(alpha=alpha)
-    profile.require("a1", "a2", "a3")
+    profile.require(g, "a1", "a2", "a3")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     us = vertex_set(g, U)
     if 2 * len(us) < n:
@@ -358,7 +359,7 @@ def outer_complement_check(g: Graph, C: Sequence[int], profile,
     """
     [epsilon] = require_finite(epsilon=epsilon)
     target = ceil_eps_over_p(epsilon, profile.p)
-    profile.require("a1", "a2")
+    profile.require(g, "a1", "a2")
     n, p, a, b = g.n, profile.p, profile.a_n, profile.b_n
     cs = vertex_set(g, C).tolist()
     if not cs:

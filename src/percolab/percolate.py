@@ -82,7 +82,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidParameter, require_finite, require_int
-from .graph import _CODEGREE_CHUNK_KEYS, Graph, adjacency_rows, vertex_set
+from .graph import Graph, adjacency_rows, vertex_set
 from .rng import uniforms
 
 
@@ -228,10 +228,8 @@ class _Walk:
         # array is dropped once read, which bounds a dense run's peak.
         local = np.full(g.n, -1, dtype=np.int32)
         local[ret] = np.arange(m, dtype=np.int32)
-        # take copies its index to int64 first, so it reads w a range at a time
-        lw = np.empty(len(w), dtype=np.int32)
-        for s in range(0, len(w), _CODEGREE_CHUNK_KEYS):
-            local.take(w[s:s + _CODEGREE_CHUNK_KEYS], out=lw[s:s + _CODEGREE_CHUNK_KEYS])
+        # fancy indexing casts the int32 index a buffer at a time, unlike take
+        lw = local[w]
         del w
         up = lw > i  # each induced edge once
         a = i[up]

@@ -40,14 +40,15 @@ def test_certify_ties_fail():
 
 
 def test_require_names_each_falsified_verdict(monkeypatch):
-    prof = certify(complete_graph(4), p=1.0, a_n=1.0, b_n=-2.0)  # a1, a2 False
-    prof.require("a3")
+    k4 = complete_graph(4)
+    prof = certify(k4, p=1.0, a_n=1.0, b_n=-2.0)  # a1, a2 False
+    prof.require(k4, "a3")
     with pytest.raises(NotCertified, match=r"falsifies a1, a2 \(need a1, a2, a3"):
-        prof.require("a1", "a2", "a3")
+        prof.require(k4, "a1", "a2", "a3")
     monkeypatch.setattr("percolab.graph.EXACT_CODEGREE_CAP", 2)
-    sampled = tightest_profile(complete_graph(4), 1.0)
+    sampled = tightest_profile(k4, 1.0)
     assert sampled.a2 is None  # undecided, so not falsified: it passes
-    sampled.require("a1", "a2", "a3")
+    sampled.require(k4, "a1", "a2", "a3")
 
 
 def test_certify_chernoff_slacks():

@@ -118,13 +118,15 @@ def test_certify_matches_library(tmp_path):
                    "--p", "0.1", "--out", str(out)])
     assert rc == 0
     g, profile = profile_for("gnp:n=300,p=0.1,seed=9", 0.1)
-    assert json.loads(out.read_text()) == json.loads(profile.to_json())
+    assert json.loads(out.read_text()) == dict(json.loads(profile.to_json()),
+                                               schema="percolab/1")
 
     rc = cli.main(["certify", "--gen", "gnp:n=300,p=0.1,seed=9", "--p", "0.1",
                    "--a", "5", "--b", "30", "--out", str(out)])
     assert rc == 0
     forced = certify(g, 0.1, 5.0, 30.0)
-    assert json.loads(out.read_text()) == json.loads(forced.to_json())
+    assert json.loads(out.read_text()) == dict(json.loads(forced.to_json()),
+                                               schema="percolab/1")
 
 
 def test_certify_scans_codegree_once(tmp_path, monkeypatch):
@@ -347,7 +349,8 @@ def test_trial_super_matches_library(tmp_path):
     assert rc == 0
     g = generate(parse_gen("gnp:n=400,p=0.1,seed=3"))
     summary = supercritical_trial(g, 0.1, 0.05, (0, 8))
-    expected = json.loads(json.dumps(summary.to_dict()))  # tuples become lists
+    # tuples become lists
+    expected = json.loads(json.dumps(dict(summary.to_dict(), schema="percolab/1")))
     assert json.loads(out.read_text()) == expected
 
 
@@ -360,9 +363,29 @@ def test_trial_hd_default_beta(tmp_path):
     g = generate(parse_gen("gnp:n=300,p=0.05,seed=8"))
     summary = hd_uniqueness_trial(g, 0.05, 0.3, 0.3 ** 5, [0, 1])
     payload = json.loads(out.read_text())
-    assert payload == json.loads(json.dumps(summary.to_dict()))
+    assert payload == json.loads(json.dumps(dict(summary.to_dict(), schema="percolab/1")))
     assert payload["kind"] == "trial_hd"
     assert payload["hd_beta"] == 0.3 ** 5
+
+
+# every command that writes JSON, without --gen and --out
+JSON_COMMANDS = {
+    "certify": ["certify", "--p", "0.1"],
+    "percolate": ["percolate", "--rho", "0.5"],
+    "lemma": ["lemma", "--p", "0.1", "--which", "incl-excl", "--h", "0,1"],
+    "sweep": ["sweep", "--p", "0.1", "--grid", "0.5", "--seeds", "0:2"],
+    "trial-super": ["trial", "super", "--p", "0.1", "--seeds", "0:2"],
+    "trial-sub": ["trial", "sub", "--p", "0.1", "--seeds", "0:2"],
+    "trial-hd": ["trial", "hd", "--p", "0.1", "--seeds", "0:2"],
+}
+
+
+@pytest.mark.parametrize("args", JSON_COMMANDS.values(), ids=JSON_COMMANDS.keys())
+def test_every_json_artifact_carries_the_schema(tmp_path, args):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--gen", "gnp:n=200,p=0.1,seed=3", "--out", str(out)]) == 0
+    written = tmp_path / "out.json" if args[0] == "sweep" else out  # sweep adds .csv, .json
+    assert json.loads(written.read_text())["schema"] == "percolab/1"
 
 
 def run_cli(args, cwd, timeout=60):

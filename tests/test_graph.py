@@ -767,10 +767,12 @@ def test_first_bad_line_wins_wherever_the_blocks_are_cut(tmp_path, monkeypatch, 
         assert load_outcome(f) == (err, line_no, f"line {line_no}: {message}"), block
 
 
-# Comment lines are skipped whatever their bytes: a comment is read as UTF-8,
-# bad bytes replaced, only to look for 'n='. Each case is the load's outcome
+# Comment lines are skipped whatever their bytes: a comment is read as bytes,
+# and it is a header only when 'n=' follows its '#' after ASCII whitespace;
+# the value must be ASCII digits, like an id. Each case is the load's outcome
 # (n and edges, or the first bad line's error). b"\xe9" is Latin-1 'é' and
-# not UTF-8; it reads as '\ufffd'.
+# not UTF-8; an error message shows it as '\ufffd'. b"\xc2\xa0" is a UTF-8
+# no-break space, which is not ASCII whitespace.
 BYTE_CASES = {
     "latin-1-comments": (b"# caf\xe9\n# n=3\n0 1\n# \xe9t\xe9\n1 2\n", (3, {(0, 1), (1, 2)})),
     "bad-header": (b"# caf\xe9\n# n=\xe9\n0 1\n1 1\n",
@@ -781,6 +783,12 @@ BYTE_CASES = {
                         (ParseError, 3, "line 3: repeated header '# n=\ufffd'")),
     "edge-line": (b"# \xe9\n0 1\n1 \xe9\n2 2\n",
                   (ParseError, 3, "line 3: non-integer vertex id in '1 \ufffd'")),
+    "underscore-header": (b"# n=1_0\n0 1\n", (ParseError, 1, "line 1: bad header '# n=1_0'")),
+    "signed-header": (b"# n= +4\n0 1\n", (ParseError, 1, "line 1: bad header '# n= +4'")),
+    "arabic-indic-header": ("# n=\u0663\n0 1\n".encode(),
+                            (ParseError, 1, "line 1: bad header '# n=\u0663'")),
+    "no-break-space-comment": (b"#\xc2\xa0n=5\n0 1\n", (2, {(0, 1)})),
+    "spaced-header": (b"# n= 4 \n0 1\n", (4, {(0, 1)})),
 }
 
 

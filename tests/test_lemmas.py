@@ -508,6 +508,20 @@ def test_outer_requires_a1_a2_only():
     assert rep.measured == 0  # the hub dominates everything
 
 
+def test_every_bound_refuses_a_profile_certified_for_another_n():
+    # the slacks certify gnp 200/0.1, not a host twice its size
+    prof = certified(generate(GeneratorSpec(kind="gnp", n=200, p=0.1, seed=4)), 0.1)
+    host = generate(GeneratorSpec(kind="gnp", n=400, p=0.1, seed=4))
+    c_set = grow_connected_set(host, 0, 3)  # ceil(eps/p) at eps = 0.3
+    checks = [lambda: expansion_check(host, prof, m=2, alpha0=0.5),
+              lambda: variance_bound_check(host, range(200), prof),
+              lambda: xi_count_check(host, range(200), prof, alpha=0.5),
+              lambda: outer_complement_check(host, c_set, prof, epsilon=0.3)]
+    for check in checks:
+        with pytest.raises(NotCertified, match=r"profile is for n=200, not n=400"):
+            check()
+
+
 # --- helpers around the lemmas ---
 
 
