@@ -48,11 +48,17 @@ class PseudoRandomProfile:
         return asdict(self)
 
     def require(self, g: Graph, *verdicts: str):
-        """Raise NotCertified when the profile is for another n than the host
-        g's, or naming each of `verdicts` ("a1", "a2", "a3") that is False. A
-        verdict holds unless it is False, so a sampled a2 = None passes."""
+        """Raise NotCertified when the profile is for another host than g,
+        one of another n or other degree extremes, or naming each of
+        `verdicts` ("a1", "a2", "a3") that is False. A verdict holds unless
+        it is False, so a sampled a2 = None passes."""
         if self.n != g.n:
             raise NotCertified(f"profile is for n={self.n}, not n={g.n}")
+        if g.n:
+            lo, hi = _degree_extremes(g)
+            if (self.min_degree, self.max_degree) != (lo, hi):
+                raise NotCertified(f"profile is for degrees {self.min_degree}..{self.max_degree}"
+                                   f", not {lo}..{hi}")
         failed = [v for v in verdicts if getattr(self, v) is False]
         if failed:
             raise NotCertified(f"profile falsifies {', '.join(failed)} "
@@ -120,7 +126,7 @@ def _slacks(g: Graph, p: float, co: CoDegreeResult) -> Tuple[float, float]:
 
 
 def _degree_extremes(g: Graph) -> Tuple[int, int]:
-    deg = g.degrees()  # every caller has run max_co_degree, which needs n >= 2
+    deg = g.degrees()  # every caller has a host of n >= 1
     return int(deg.min()), int(deg.max())
 
 

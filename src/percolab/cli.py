@@ -15,7 +15,7 @@ import sys
 from . import experiment, graph, lemmas, percolate
 from .certify import certify as run_certify
 from .certify import tightest_profile
-from .errors import InvalidParameter, PercolabError, require_int
+from .errors import InvalidParameter, PercolabError, ascii_int, require_int
 from .experiment import write_json
 from .rng import derived
 
@@ -33,7 +33,7 @@ def parse_gen(text: str) -> graph.GeneratorSpec:
             if key in kwargs:
                 raise InvalidParameter(f"repeated --gen key {key!r}")
             if key in _INT_FIELDS:
-                kwargs[key] = _number(int, val, f"--gen {key}")
+                kwargs[key] = _number(ascii_int, val, f"--gen {key}")
             elif key == "p":
                 kwargs[key] = _number(float, val, "--gen p")
             else:
@@ -42,17 +42,23 @@ def parse_gen(text: str) -> graph.GeneratorSpec:
 
 
 def _number(cast, text: str, what: str):
+    """cast(text), cast being `float` or, for an integer, `ascii_int`, the
+    rule for edge-list ids and headers. InvalidParameter when cast raises
+    ValueError or returns None."""
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError:
-        raise InvalidParameter(f"bad {what} value {text!r}") from None
+        value = None
+    if value is None:
+        raise InvalidParameter(f"bad {what} value {text!r}")
+    return value
 
 
 def parse_seeds(text: str):
+    """'base:count' as a pair, or a comma list of seeds, each in ASCII digits."""
     if ":" in text:
-        base, count = text.split(":", 1)
-        return (int(base), int(count))
-    return [int(s) for s in text.split(",")]
+        return tuple(_number(ascii_int, s, "--seeds") for s in text.split(":", 1))
+    return [_number(ascii_int, s, "--seeds") for s in text.split(",")]
 
 
 def _load_graph(args) -> graph.Graph:
@@ -192,7 +198,7 @@ def cmd_lemma(args) -> int:
     else:
         if not args.h:
             raise InvalidParameter("incl-excl needs --h v1,v2,...")
-        H = [_number(int, v, "--h") for v in args.h.split(",")]
+        H = [_number(ascii_int, v, "--h") for v in args.h.split(",")]
         report = lemmas.inclusion_exclusion_check(g, H)
     write_json(report.to_dict(), args.out)
     return 0 if report.passed else 1

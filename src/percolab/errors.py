@@ -11,6 +11,7 @@ Only this module decides what an integer, a real, a bit or a vertex id is.
 
 import math
 import numbers
+import string
 
 import numpy as np
 
@@ -32,7 +33,8 @@ class ResourceLimit(PercolabError):
 
 class NotCertified(PercolabError):
     """A profile falsifies a verdict or slack bound that a trial or a lemma
-    needs, or was certified for another n or p."""
+    needs, or was certified for another p or another host: another n, or
+    another least or largest degree."""
 
 
 class ParseError(PercolabError):
@@ -83,6 +85,15 @@ def require_vertex_id(v):
     if k is None or k != v or isinstance(v, (bool, np.bool_)):
         raise InvalidParameter(f"vertices must be integer ids, got {v!r}")
     return k
+
+
+def ascii_int(text):
+    """The integer that `text` (str or bytes) writes in ASCII decimal digits
+    with at most ASCII whitespace around them, as an edge-list header value
+    does, or None for any other text: a sign, '_', another script's digit or
+    space. Python's int() refuses more than 4300 digits with a ValueError."""
+    text = text.strip(string.whitespace if isinstance(text, str) else string.whitespace.encode())
+    return int(text) if text.isascii() and text.isdigit() else None
 
 
 def require_finite(**values):

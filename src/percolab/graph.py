@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (InvalidParameter, NonSimple, ParseError, PercolabError, ResourceLimit,
-                     require_finite, require_int, require_vertex_id)
+                     ascii_int, require_finite, require_int, require_vertex_id)
 from .rng import derived
 
 # Ceiling on a build's array entries, n plus the expected edge count (the
@@ -233,14 +233,15 @@ def _from_upper_rows(n: int, upper: np.ndarray, ev: np.ndarray) -> Graph:
 
     Precondition: the pairs are unique, each row's part of `ev` ascends, and
     the rows come in order (every generator and the loader produce them so);
-    `upper` has length n and `ev` is int32 or int64. Row v holds its lower
-    neighbors {u < v} followed by its upper neighbors {w > v}, each part
-    ascending. The upper parts, concatenated in row order, are `ev` as
-    given; the lower parts are the rows u sorted by (ev, u), from one sort
-    of the m = len(ev) keys ev << s | u, s the bits of n - 1. With L(v) and
-    U(v) the lower and upper entries of the rows before v, row v starts at
-    L(v) + U(v), and L(v) is the number of keys below v << s. Row n's bound
-    is m, not a search: n << s is 2**32 at n = 65536, which wraps in uint32.
+    `upper` has length n and `ev` is any integer array: the generators give
+    _end_type(n), the loader int32. Row v holds its lower neighbors {u < v}
+    followed by its upper neighbors {w > v}, each part ascending. The upper
+    parts, concatenated in row order, are `ev` as given; the lower parts are
+    the rows u sorted by (ev, u), from one sort of the m = len(ev) keys
+    ev << s | u, s the bits of n - 1. With L(v) and U(v) the lower and upper
+    entries of the rows before v, row v starts at L(v) + U(v), and L(v) is
+    the number of keys below v << s. Row n's bound is m, not a search:
+    n << s is 2**32 at n = 65536, which wraps in uint32.
 
     The build works inside the `neighbors` it returns (2m int32). Up to
     n = 65536 the keys fit in uint32 and are made and sorted in its back
@@ -251,8 +252,9 @@ def _from_upper_rows(n: int, upper: np.ndarray, ev: np.ndarray) -> Graph:
     out, then written to its lower slots, and its part of `ev` to its upper
     slots. Its output ends at L(b) + U(b) <= m + L(b), where the next
     range's keys start, so no write passes a key not yet read. Beside
-    `upper` and `ev` the build holds `neighbors`, two n + 1 int64 arrays
-    (`offsets`, first U, and L) and one range's row ids, keys and mask.
+    `upper` and `ev` (two bytes a pair from a generator up to n = 65536)
+    the build holds `neighbors`, two n + 1 int64 arrays (`offsets`, first
+    U, and L) and one range's row ids, keys and mask.
     """
     m = len(ev)
     s = max(1, (n - 1).bit_length())
@@ -283,13 +285,20 @@ def _from_upper_rows(n: int, upper: np.ndarray, ev: np.ndarray) -> Graph:
     return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=m)
 
 
+def _end_type(n: int) -> np.dtype:
+    """The least unsigned dtype that holds max(n - 1, 0), the largest upper
+    end of a pair on n vertices: uint8 up to n = 256, uint16 up to 65536
+    (where _from_upper_rows keys are uint32) and uint32 beyond."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
 def _gnp_pairs(n: int, p: float, seed: int):
     """The upper rows (upper, ev) of G(n, p): row u holds upper[u] pairs
-    (u, w), u < w, whose w are the next upper[u] entries of the int32 array
-    `ev`, ascending; the pairs are in lexicographic order. Batches of
-    _GNP_BATCH gaps are drawn in place; each batch's pairs are sorted, so
-    its per-row counts are found from the few row starts that fall inside
-    it."""
+    (u, w), u < w, whose w are the next upper[u] entries of the
+    _end_type(n) array `ev`, ascending; the pairs are in lexicographic
+    order. Batches of _GNP_BATCH gaps are drawn in place; each batch's pairs
+    are sorted, so its per-row counts are found from the few row starts that
+    fall inside it."""
     total = n * (n - 1) // 2
     rng = derived(seed)
     log1mp = np.log1p(-p)
@@ -302,7 +311,7 @@ def _gnp_pairs(n: int, p: float, seed: int):
     ks = np.empty(_GNP_BATCH, dtype=np.int64)
     upper = np.zeros(n, dtype=np.int64)
     # the first gap alone may overshoot every pair
-    out_v = [np.zeros(0, dtype=np.int32)]
+    out_v = [np.zeros(0, dtype=_end_type(n))]
     pos = -1
     while True:
         rng.random(out=gaps)
@@ -327,7 +336,7 @@ def _gnp_pairs(n: int, p: float, seed: int):
                              append=len(batch))
             batch -= np.repeat(shift[u0:u1 + 1], counts)
             upper[u0:u1 + 1] += counts
-            out_v.append(batch.astype(np.int32))
+            out_v.append(batch.astype(out_v[0].dtype))
         if done:
             break
     return upper, np.concatenate(out_v)
@@ -343,7 +352,7 @@ def _circulant_pairs(n: int, steps: np.ndarray):
     ev = np.repeat(rows, counts)
     first = np.cumsum(counts) - counts
     ev += steps[np.arange(len(ev)) - np.repeat(first, counts)]
-    return counts, ev
+    return counts, ev.astype(_end_type(n))
 
 
 def _near_regular_perturbed(n: int, p: float, seed: int) -> Graph:
@@ -359,7 +368,8 @@ def _near_regular_perturbed(n: int, p: float, seed: int) -> Graph:
     toggled, times = np.unique(np.minimum(x, y) * n + np.maximum(x, y), return_counts=True)
     codes = np.repeat(np.arange(n, dtype=np.int64) * n, upper) + ev
     codes = np.setxor1d(codes, toggled[times % 2 == 1], assume_unique=True)
-    return _from_upper_rows(n, np.bincount(codes // n, minlength=n), codes % n)
+    ev = (codes % n).astype(_end_type(n))
+    return _from_upper_rows(n, np.bincount(codes // n, minlength=n), ev)
 
 
 def degrees_into(g: Graph, in_set: np.ndarray) -> np.ndarray:
@@ -512,17 +522,26 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
     counts them in one bin per key value (_first_largest_bin); a sparser
     one sorts them (_first_largest_run). Either way the least key among the
     most frequent wins, and a later chunk must beat the count, so the first
-    largest count is the first attaining pair."""
+    largest count is the first attaining pair.
+
+    by_w and slot are incidence indices, row_at a row below t and owns a
+    count below t, so each is int32: DEFAULT_EDGE_CAP keeps the incidences
+    below 2**31. The sort key and the running wedge count `owned` are
+    int64, since the wedges, sum of C(s_w, 2), may pass 2**31."""
     t = len(rows)
     # the keys w*t + i are distinct and ascend with i inside a w group, so
     # sorting them groups the incidences by w exactly as a stable sort by w
-    by_w = np.argsort(np.multiply(w, t, dtype=np.int64) + i)
-    row_at = i[by_w]
-    slot = np.empty(len(w), dtype=np.int64)
-    slot[by_w] = np.arange(len(w))
+    by_w = np.argsort(np.multiply(w, t, dtype=np.int64) + i).astype(np.int32)
+    row_at = i.astype(np.int32)[by_w]
+    slot = np.empty(len(w), dtype=np.int32)
+    slot[by_w] = np.arange(len(w), dtype=np.int32)
+    del by_w
     # incidence k owns one key for each later slot of its w group
-    owns = np.cumsum(s)[w] - slot - 1
-    owned = np.concatenate(([0], np.cumsum(owns)))
+    owns = np.cumsum(s, dtype=np.int32)[w]
+    owns -= slot
+    owns -= 1
+    owned = np.zeros(len(w) + 1, dtype=np.int64)
+    np.cumsum(owns, dtype=np.int64, out=owned[1:])
     row_start = np.searchsorted(i, np.arange(t + 1))
     best, pair = 0, (int(rows[0]), int(rows[1]))
     for a0, a1 in _chunks(owned[row_start]):
@@ -530,7 +549,8 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
         if owned[r1] == owned[r0]:
             continue
         count = owns[r0:r1]
-        partner = np.repeat(slot[r0:r1] + 1 - (np.cumsum(count) - count), count)
+        before = np.cumsum(count, dtype=np.int64) - count
+        partner = np.repeat(slot[r0:r1] + 1 - before, count)
         partner += np.arange(len(partner))
         keys = np.repeat((i[r0:r1] - a0) * t, count)
         keys += row_at[partner]
@@ -661,11 +681,11 @@ def load_edge_list(path) -> Graph:
                     continue
                 value = body[2:].strip()
                 early = declared_n is None and (first_edge is None or line0 + i + 1 < first_edge)
-                if not (early and value.isdigit() and len(value) <= _MAX_DIGITS
-                        and int(value) <= _MAX_N):
+                value = ascii_int(value) if early and len(value) <= _MAX_DIGITS else None
+                if value is None or value > _MAX_N:
                     marked[i] = True
                     break
-                declared_n = int(value)
+                declared_n = value
             odd_line = np.searchsorted(line_ends, np.flatnonzero(~_DIGIT_OR_SPACE[raw]))
             marked[odd_line[~is_comment[odd_line]]] = True
             marked[tok_line[ends - starts > _MAX_DIGITS]] = True

@@ -84,6 +84,20 @@ def test_parse_seeds():
     assert parse_seeds("1000:200") == (1000, 200)
     assert parse_seeds("1,2,3") == [1, 2, 3]
     assert parse_seeds("7") == [7]
+    assert parse_seeds(" 1, 2 ") == [1, 2]  # ASCII whitespace around a seed
+    # a seed is ASCII digits, like an edge-list id: int() read 1_0 as 10 and
+    # the Arabic-Indic ٣ and +3 as 3
+    for bad in ("1_0,٣", "٣", "+3", "-1", "1:1_0", "0x10", "3\u00a0", ""):
+        with pytest.raises(InvalidParameter, match="bad --seeds value"):
+            parse_seeds(bad)
+
+
+@pytest.mark.parametrize("text", ["n=1_00,p=0.1,seed=1", "n=100,p=0.1,seed=٣",
+                                  "n=100,p=0.1,seed=+3", "n=100,p=0.1,seed=-1"])
+def test_gen_integers_are_ascii_digits(text):
+    # int() read n = 100, seed = 3 and seed = 3; -1 was refused later
+    with pytest.raises(InvalidParameter, match=r"bad --gen (n|seed) value"):
+        parse_gen(f"gnp:{text}")
 
 
 def test_lemma_parser_defaults():
@@ -464,6 +478,12 @@ BAD_INPUT = {
     "sweep-seed-repeated": f"sweep {GEN} --p 0.1 --grid 1 --seeds 1,1",
     # a 15-byte file whose n = 2e9 row starts took 16 GB: a MemoryError traceback
     "graph-n-above-edge-cap": "certify --graph huge-n.txt --p 0.1",
+    # integers are ASCII digits, as edge-list ids are: int() read n = 50,
+    # q = 13, seed = 3 and vertex 10
+    "gen-n-underscore": "generate --gen gnp:n=5_0,p=0.1,seed=1 --out g.txt",
+    "gen-q-plus": "generate --gen paley:q=+13 --out g.txt",
+    "gen-seed-arabic-indic": "generate --gen gnp:n=50,p=0.1,seed=٣ --out g.txt",
+    "h-underscore": f"lemma --which incl-excl {GEN} --p 0.1 --h 0,1_0",
 }
 # the input files that BAD_INPUT names, written beside each run
 BAD_FILES = {"huge-n.txt": "# n=2000000000\n"}
@@ -477,6 +497,15 @@ def test_bad_input_exits_2_without_traceback(args, tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("seeds", ["1_0", "٣", "+3", "٣:2", "1,+2"])
+def test_seed_blocks_are_ascii_digits(seeds, tmp_path):
+    # argparse refuses the --seeds value with its usage line; int() read these
+    done = run_cli(["sweep", *GEN.split(), "--p", "0.1", "--grid", "1", "--seeds", seeds],
+                   tmp_path)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "argument --seeds" in done.stderr and done.stdout == ""
 
 
 def test_perturbed_below_two_vertices_is_the_plain_graph(tmp_path):

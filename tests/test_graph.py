@@ -5,8 +5,8 @@ scalar geometric-skip sampler for gnp, a quadratic-residue table for paley,
 a set-toggling loop for the perturbed family, dense-matrix co-degree counts,
 a lexsort CSR builder, per-vertex sorted Python lists and a line-at-a-time
 edge-list reader. The property tests draw their inputs with hypothesis;
-tracemalloc tests bound the peak memory of generation and of edge-list
-load and save.
+tracemalloc tests bound the peak memory of generation, of the sampled
+co-degree scan and of edge-list load and save.
 """
 
 import math
@@ -34,6 +34,7 @@ from percolab import (
     max_co_degree,
     save_edge_list,
 )
+from percolab.certify import tightest_profile
 from percolab.errors import InvalidParameter, NonSimple, ParseError, PercolabError, ResourceLimit
 from percolab.graph import (
     _from_upper_rows,
@@ -156,11 +157,11 @@ def test_gnp_matches_scalar_oracle():
 ])
 def test_gnp_batches_match_scalar_oracle(monkeypatch, batch, n, p, seed):
     """Batch boundaries fall inside rows and across runs of rows; the pairs
-    come out in the scalar sampler's order, as per-row counts and int32
-    upper neighbors."""
+    come out in the scalar sampler's order, as per-row counts and upper
+    neighbors of the least unsigned type that holds n - 1."""
     monkeypatch.setattr(graph, "_GNP_BATCH", batch)
     upper, ev = graph._gnp_pairs(n, p, seed)
-    assert ev.dtype == np.int32
+    assert ev.dtype == (np.uint8 if n <= 256 else np.uint16 if n <= 65536 else np.uint32)
     assert len(upper) == n and upper.sum() == len(ev)
     eu = np.repeat(np.arange(n), upper)
     assert list(zip(eu.tolist(), ev.tolist())) == gnp_scalar_oracle(n, p, seed)
@@ -900,18 +901,30 @@ EMPTY_ROWS = 10, {(1, 2), (1, 5), (5, 8)}
 @settings(max_examples=150, deadline=None)
 @given(edge_sets(), st.sampled_from([np.int32, np.int64]))
 # 65536 is the last n with uint32 keys (up to 2**32 - 2), 65537 the first
-# with int64 keys: int32 keys, or uint32 keys past 65536, wrap and misorder
+# with int64 keys: int32 keys, or uint32 keys past 65536, wrap and misorder.
+# The generators' upper ends are uint8 up to n = 256, uint16 up to 65536
+# and uint32 beyond; each is built at the n on both sides of its bound.
+@example(widest_keys(256), np.uint8)
+@example(widest_keys(256), np.uint16)
+@example(widest_keys(256), np.int32)
+@example(widest_keys(257), np.uint16)
+@example(widest_keys(257), np.int64)
+@example(widest_keys(65536), np.uint16)
+@example(widest_keys(65536), np.uint32)
 @example(widest_keys(65536), np.int32)
 @example(widest_keys(65536), np.int64)
+@example(widest_keys(65537), np.uint32)
 @example(widest_keys(65537), np.int32)
 @example(widest_keys(65537), np.int64)
 @example(EMPTY_ROWS, np.int32)
 def test_builder_matches_lexsort_reference(case, dtype):
-    """The generators give the builder int32 pairs and the loader int64.
-    Every case is also built in row ranges of 1, 2, 3 and 7 entries; at the
-    module's range size every drawn graph is one range."""
+    """The generators give the builder upper ends of the least unsigned type
+    that holds n - 1 and the loader int32 ones; any integer type is built
+    alike. Every case is also built in row ranges of 1, 2, 3 and 7 entries;
+    at the module's range size every drawn graph is one range."""
     n, pairs = case
-    eu, ev = (a.astype(dtype) for a in pair_arrays(pairs))
+    eu, ev = pair_arrays(pairs)
+    ev = ev.astype(dtype)
     offsets, neighbors = lexsort_csr(n, eu, ev)
     rows = sorted_adjacency_csr(n, pairs)
     for keys in (graph._CODEGREE_CHUNK_KEYS, 1, 2, 3, 7):
@@ -1055,22 +1068,43 @@ def traced_peak(call):
 
 
 # gnp host (n, p): the bound on its build's peak over its CSR bytes
-PEAK_BOUNDS = {(6000, 0.03): 2.0, (50000, 2e-4): 2.5, (70000, 4e-4): 3.0}
+PEAK_BOUNDS = {(6000, 0.03): 1.5, (50000, 2e-4): 1.9, (70000, 4e-4): 2.8}
 
 
 @pytest.mark.parametrize("n,p", PEAK_BOUNDS)
 def test_generate_peak_memory(n, p):
     """Building the graph peaks below PEAK_BOUNDS times the bytes of its
-    own offsets and neighbors. The builder makes and sorts uint32 keys inside
-    `neighbors` up to n = 65536: 1.8x on gnp 6000/0.03 and 2.0x on
-    50000/2e-4 (set there by the sampler), against 2.4x when it held
-    separate keys and an edge-length mask of the lower slots. Beyond
-    65536 the keys are a separate int64 array: 2.7x on 70000/4e-4, against
-    2.8x. Holding every pair's row id beside int64 keys peaked at 2.9x and
-    2.8x on the first two, and int64 batches with an int64 scatter index
-    at 4.2x and 4.3x."""
+    own offsets and neighbors. A tiny host is built first: a process's first
+    build allocates about 0.66 MB that later builds do not. The builder makes
+    and sorts uint32 keys inside `neighbors` up to n = 65536, where the
+    sampler's upper ends are uint16: 1.41x on gnp 6000/0.03 and 1.79x on
+    50000/2e-4, against 1.66x and 2.01x with int32 upper ends. Beyond 65536
+    the keys are a separate int64 array and the ends uint32: 2.67x on
+    70000/4e-4, as with int32 ends. Holding every pair's row id beside int64
+    keys peaked at 2.9x and 2.8x on the first two, and int64 batches with an
+    int64 scatter index at 4.2x and 4.3x (first builds of a process)."""
+    generate(GeneratorSpec(kind="gnp", n=10, p=0.5, seed=1))
     g, peak = traced_peak(lambda: generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=1)))
     assert peak < PEAK_BOUNDS[n, p] * (g.offsets.nbytes + g.neighbors.nbytes)
+
+
+def test_sampled_codegree_scan_peak_memory(monkeypatch):
+    """The sampled co-degree scan of a dense host counts wedges over its
+    rows' incidences and peaks below 56 bytes per incidence: 50.1 on gnp
+    10000/0.05 (413 rows, 212,424 incidences; 41.2 on the trials host
+    30000/0.03), of which 32 are the scan's int32 index arrays, the int64
+    running wedge count and the rows' incidences, and the rest one chunk's
+    keys. With int64 index arrays it peaked at 68.2."""
+    g = generate(GeneratorSpec(kind="gnp", n=10000, p=0.05, seed=1))
+    monkeypatch.setattr(graph, "EXACT_CODEGREE_CAP", g.n - 1)
+    incidences = int(g.degrees()[graph._sampled_rows(g, 50_000)].sum())
+    kernels = []
+    wedges = graph._max_codegree_wedges
+    monkeypatch.setattr(graph, "_max_codegree_wedges",
+                        lambda *args: kernels.append("wedges") or wedges(*args))
+    profile, peak = traced_peak(lambda: tightest_profile(g, 0.05))
+    assert profile.codegree_mode == "sampled" and kernels == ["wedges"]
+    assert peak < 56 * incidences
 
 
 def test_load_peak_memory(tmp_path):

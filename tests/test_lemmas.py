@@ -28,6 +28,7 @@ from percolab import (
     variance_bound_check,
     xi_count_check,
 )
+from percolab.certify import tightest_profile
 from percolab.errors import InvalidParameter, NotCertified
 from percolab.graph import _DENSE_TILE_BYTES
 from percolab.lemmas import (
@@ -520,6 +521,26 @@ def test_every_bound_refuses_a_profile_certified_for_another_n():
     for check in checks:
         with pytest.raises(NotCertified, match=r"profile is for n=200, not n=400"):
             check()
+
+
+def test_every_bound_refuses_a_profile_certified_for_another_host_of_its_n():
+    # K_50 certifies a1, a2 and a3 at p = 0.9; the star on 50 vertices has
+    # the same n but degrees 1..49, and its hub breaks the variance bound's
+    # slacks, which the check reported as passed
+    host = complete_graph(50)
+    prof = tightest_profile(host, 0.9)
+    assert prof.a1 and prof.a2 and prof.a3
+    star = star_graph(50)
+    checks = [lambda: expansion_check(star, prof, m=2, alpha0=0.5),
+              lambda: variance_bound_check(star, range(25), prof),
+              lambda: xi_count_check(star, range(25), prof, alpha=0.5),
+              lambda: outer_complement_check(star, [0], prof, epsilon=0.3)]
+    for check in checks:
+        with pytest.raises(NotCertified, match=r"profile is for degrees 49\.\.49, not 1\.\.49"):
+            check()
+    # reused on its own host, the profile passes the gate
+    prof.require(host, "a1", "a2", "a3")
+    assert variance_bound_check(host, range(25), prof).passed
 
 
 # --- helpers around the lemmas ---
