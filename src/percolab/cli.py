@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sp.add_parser("percolate", help="one DFS percolation run")
     _add_common(pc)
     pc.add_argument("--rho", type=float, required=True)
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", default="0")
 
     lm = sp.add_parser("lemma", help="bound checks with witnesses")
     _add_common(lm, p=True, epsilon=True)
@@ -116,13 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["expansion", "variance", "xi", "outer", "incl-excl"])
     lm.add_argument("--a", type=float, default=None)
     lm.add_argument("--b", type=float, default=None)
-    lm.add_argument("--m", type=int, default=2)
+    lm.add_argument("--m", default="2")
     lm.add_argument("--alpha0", type=float, default=0.5)
     lm.add_argument("--alpha", type=float, default=0.5)
     lm.add_argument("--c", type=float, default=1e-3)
-    lm.add_argument("--u-size", type=int, default=None, help="|U| for variance/xi")
-    lm.add_argument("--u-seed", type=int, default=0, help="stream for the random U")
-    lm.add_argument("--root", type=int, default=0, help="BFS root for the outer check")
+    lm.add_argument("--u-size", default=None, help="|U| for variance/xi")
+    lm.add_argument("--u-seed", default="0", help="stream for the random U")
+    lm.add_argument("--root", default="0", help="BFS root for the outer check")
     lm.add_argument("--h", default=None, help="explicit H as comma list (incl-excl)")
 
     sw = sp.add_parser("sweep", help="rho-grid Monte Carlo sweep")
@@ -154,9 +154,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_percolate(args) -> int:
+    seed = _number(ascii_int, args.seed, "--seed")
     g = _load_graph(args)
-    outcome = percolate.dfs_percolate(
-        g, percolate.BernoulliStream(rho=args.rho, seed=args.seed))
+    outcome = percolate.dfs_percolate(g, percolate.BernoulliStream(rho=args.rho, seed=seed))
     l1, l2 = percolate.largest_two(outcome)
     payload = {
         "rho": outcome.rho,
@@ -174,26 +174,30 @@ def cmd_percolate(args) -> int:
 
 def _random_u(g, size, seed):
     size = require_int("--u-size", size, 0, g.n)
-    seed = require_int("--u-seed", seed)
     return derived(seed, 0xA).choice(g.n, size=size, replace=False).tolist()
 
 
 def cmd_lemma(args) -> int:
+    # every integer option is read before any work, whichever check uses it
+    m = _number(ascii_int, args.m, "--m")
+    u_seed = _number(ascii_int, args.u_seed, "--u-seed")
+    root = _number(ascii_int, args.root, "--root")
+    u_size = None if args.u_size is None else _number(ascii_int, args.u_size, "--u-size")
     g = _load_graph(args)
     # inclusion-exclusion reads only H, so it needs no profile
     profile = None if args.which == "incl-excl" else _profile_for(args, g)
     if args.which == "expansion":
-        report = lemmas.expansion_check(g, profile, m=args.m, alpha0=args.alpha0, c=args.c)
+        report = lemmas.expansion_check(g, profile, m=m, alpha0=args.alpha0, c=args.c)
     elif args.which == "variance":
-        size = args.u_size if args.u_size is not None else g.n // 2
-        report = lemmas.variance_bound_check(g, _random_u(g, size, args.u_seed), profile)
+        size = u_size if u_size is not None else g.n // 2
+        report = lemmas.variance_bound_check(g, _random_u(g, size, u_seed), profile)
     elif args.which == "xi":
-        size = args.u_size if args.u_size is not None else (g.n + 1) // 2
-        report = lemmas.xi_count_check(g, _random_u(g, size, args.u_seed),
+        size = u_size if u_size is not None else (g.n + 1) // 2
+        report = lemmas.xi_count_check(g, _random_u(g, size, u_seed),
                                        profile, alpha=args.alpha)
     elif args.which == "outer":
         size = lemmas.ceil_eps_over_p(args.epsilon, args.p)
-        c_set = lemmas.grow_connected_set(g, args.root, size)
+        c_set = lemmas.grow_connected_set(g, root, size)
         report = lemmas.outer_complement_check(g, c_set, profile, args.epsilon)
     else:
         if not args.h:

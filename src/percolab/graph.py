@@ -413,8 +413,10 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     An all-pairs scan over t rows uses one of two kernels, both exact. A
     wedge count makes one key per pair of rows sharing a neighbor w, sum
     over w of C(s_w, 2) keys where s_w is the number of the rows adjacent to
-    w, and counts equal keys in chunks of whole rows: a chunk of r rows with
-    at least r*t keys counts them in r*t bins, a sparser one sorts them.
+    w. It counts equal keys in one bin per row pair when the t*t pairs are
+    no more than the rows' incidences (the sampled rows of a dense host),
+    else in chunks of whole rows: a chunk of r rows with at least r*t keys
+    counts them in r*t bins, a sparser one sorts them.
     The dense kernel multiplies float32 0/1 tiles of the rows with BLAS
     over the `cols` vertices with s_w >= 2, C(t, 2) * cols multiply-adds
     plus building and streaming the tiles. The wedge count scans when its
@@ -516,13 +518,15 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
     """The scan of _max_codegree_among by counting wedges. (i, w) are the
     incidences of adjacency_rows(g, rows) and s[w] the number of rows
     adjacent to w. Each pair a < b of rows adjacent to one w gives a key;
-    the number of equal keys is the co-degree of the pair. Keys are made
-    and counted in chunks of whole rows [a0, a1), in row order, as
-    (a - a0)*t + b, below (a1 - a0)*t. A chunk with at least that many keys
-    counts them in one bin per key value (_first_largest_bin); a sparser
-    one sorts them (_first_largest_run). Either way the least key among the
-    most frequent wins, and a later chunk must beat the count, so the first
-    largest count is the first attaining pair.
+    the number of equal keys is the co-degree of the pair. When the t*t
+    pairs of rows are no more than the incidences, every key a*t + b is
+    counted in one bin per row pair (_max_codegree_pair_bins). Otherwise
+    keys are made and counted in chunks of whole rows [a0, a1), in row
+    order, as (a - a0)*t + b, below (a1 - a0)*t. A chunk with at least that
+    many keys counts them in one bin per key value (_first_largest_bin); a
+    sparser one sorts them (_first_largest_run). Either way the least key
+    among the most frequent wins, and a later chunk must beat the count, so
+    the first largest count is the first attaining pair.
 
     by_w and slot are incidence indices, row_at a row below t and owns a
     count below t, so each is int32: DEFAULT_EDGE_CAP keeps the incidences
@@ -533,6 +537,9 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
     # sorting them groups the incidences by w exactly as a stable sort by w
     by_w = np.argsort(np.multiply(w, t, dtype=np.int64) + i).astype(np.int32)
     row_at = i.astype(np.int32)[by_w]
+    if t * t <= len(w):
+        del by_w
+        return _max_codegree_pair_bins(rows, row_at, s)
     slot = np.empty(len(w), dtype=np.int32)
     slot[by_w] = np.arange(len(w), dtype=np.int32)
     del by_w
@@ -561,6 +568,37 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
             a, b = divmod(key, t)
             pair = (int(rows[a0 + a]), int(rows[b]))
     return best, pair
+
+
+def _max_codegree_pair_bins(rows: np.ndarray, row_at: np.ndarray, s: np.ndarray):
+    """The wedge count of _max_codegree_wedges in one int64 bin per pair of
+    the t rows, for t*t at most the incidences: the bins take at most 8
+    bytes an incidence, and every key a*t + b fits the int32 of row_at.
+    row_at lists the rows adjacent to each w, w ascending and each group's
+    rows ascending, so the groups have sizes s[w] > 0 in order of w. The
+    groups of one size k >= 2 are taken as one (groups x k) block; each
+    position pair p < q of np.triu_indices(k, 1) gives the key a*t + b of
+    the group's rows a = row_at[p] < b = row_at[q]. np.add.at adds at most
+    _CODEGREE_CHUNK_KEYS keys at a time, or one group's. The least key of
+    the largest bin is the first attaining pair."""
+    t = len(rows)
+    size = s[s > 0]
+    start = np.cumsum(size) - size
+    bins = np.zeros(t * t, dtype=np.int64)
+    for k in np.unique(size[size > 1]).tolist():
+        p, q = np.triu_indices(k, 1)
+        first = start[size == k, None]
+        step = max(1, _CODEGREE_CHUNK_KEYS // len(p))
+        for g in range(0, len(first), step):
+            block = row_at[first[g:g + step] + np.arange(k)]
+            keys = block[:, p] * t
+            keys += block[:, q]
+            np.add.at(bins, keys, 1)
+    key = int(bins.argmax())
+    if bins[key] == 0:
+        return 0, (int(rows[0]), int(rows[1]))
+    a, b = divmod(key, t)
+    return int(bins[key]), (int(rows[a]), int(rows[b]))
 
 
 def _first_largest_bin(keys: np.ndarray, span: int):
@@ -607,11 +645,6 @@ def _chunks(before: np.ndarray):
 
 _HEADER_PREFIX = "# n="
 _MAX_DIGITS = 18  # longest id token parsed without int64 overflow
-# the bytes that bytes.split() treats as whitespace
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b" \t\n\r\x0b\x0c")] = True
-_DIGIT_OR_SPACE = _SPACE.copy()
-_DIGIT_OR_SPACE[ord("0"):ord("9") + 1] = True
 
 
 def load_edge_list(path) -> Graph:
@@ -653,7 +686,11 @@ def load_edge_list(path) -> Graph:
                 start = int(line_ends[i - 1]) + 1 if i else 0
                 return data[start:int(line_ends[i]) if i < len(line_ends) else len(data)]
 
-            space = np.concatenate(([True], _SPACE[raw], [True]))
+            # the bytes that bytes.split() treats as whitespace, '\t' to '\r'
+            # and ' ', found by comparisons; a token is a run of the others
+            space = np.ones(len(raw) + 2, dtype=bool)
+            np.less(raw - np.uint8(ord("\t")), 5, out=space[1:-1])
+            space[1:-1] |= raw == ord(" ")
             bounds = np.flatnonzero(space[1:] != space[:-1])
             starts, ends = bounds[0::2], bounds[1::2]
             tok_line = np.searchsorted(line_ends, starts)
@@ -686,7 +723,12 @@ def load_edge_list(path) -> Graph:
                     marked[i] = True
                     break
                 declared_n = value
-            odd_line = np.searchsorted(line_ends, np.flatnonzero(~_DIGIT_OR_SPACE[raw]))
+            # raw - '0' wraps in uint8, so only a digit is below 10; a byte
+            # neither digit nor space marks its line unless it is a comment
+            digit = raw - np.uint8(ord("0"))
+            odd = digit >= 10
+            odd &= ~space[1:-1]
+            odd_line = np.searchsorted(line_ends, np.flatnonzero(odd))
             marked[odd_line[~is_comment[odd_line]]] = True
             marked[tok_line[ends - starts > _MAX_DIGITS]] = True
             well_formed = ~marked[tok_line]
@@ -695,7 +737,6 @@ def load_edge_list(path) -> Graph:
             # Ids by Horner's rule over right-aligned digit columns: column j
             # of a token is its digit j places before its last, or 0 once j
             # reaches its width.
-            digit = raw - np.uint8(ord("0"))
             width = ends - starts
             ids = np.zeros(len(starts), dtype=np.int64)
             for j in range(int(width.max()) - 1 if len(width) else -1, -1, -1):
@@ -769,7 +810,8 @@ def _line_blocks(fh):
         if read:
             cut = 1 + max(buf.rfind(b"\n", searched), buf.rfind(b"\r", searched, len(buf) - 1))
         if cut:
-            yield bytes(buf[:cut]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            block = bytes(buf[:cut])
+            yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
             del buf[:cut]
         if not read:
             return

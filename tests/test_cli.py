@@ -104,10 +104,11 @@ def test_lemma_parser_defaults():
     args = cli.build_parser().parse_args(
         ["lemma", "--which", "xi", "--gen", "g", "--p", "0.5"])
     assert args.epsilon == 0.3
-    assert (args.m, args.alpha0, args.alpha, args.c) == (2, 0.5, 0.5, 1e-3)
+    # integer options stay text until the command reads them with ascii_int
+    assert (args.m, args.alpha0, args.alpha, args.c) == ("2", 0.5, 0.5, 1e-3)
     # the expansion scan is chosen by C(n, m) against EXHAUSTIVE_SET_CAP
     assert not hasattr(args, "mode")
-    assert args.u_size is None and args.u_seed == 0 and args.root == 0
+    assert args.u_size is None and args.u_seed == "0" and args.root == "0"
     assert args.a is None and args.b is None and args.out is None
 
 
@@ -497,6 +498,25 @@ def test_bad_input_exits_2_without_traceback(args, tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+# each integer option of percolate and lemma, in a command that reads it
+INT_OPTIONS = {
+    "--seed": f"percolate {GEN} --rho 0.5",
+    "--m": f"lemma --which expansion {GEN} --p 0.1",
+    "--u-size": f"lemma --which xi {GEN} --p 0.1",
+    "--u-seed": f"lemma --which variance {GEN} --p 0.1",
+    "--root": f"lemma --which outer {GEN} --p 0.1",
+}
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "٣", "-1"])
+@pytest.mark.parametrize("option", INT_OPTIONS)
+def test_integer_options_are_ascii_digits(option, text, capsys):
+    # int() read 1_0 as 10, +3 and ٣ as 3; the library refused -1 with its own message
+    assert cli.main([*INT_OPTIONS[option].split(), option, text]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad {option} value {text!r}\n"
 
 
 @pytest.mark.parametrize("seeds", ["1_0", "٣", "+3", "٣:2", "1,+2"])

@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_graph, complete_graph, cycle_graph, edge_set, path_graph, star_graph
@@ -535,6 +535,67 @@ def test_one_scan_counts_some_chunks_and_sorts_others():
     found, bins, runs = wedge_counts(g, _CODEGREE_CHUNK_KEYS=1)
     assert found == naive_max_codegree(g)
     assert bins >= 1 and runs >= 1
+
+
+@st.composite
+def pair_bin_scans(draw):
+    """A host and an ascending row set whose t*t row pairs are no more than
+    the rows' incidences: rows of a dense gnp, of a Paley graph (whose
+    co-degrees tie at two values) or the t centres of t disjoint stars of t
+    leaves, which share no neighbor."""
+    kind = draw(st.sampled_from(["gnp", "paley", "stars"]))
+    if kind == "stars":
+        t = draw(st.integers(2, 6))
+        stars = [(c, t + c * t + j) for c in range(t) for j in range(t)]
+        return build_graph(t + t * t, stars), list(range(t))
+    if kind == "paley":
+        g = generate(GeneratorSpec(kind="paley", q=draw(st.sampled_from([13, 17, 29, 37, 41]))))
+    else:
+        g = generate(GeneratorSpec(kind="gnp", n=draw(st.integers(10, 60)),
+                                   p=draw(st.sampled_from([0.5, 0.8])),
+                                   seed=draw(st.integers(0, 2 ** 32 - 1))))
+    rows = sorted(draw(st.sets(st.integers(0, g.n - 1), min_size=2)))
+    while len(rows) ** 2 > g.degrees()[rows].sum():
+        rows.pop()
+    assume(len(rows) >= 2)
+    return g, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_bin_scans(), st.sampled_from([1 << 17, 1]))
+def test_pair_bins_equal_the_naive_scan(scan, chunk_keys):
+    # every key is counted in one bin per row pair, in one piece or one w
+    # group a piece; the least key of the largest bin is the first pair
+    g, rows = scan
+    with mock.patch("percolab.graph._max_codegree_pair_bins",
+                    wraps=graph._max_codegree_pair_bins) as bins, \
+            mock.patch.multiple("percolab.graph", _WEDGE_KEY_MADDS=0, _max_codegree_dense=refuse,
+                                _CODEGREE_CHUNK_KEYS=chunk_keys):
+        found = _max_codegree_among(g, np.array(rows, dtype=np.int64))
+    assert found == naive_max_codegree(g, rows)
+    assert bins.call_count == 1
+
+
+@pytest.mark.parametrize("spec, rows, incidences, bins, found", [
+    (GeneratorSpec(kind="gnp", n=10000, p=0.05, seed=1), 413, 212_424, True, (51, (28, 6023))),
+    (GeneratorSpec(kind="gnp", n=50000, p=2e-4, seed=1), 813, 12_800, False, (2, (24752, 31092))),
+])
+def test_sampled_scan_counts_pair_bins_only_when_pairs_fit(monkeypatch, spec, rows, incidences,
+                                                          bins, found):
+    # 413**2 = 170,569 row pairs fit in the dense host's incidences, and the
+    # scan counts no chunk of rows; 813**2 = 660,969 do not fit in the sparse
+    # host's, and it counts chunks
+    g = generate(spec)
+    monkeypatch.setattr(graph, "EXACT_CODEGREE_CAP", 9999)
+    sampled = graph._sampled_rows(g, 50_000)
+    assert (len(sampled), int(g.degrees()[sampled].sum())) == (rows, incidences)
+    with mock.patch("percolab.graph._max_codegree_pair_bins",
+                    wraps=graph._max_codegree_pair_bins) as pair_bins, \
+            mock.patch("percolab.graph._first_largest_bin", wraps=graph._first_largest_bin) as chunk, \
+            mock.patch("percolab.graph._first_largest_run", wraps=graph._first_largest_run) as run:
+        assert max_co_degree(g) == CoDegreeResult(*found, "sampled")
+    assert pair_bins.call_count == bins
+    assert (chunk.call_count + run.call_count > 0) != bins
 
 
 @settings(max_examples=200, deadline=None)
@@ -1090,11 +1151,14 @@ def test_generate_peak_memory(n, p):
 
 def test_sampled_codegree_scan_peak_memory(monkeypatch):
     """The sampled co-degree scan of a dense host counts wedges over its
-    rows' incidences and peaks below 56 bytes per incidence: 50.1 on gnp
-    10000/0.05 (413 rows, 212,424 incidences; 41.2 on the trials host
-    30000/0.03), of which 32 are the scan's int32 index arrays, the int64
-    running wedge count and the rows' incidences, and the rest one chunk's
-    keys. With int64 index arrays it peaked at 68.2."""
+    rows' incidences and peaks below 40 bytes per incidence: 30.9 on gnp
+    10000/0.05 (413 rows, 212,424 incidences; 28.5 on the trials host
+    30000/0.03). Its 413**2 row pairs are fewer than its incidences, so
+    every wedge is counted in one int64 bin per row pair, at most 8 bytes
+    per incidence, beside the rows' incidences and their order by neighbor.
+    Counting in chunks of whole rows, with the int32 index arrays and the
+    int64 running wedge count that needs, peaked at 50.1 (41.2); with int64
+    index arrays at 68.2."""
     g = generate(GeneratorSpec(kind="gnp", n=10000, p=0.05, seed=1))
     monkeypatch.setattr(graph, "EXACT_CODEGREE_CAP", g.n - 1)
     incidences = int(g.degrees()[graph._sampled_rows(g, 50_000)].sum())
@@ -1104,7 +1168,7 @@ def test_sampled_codegree_scan_peak_memory(monkeypatch):
                         lambda *args: kernels.append("wedges") or wedges(*args))
     profile, peak = traced_peak(lambda: tightest_profile(g, 0.05))
     assert profile.codegree_mode == "sampled" and kernels == ["wedges"]
-    assert peak < 56 * incidences
+    assert peak < 40 * incidences
 
 
 def test_load_peak_memory(tmp_path):
