@@ -37,25 +37,38 @@ _MAX_N = int(np.iinfo(np.int32).max)
 _PERTURB_FRACTION = 0.01
 # Co-degree kernels (see max_co_degree), measured on a 2-vCPU Xeon VM with
 # numpy 2.4.6 and OpenBLAS 0.3.31, in float32 multiply-adds. One wedge key
-# cost 7-16 ns on gnp n=1000..4000 at p >= 0.04, and 9-80 ns on sparser or
-# smaller hosts. The dense scan fitted 2 ps per multiply-add of
-# C(t, 2) * cols plus 1.4 ns per tile cell built and streamed; thin tiles
-# cost most per cell. Over gnp n=500..4000, p=0.005..0.2, Paley 1009 and
-# the top-1% rows of gnp 30000/0.03 and 50000/2e-4, these two picked a
-# kernel within 4 ms or 6% of the faster one on every host (the top-1% rows
-# of gnp 30000/0.03: 32 ms counting wedges, 183 ms with tiles).
+# cost 5-11 ns on gnp n=1000..4000 at p >= 0.04, and 14-190 ns on sparser or
+# smaller hosts. A dense product of a k-row tile and a packed k-row operand
+# over `cols` columns costs k * k * cols multiply-adds, plus
+# _TILE_CELL_MADDS for each of the k * cols cells of the left tile built and
+# streamed: 12 ps a unit on gnp 2000/0.1 (17 products, 50 ms) and 4000/0.2
+# (271, 556 ms), 8 ps on the rows of gnp 30000/0.03 (342 thin products, 311
+# ms), 11-15 ps on one-tile hosts of n=500 (2.0-2.7 ms) and 22 ps on Paley
+# 1009 (2 products, 17 ms). Timed with both kernels forced (best of 3) on
+# gnp n=500, 1000, 2000, 4000 at p=0.005, 0.01, 0.02, 0.05, 0.1, 0.2, Paley
+# 1009 and the top-1% rows of gnp 30000/0.03 and 50000/2e-4, these two
+# picked the faster kernel on every host but gnp 2000/0.02 (wedges 43 ms,
+# tiles 32 ms) and 500/0.05 (4.7 and 2.4 ms), whose few wedges cost 27-31
+# ns a key. Wedges against tiles elsewhere: 64 against 311 ms on the rows
+# of gnp 30000/0.03, 656 against 17 ms on Paley 1009, 244 against 50 ms on
+# gnp 2000/0.1. No key cost picks the faster kernel everywhere: gnp
+# 2000/0.02 needs one above 1805, gnp 4000/0.03 (wedges 239 ms, tiles 339
+# ms) one below 1181.
 _WEDGE_KEY_MADDS = 1000
 _TILE_CELL_MADDS = 200
 # Bytes of one float32 tile of the dense kernel. The scan holds two row
-# tiles and their product, or one row per tile when a row is larger; a row
-# of the columns it counts is smaller than the incidence arrays the scan
-# already holds. On certify_exact 4 MB tiles ran the batch in 0.56 s at a
-# peak RSS of 102.7 MB, 2 MB in 0.61 s at 99.8 MB and 1 MB in 0.67 s at
-# 99.5 MB.
+# tiles, their product and one digit of it, or one row per tile when a row
+# is larger; a row of the columns it counts is smaller than the incidence
+# arrays the scan already holds. On certify_exact, with one tile a product,
+# 4 MB tiles ran the batch in 0.56 s at a peak RSS of 102.7 MB, 2 MB in
+# 0.61 s at 99.8 MB and 1 MB in 0.67 s at 99.5 MB.
 _DENSE_TILE_BYTES = 1 << 21
 # float32 holds every integer up to 2**24 exactly, so the dense kernel runs
 # only while no count it sums can pass that: every row of the scan has fewer
-# neighbors. A loaded edge list may hold a hub of more.
+# neighbors. A loaded edge list may hold a hub of more. The kernel packs
+# 24 // bits row tiles into each product, bits the bit length of the rows'
+# largest degree, so that every packed sum stays below 2**24 as well: 3
+# tiles on gnp 2000/0.1 (largest degree 249, 8 bits), 2 on Paley 1009 (504).
 _FLOAT32_EXACT = 1 << 24
 # Keys made and counted at once by the wedge count. On gnp n=20000,
 # p=0.002 (16M wedges, every chunk sorted) 2**17 took 0.41-0.58 s and 42
@@ -418,13 +431,17 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     else in chunks of whole rows: a chunk of r rows with at least r*t keys
     counts them in r*t bins, a sparser one sorts them.
     The dense kernel multiplies float32 0/1 tiles of the rows with BLAS
-    over the `cols` vertices with s_w >= 2, C(t, 2) * cols multiply-adds
-    plus building and streaming the tiles. The wedge count scans when its
-    keys times the cost of one key (_WEDGE_KEY_MADDS multiply-adds) are at
-    most the dense work: sparse hosts count wedges, dense hosts multiply
-    tiles. float32 sums integers exactly only up to 2**24, so the dense
-    kernel also needs every row to have fewer neighbors than that; a row
-    with more sends the scan to the wedge count.
+    over the `cols` vertices with s_w >= 2. Every count is at most the
+    rows' largest degree, a number of `bits` bits, so the right operand of
+    each product packs f = 24 // bits tiles as base-2**bits digits, and one
+    product gives the counts of f tiles: each packed sum stays below 2**24,
+    where float32 sums integers exactly, and an int32 shift and mask read
+    the digits back. Its work is the products' multiply-adds, about
+    C(t, 2) * cols / f, plus building and streaming the tiles. The wedge
+    count scans when its keys times the cost of one key (_WEDGE_KEY_MADDS
+    multiply-adds) are at most the dense work: sparse hosts count wedges,
+    dense hosts multiply tiles. A row with 2**24 or more neighbors, whose
+    counts float32 could not hold, sends the scan to the wedge count.
     Deterministic for a given graph; the sampling stream is keyed by
     (n, edge_count). Raises InvalidParameter unless `sample_pairs` is an int >= 0.
     """
@@ -447,12 +464,21 @@ def _max_codegree_among(g: Graph, rows: np.ndarray):
     shared = s > 1
     cols = int(np.count_nonzero(shared))
     t = len(rows)
-    k = _tile_rows(t, cols)
-    tiles_built = math.comb(-(-t // k) + 1, 2)
-    dense = math.comb(t, 2) * cols + _TILE_CELL_MADDS * tiles_built * k * cols
-    if wedges * _WEDGE_KEY_MADDS <= dense or g.degrees()[rows].max() >= _FLOAT32_EXACT:
+    deg = g.degrees()[rows]
+    top = int(deg.max())
+    if top >= _FLOAT32_EXACT:
         return _max_codegree_wedges(rows, i, w, s)
-    return _max_codegree_dense(rows, i, w, shared, k)
+    k = _tile_rows(t, cols)
+    tiles = -(-t // k)
+    f = _packing(top)[1]
+    # the packed operand of tiles b .. b+f-1 meets every left tile up to its
+    # last; a product costs k * k * cols multiply-adds and its left tile
+    products = sum(min(tiles, b + f) for b in range(0, tiles, f))
+    dense = products * k * cols * (k + _TILE_CELL_MADDS)
+    if wedges * _WEDGE_KEY_MADDS <= dense:
+        return _max_codegree_wedges(rows, i, w, s)
+    del i  # the dense kernel reads each incidence's row from the degrees
+    return _max_codegree_dense(rows, deg, w, shared, k)
 
 
 def _tile_rows(t: int, cols: int) -> int:
@@ -463,55 +489,116 @@ def _tile_rows(t: int, cols: int) -> int:
     return max(1, min(t, math.isqrt(cells), cells // max(1, cols)))
 
 
-def _max_codegree_dense(rows: np.ndarray, i: np.ndarray, w: np.ndarray, shared: np.ndarray,
+def _packing(top: int) -> Tuple[int, int]:
+    """The dense kernel's digit width, the bit length of `top` (the rows'
+    largest degree, below _FLOAT32_EXACT), and the row tiles f it packs into
+    one product: as many digits as 2**(bits*f) <= _FLOAT32_EXACT allows, and
+    at least one."""
+    bits = max(1, top).bit_length()
+    return bits, max(1, (_FLOAT32_EXACT.bit_length() - 1) // bits)
+
+
+def _max_codegree_dense(rows: np.ndarray, deg: np.ndarray, w: np.ndarray, shared: np.ndarray,
                         k: int):
     """The scan of _max_codegree_among by float32 products of 0/1 row
-    tiles. (i, w) are the incidences of adjacency_rows(g, rows); the columns
-    are the vertices w with shared[w], those adjacent to two or more rows,
-    the only ones a co-degree counts. Tile s holds rows s*k .. s*k+k-1 in
-    one of two reused buffers. Strip a of the product is tile a times every
-    tile b >= a, with the pairs of rows b <= a masked; in (a, b) order the
-    first largest count wins. Every count is at most the largest degree of
-    the rows, so it is exact while that is below _FLOAT32_EXACT."""
+    tiles. w lists the neighbors of the rows, row by row, as
+    adjacency_rows(g, rows) does, and deg[r] is the degree of row r; the
+    columns are the vertices w with shared[w], those adjacent to two or more
+    rows, the only ones a co-degree counts. Tile s holds rows s*k .. s*k+k-1.
+
+    Every count is at most top = deg.max(), the largest degree, so it fits
+    a digit of bits = top.bit_length() bits. The right operand packs f =
+    _packing(top)[1] consecutive tiles s0 .. s0+f-1, tile s0+d weighted by
+    2**(bits*d), into one float32 tile. A left tile times it sums, for each
+    pair of rows, f counts times their weights: an integer of at most
+    2**(bits*f) - 1 < _FLOAT32_EXACT, reached through partial sums of
+    non-negative integers that are smaller still, so the float32 product is
+    exact (with f = 1 every sum is at most `top`). Cast to int32, the count
+    against tile s0+d is the digit that a shift of bits*d and a mask read.
+    Each packed operand is built once and multiplied by every left tile up
+    to its last tile, about C(T+1, 2) / f products for T tiles; the pairs
+    of rows b <= a are masked. Per row a the largest count and its first
+    row b are kept, the right tiles taken in ascending order, so the first
+    largest count of the first row attaining it is the first pair. Beside
+    the neighbor and cell arrays the scan holds two float32 tile buffers, a
+    product and one digit of it."""
     t = len(rows)
-    col = np.cumsum(shared) - 1
+    top = int(deg.max())
+    col = np.cumsum(shared, dtype=np.int32)
+    col -= 1
     cols = int(col[-1]) + 1
     size = k * cols
-    # the cell of each incidence in its tile, or the spare cell past every
-    # tile for a vertex that is no column
-    cell = (i % k * cols + col[w]).astype(np.int32)
-    cell[~shared[w]] = size
-    bounds = np.searchsorted(i, np.arange(0, t + k, k))
+    # the cell of each incidence in its tile, its row's offset in the tile
+    # plus its column, made in int32 in place. A vertex that is no column
+    # gets column `size`, and clipping sends it to the spare cell past every
+    # tile: its sum is at most size + (k - 1) * cols, size itself for tiles
+    # of one row and else below 2 * size, with size <= _DENSE_TILE_BYTES / 4.
+    col[~shared] = size
+    cell = np.repeat(np.arange(t, dtype=np.int32) % k * cols, deg)
+    cell += col[w]
+    np.minimum(cell, size, out=cell)
+    # the first incidence of each tile, and the end of the last
+    start = np.zeros(t + 1, dtype=np.int64)
+    np.cumsum(deg, out=start[1:])
+    bounds = start[np.minimum(np.arange(0, t + k, k), t)]
+    tiles = len(bounds) - 1
+    bits, f = _packing(top)
     left, right = np.zeros((2, size + 1), dtype=np.float32)
 
-    def tile(buf, s, value):
-        """Set the cells of tile s in buf to value; the rows of the tile."""
-        buf[cell[bounds[s]:bounds[s + 1]]] = value
-        return buf[:size].reshape(k, cols)[:min(k, t - s * k)]
+    def cells(s):
+        """The cells of tile s, distinct bar the spare one, as a gather
+        index: numpy converts an int32 index on every use."""
+        return cell[bounds[s]:bounds[s + 1]].astype(np.intp)
 
-    best, pair = -1, (int(rows[0]), int(rows[1]))
-    for a in range(len(bounds) - 1):
-        tile_a = tile(left, a, 1)
-        top = np.full(len(tile_a), -1, dtype=np.float32)  # largest count in row a
-        arg = np.zeros(len(tile_a), dtype=np.int64)  # first row b attaining it
-        for b in range(a, len(bounds) - 1):
-            if b == a:
-                counts = tile_a @ tile_a.T
-                counts[np.tri(len(tile_a), dtype=bool)] = -1
+    best = np.full(t, -1, dtype=np.int32)  # largest count in row a
+    arg = np.zeros(t, dtype=np.int64)  # first row b attaining it
+    packed = right[:size].reshape(k, cols)
+    for s0 in range(0, tiles, f):
+        s1 = min(s0 + f, tiles)
+        # set, not add, the first tile: a fresh zero page read before its
+        # first write faults twice
+        right[cells(s0)] = 1
+        for b in range(s0 + 1, s1):
+            left[cells(b)] = 1 << bits * (b - s0)
+            right += left
+            left.fill(0)
+        for a in range(s1):
+            lo, hi = a * k, min(a * k + k, t)
+            if a == s0 == s1 - 1:
+                # a tile times itself: no left tile to build, and numpy
+                # multiplies x @ x.T of one buffer as a symmetric product
+                product = packed[:hi - lo] @ packed[:hi - lo].T
             else:
-                counts = tile_a @ tile(right, b, 1).T
-                tile(right, b, 0)
-            j = counts.argmax(axis=1)
-            found = counts[np.arange(len(j)), j]
-            better = found > top
-            top[better] = found[better]
-            arg[better] = b * k + j[better]
-        tile(left, a, 0)
-        r = int(top.argmax())
-        if top[r] > best:
-            best = int(top[r])
-            pair = (int(rows[a * k + r]), int(rows[arg[r]]))
-    return best, pair
+                left[cells(a)] = 1
+                product = left[:size].reshape(k, cols)[:hi - lo] @ packed.T
+                left.fill(0)
+            # every sum is an integer below 2**24: cast it to int32 in place,
+            # which numpy does for a 1-d array without a copy
+            flat = product.reshape(-1)
+            np.copyto(flat.view(np.int32), flat, casting="unsafe")
+            digits = product.view(np.int32)
+            for b in range(s0, s1):
+                if b > s0:
+                    digits >>= bits
+                if b < a:
+                    continue
+                # the shifts leave the last digit alone; mask the others, as
+                # int16: with two or more digits a product, bits <= 12
+                counts = digits if b == s1 - 1 else np.bitwise_and(
+                    digits, (1 << bits) - 1, dtype=np.int16, casting="unsafe")
+                counts = counts[:, :min(k, t - b * k)]
+                if b == a:
+                    counts[np.tri(hi - lo, dtype=bool)] = -1
+                j = counts.argmax(axis=1)
+                found = counts[np.arange(hi - lo), j]
+                better = found > best[lo:hi]
+                best[lo:hi][better] = found[better]
+                arg[lo:hi][better] = b * k + j[better]
+            # free the product before the next tile's index is made
+            del product, flat, digits, counts
+        right.fill(0)
+    r = int(best.argmax())
+    return int(best[r]), (int(rows[r]), int(rows[arg[r]]))
 
 
 def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.ndarray):

@@ -464,23 +464,28 @@ def refuse(*args):
     raise AssertionError("the other kernel was forced")
 
 
-def forced_kernels(best):
+def forced_kernels(best, top):
     """Constants of `graph` that force each all-pairs kernel: the wedge
     count (a key cost of 0), also at one-key chunks, and the dense tiles (a
-    huge key cost) at tiles of one row, of 7 to 21 rows (fewer on a small
-    host) and of the whole host. `best` is the scan's maximum: where it is 0 the rows share no
+    huge key cost) at tiles of one row and of 7 to 21 rows (fewer on a small
+    host), each packing one tile per product (_FLOAT32_EXACT just above
+    `top`, the rows' largest degree) and as many as float32 holds (2**24,
+    24 // bits tiles of bits = top.bit_length()), and at tiles of the whole
+    host. `best` is the scan's maximum: where it is 0 the rows share no
     neighbor, and the wedge count, with no work, scans anyway."""
     wedges = {"_WEDGE_KEY_MADDS": 0, "_max_codegree_dense": refuse}
     dense = {"_WEDGE_KEY_MADDS": 10 ** 18, **({"_max_codegree_wedges": refuse} if best else {})}
     return [wedges, {**wedges, "_CODEGREE_CHUNK_KEYS": 1},
-            *({**dense, "_DENSE_TILE_BYTES": budget} for budget in (4, 4 * 448, 1 << 21))]
+            *({**dense, "_DENSE_TILE_BYTES": budget, "_FLOAT32_EXACT": exact}
+              for budget in (4, 4 * 448) for exact in (top + 1, 1 << 24)),
+            {**dense, "_DENSE_TILE_BYTES": 1 << 21}]
 
 
 @settings(max_examples=200, deadline=None)
 @given(codegree_hosts())
 def test_wedge_and_dense_kernels_equal_the_naive_scan(g):
     best, pair = naive_max_codegree(g)
-    for constants in forced_kernels(best):
+    for constants in forced_kernels(best, int(g.degrees().max())):
         assert codegree_with(g, **constants) == CoDegreeResult(best, pair, "exact")
 
 
@@ -491,7 +496,7 @@ def test_kernels_scan_ascending_row_subsets(g, data):
     # vertices and the uniform rows
     rows = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2)))
     best, pair = naive_max_codegree(g, rows)
-    for constants in forced_kernels(best):
+    for constants in forced_kernels(best, int(g.degrees()[rows].max())):
         with mock.patch.multiple("percolab.graph", **constants):
             assert _max_codegree_among(g, np.array(rows, dtype=np.int64)) == (best, pair)
 
@@ -609,15 +614,37 @@ def test_bins_and_sorting_find_the_same_first_largest_key(keys, extra):
     assert graph._first_largest_bin(keys, span) == graph._first_largest_run(keys) == want
 
 
-@pytest.mark.parametrize("budget, rows_per_tile", [(4, 1), (4 * 707, 7), (4 * 5050, 50),
-                                                   (1 << 21, 101)])
+@pytest.mark.parametrize("budget, rows_per_tile", [(4, 1), (4 * 707, 7), (4 * 1717, 17),
+                                                   (4 * 5050, 50), (1 << 21, 101)])
 def test_dense_tiles_keep_the_first_of_many_ties(budget, rows_per_tile):
-    # Paley 101 has co-degrees 24 and 25 only; 101 rows are no multiple of 7
-    # or 50, so the last tile is short
+    # Paley 101 has co-degrees 24 and 25 only; 101 rows are no multiple of 7,
+    # 17 or 50, so the last tile is short. Its degree 50 takes 6-bit digits,
+    # 4 tiles a product, and 101, 15, 6 and 3 tiles are no multiple of 4, so
+    # the last product packs fewer tiles
     g = generate(GeneratorSpec(kind="paley", q=101))
-    with mock.patch.multiple("percolab.graph", _DENSE_TILE_BYTES=budget):
+    assert graph._packing(50) == (6, 4)
+    with mock.patch.multiple("percolab.graph", _DENSE_TILE_BYTES=budget), \
+            mock.patch("percolab.graph._max_codegree_dense",
+                       wraps=graph._max_codegree_dense) as dense:
         assert graph._tile_rows(g.n, g.n) == rows_per_tile
         assert max_co_degree(g) == CoDegreeResult(25, (0, 2), "exact")
+    assert dense.call_count == 1
+
+
+@pytest.mark.parametrize("m, bits, tiles", [(255, 8, 3), (256, 9, 2)])
+@pytest.mark.parametrize("budget", [4, 1 << 21])
+def test_dense_digits_hold_a_count_equal_to_the_largest_degree(m, bits, tiles, budget):
+    # hubs 0 and 2, not adjacent, share all m other vertices as leaves, so
+    # their co-degree m is the largest degree: 255 fills an 8-bit digit, and
+    # 256 takes 9 bits, two digits a product. With tiles of one row, vertex
+    # 2 is the last digit of the first product (255 in bits 16-23) or the
+    # first digit of the second (256 in bits 0-8)
+    leaves = [v for v in range(m + 2) if v not in (0, 2)]
+    g = build_graph(m + 2, [(h, v) for h in (0, 2) for v in leaves])
+    assert int(g.degrees().max()) == m and graph._packing(m) == (bits, tiles)
+    r = codegree_with(g, _WEDGE_KEY_MADDS=10 ** 18, _max_codegree_wedges=refuse,
+                      _DENSE_TILE_BYTES=budget)
+    assert r == CoDegreeResult(m, (0, 2), "exact")
 
 
 def test_float32_limit_sends_the_scan_to_the_wedge_count():
@@ -656,10 +683,16 @@ def test_negative_sample_pairs_is_rejected_in_both_modes(cap):
     (GeneratorSpec(kind="gnp", n=3000, p=0.002, seed=1), "_max_codegree_wedges"),
     (GeneratorSpec(kind="gnp", n=400, p=0.2, seed=1), "_max_codegree_dense"),
     (GeneratorSpec(kind="paley", q=101), "_max_codegree_dense"),
+    (GeneratorSpec(kind="gnp", n=2000, p=0.1, seed=1), "_max_codegree_dense"),
+    (GeneratorSpec(kind="gnp", n=2000, p=0.04, seed=1), "_max_codegree_dense"),
 ])
 def test_kernel_follows_the_estimated_work(spec, kernel):
-    # in multiply-adds: sparse, 53k wedges (5.3e7) against 2.9e10 for the
-    # tiles; dense, 1.3M wedges (1.3e9) against 6.4e7 for the tiles
+    # in multiply-adds: sparse, 53k wedges (5.3e7) against 1.1e10 for the
+    # tiles; dense, 1.3M wedges (1.3e9) against 9.6e7 for the tiles. On gnp
+    # 2000/0.1 (a certify_exact host), 40M wedges (4.0e10) against 4.1e9 for
+    # 17 products of 262-row tiles, 3 tiles packed in each. On gnp 2000/0.04,
+    # 6.4M wedges (6.4e9) against the same 4.1e9, where the 36 products of
+    # unpacked tiles would count 8.7e9; the tiles took 47 ms, the wedges 65
     g = generate(spec)
     with mock.patch(f"percolab.graph.{kernel}", wraps=getattr(graph, kernel)) as spy:
         r = max_co_degree(g)
@@ -700,12 +733,15 @@ def test_sparse_exact_scan_is_fast_and_chunked():
 
 def test_dense_exact_scan_is_tiled():
     # gnp n=6000, p=0.1 scans with 2 MB tiles of 87 rows. Its 3.6M
-    # incidences take about 58 MB as row, neighbor and cell arrays (8, 4
-    # and 4 bytes each) and three tiles about 6 MB. A float32 copy of all
-    # rows would take 144 MB, and their product as much again.
+    # incidences take 43 MB as row and neighbor arrays (8 and 4 bytes each)
+    # while they are gathered and counted; the tiles drop the rows and add a
+    # 4-byte cell array and about 6 MB of tiles. The scan grew the peak by
+    # 64 MB (numpy 2.4.6), and by 93 MB with the cells made through int64
+    # arrays. A float32 copy of all rows would take 144 MB, and their product
+    # as much again.
     mode, value, pair, check, grown_mb = exact_scan_in_subprocess(6000, 0.1)
     assert mode == "exact" and check == value
-    assert grown_mb < 96
+    assert grown_mb < 80
 
 
 def test_degrees_into_hand_cases():
