@@ -423,13 +423,16 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     the true maximum that reads at least `sample_pairs` pairs of uniform
     vertices, and every pair across the two sets.
 
-    An all-pairs scan over t rows uses one of two kernels, both exact. A
-    wedge count makes one key per pair of rows sharing a neighbor w, sum
-    over w of C(s_w, 2) keys where s_w is the number of the rows adjacent to
-    w. It counts equal keys in one bin per row pair when the t*t pairs are
-    no more than the rows' incidences (the sampled rows of a dense host),
-    else in chunks of whole rows: a chunk of r rows with at least r*t keys
-    counts them in r*t bins, a sparser one sorts them.
+    An all-pairs scan over t rows uses one of two kernels, both exact. The
+    exact scan reads the CSR's neighbors in place and takes s_w, the number
+    of rows adjacent to w, from the degrees; a sampled scan gathers its
+    rows' neighbors and counts them. A wedge count makes one key per pair of
+    rows sharing a neighbor w, sum over w of C(s_w, 2) keys. It counts equal
+    keys in one bin per row pair when the t*t pairs are no more than the
+    rows' incidences (the sampled rows of a dense host), the rows grouped by
+    w with one sort of narrow keys, else in chunks of whole rows: a chunk of
+    r rows with at least r*t keys counts them in r*t bins, a sparser one
+    sorts them.
     The dense kernel multiplies float32 0/1 tiles of the rows with BLAS
     over the `cols` vertices with s_w >= 2. Every count is at most the
     rows' largest degree, a number of `bits` bits, so the right operand of
@@ -457,17 +460,25 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
 def _max_codegree_among(g: Graph, rows: np.ndarray):
     """Largest co-degree over the pairs of the ascending vertex array `rows`
     (at least two), with the first pair attaining it; the kernel with the
-    smaller estimated work does the scan."""
-    i, w = adjacency_rows(g, rows)
-    s = np.bincount(w, minlength=g.n)
+    smaller estimated work does the scan. The incidences are the rows'
+    neighbors w, row by row, and s[w] counts the rows adjacent to w. When
+    the rows are every vertex, w is the CSR's `neighbors` itself and s the
+    degrees, since every neighbor of w is a row; a row subset gathers its
+    neighbors with adjacency_rows and counts them with a bincount. Each
+    incidence's row, an int64 array, is made only for the wedge count: the
+    dense kernel reads it from the degrees."""
+    t = len(rows)
+    if t == g.n:
+        i, w = None, g.neighbors
+        s = deg = g.degrees()
+    else:
+        i, w = adjacency_rows(g, rows)
+        s = np.bincount(w, minlength=g.n)
+        deg = g.degrees()[rows]
     wedges = int((s * (s - 1) // 2).sum())
     shared = s > 1
     cols = int(np.count_nonzero(shared))
-    t = len(rows)
-    deg = g.degrees()[rows]
     top = int(deg.max())
-    if top >= _FLOAT32_EXACT:
-        return _max_codegree_wedges(rows, i, w, s)
     k = _tile_rows(t, cols)
     tiles = -(-t // k)
     f = _packing(top)[1]
@@ -475,10 +486,12 @@ def _max_codegree_among(g: Graph, rows: np.ndarray):
     # last; a product costs k * k * cols multiply-adds and its left tile
     products = sum(min(tiles, b + f) for b in range(0, tiles, f))
     dense = products * k * cols * (k + _TILE_CELL_MADDS)
-    if wedges * _WEDGE_KEY_MADDS <= dense:
-        return _max_codegree_wedges(rows, i, w, s)
-    del i  # the dense kernel reads each incidence's row from the degrees
-    return _max_codegree_dense(rows, deg, w, shared, k)
+    if top < _FLOAT32_EXACT and wedges * _WEDGE_KEY_MADDS > dense:
+        del i
+        return _max_codegree_dense(rows, deg, w, shared, k)
+    if i is None:
+        i = np.repeat(np.arange(t), deg)
+    return _max_codegree_wedges(rows, i, w, s)
 
 
 def _tile_rows(t: int, cols: int) -> int:
@@ -603,10 +616,11 @@ def _max_codegree_dense(rows: np.ndarray, deg: np.ndarray, w: np.ndarray, shared
 
 def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.ndarray):
     """The scan of _max_codegree_among by counting wedges. (i, w) are the
-    incidences of adjacency_rows(g, rows) and s[w] the number of rows
-    adjacent to w. Each pair a < b of rows adjacent to one w gives a key;
-    the number of equal keys is the co-degree of the pair. When the t*t
-    pairs of rows are no more than the incidences, every key a*t + b is
+    incidences of the rows, as adjacency_rows(g, rows) gives them, and s[w]
+    the number of rows adjacent to w. Each pair a < b of rows adjacent to
+    one w gives a key; the number of equal keys is the co-degree of the
+    pair. When the t*t pairs of rows are no more than the incidences, the
+    rows grouped by w (_rows_by_neighbor, one sort) give every key a*t + b,
     counted in one bin per row pair (_max_codegree_pair_bins). Otherwise
     keys are made and counted in chunks of whole rows [a0, a1), in row
     order, as (a - a0)*t + b, below (a1 - a0)*t. A chunk with at least that
@@ -615,18 +629,19 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
     among the most frequent wins, and a later chunk must beat the count, so
     the first largest count is the first attaining pair.
 
-    by_w and slot are incidence indices, row_at a row below t and owns a
-    count below t, so each is int32: DEFAULT_EDGE_CAP keeps the incidences
-    below 2**31. The sort key and the running wedge count `owned` are
-    int64, since the wedges, sum of C(s_w, 2), may pass 2**31."""
+    The chunks need each incidence's slot in the order by w, so they take
+    it from an argsort of the int64 keys w*t + i. by_w and slot are
+    incidence indices, row_at a row below t and owns a count below t, so
+    each is int32: DEFAULT_EDGE_CAP keeps the incidences below 2**31. The
+    running wedge count `owned` is int64, since the wedges, sum of
+    C(s_w, 2), may pass 2**31."""
     t = len(rows)
+    if t * t <= len(w):
+        return _max_codegree_pair_bins(rows, _rows_by_neighbor(i, w, t, len(s)), s)
     # the keys w*t + i are distinct and ascend with i inside a w group, so
     # sorting them groups the incidences by w exactly as a stable sort by w
     by_w = np.argsort(np.multiply(w, t, dtype=np.int64) + i).astype(np.int32)
     row_at = i.astype(np.int32)[by_w]
-    if t * t <= len(w):
-        del by_w
-        return _max_codegree_pair_bins(rows, row_at, s)
     slot = np.empty(len(w), dtype=np.int32)
     slot[by_w] = np.arange(len(w), dtype=np.int32)
     del by_w
@@ -655,6 +670,19 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
             a, b = divmod(key, t)
             pair = (int(rows[a0 + a]), int(rows[b]))
     return best, pair
+
+
+def _rows_by_neighbor(i: np.ndarray, w: np.ndarray, t: int, n: int) -> np.ndarray:
+    """The rows i of the incidences (i, w) of t rows on n vertices, grouped
+    by w ascending and each group's rows ascending, as int32. The keys
+    w*t + i are distinct, below n*t, and ascend with i inside a w group, so
+    one in-place sort of them, held in _end_type(n * t) (uint32 on the
+    sampled rows of gnp 30000/0.03), gives the order of a stable sort by w,
+    and key % t is the row."""
+    keys = np.multiply(w, t, dtype=_end_type(n * t), casting="unsafe")
+    np.add(keys, i, out=keys, dtype=keys.dtype, casting="unsafe")
+    keys.sort()
+    return np.remainder(keys, t, out=np.empty(len(keys), dtype=np.int32), casting="unsafe")
 
 
 def _max_codegree_pair_bins(rows: np.ndarray, row_at: np.ndarray, s: np.ndarray):
@@ -710,8 +738,14 @@ def _sampled_rows(g: Graph, sample_pairs: int) -> np.ndarray:
     vertices (ties broken by index), where high-degree vertices dominate
     the maximum, and r distinct uniform vertices, r the least integer with
     C(r, 2) >= sample_pairs (at most n), chosen without replacement from
-    the stream keyed by (n, edge_count)."""
-    top = np.argsort(-g.degrees(), kind="stable")[:max(2, g.n // 100)]
+    the stream keyed by (n, edge_count). The top m = max(2, n // 100) are
+    the vertices above the m-th largest degree, which one np.partition
+    finds, and the lowest-index vertices at it, as many as make m."""
+    deg = g.degrees()
+    m = max(2, g.n // 100)
+    least = np.partition(deg, g.n - m)[g.n - m]
+    above = np.flatnonzero(deg > least)
+    top = np.concatenate([above, np.flatnonzero(deg == least)[:m - len(above)]])
     r = math.isqrt(2 * sample_pairs)
     while math.comb(r, 2) < sample_pairs:
         r += 1

@@ -484,9 +484,11 @@ def forced_kernels(best, top):
 @settings(max_examples=200, deadline=None)
 @given(codegree_hosts())
 def test_wedge_and_dense_kernels_equal_the_naive_scan(g):
+    # an exact scan reads the CSR in place: it gathers no row
     best, pair = naive_max_codegree(g)
+    want = CoDegreeResult(best, pair, "exact")
     for constants in forced_kernels(best, int(g.degrees().max())):
-        assert codegree_with(g, **constants) == CoDegreeResult(best, pair, "exact")
+        assert codegree_with(g, adjacency_rows=refuse, **constants) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -579,6 +581,47 @@ def test_pair_bins_equal_the_naive_scan(scan, chunk_keys):
         found = _max_codegree_among(g, np.array(rows, dtype=np.int64))
     assert found == naive_max_codegree(g, rows)
     assert bins.call_count == 1
+
+
+@st.composite
+def incidences_at_key_width(draw):
+    """Incidences (i, w) of t rows, each row's neighbors distinct and
+    ascending, with a nominal vertex count n whose keys w*t + i take the
+    drawn width of _end_type(n * t): uint8, uint16, uint32 or uint64."""
+    t = draw(st.integers(1, 9))
+    bits = draw(st.sampled_from([8, 16, 32, 64]))
+    n = draw(st.integers((1 << bits // 2) // t + 1 if bits > 8 else 2,
+                         (1 << bits) // t if bits < 64 else 1 << 40))
+    per_row = [sorted(draw(st.sets(st.integers(0, min(n, 40) - 1), max_size=12))) for _ in range(t)]
+    i = np.repeat(np.arange(t), [len(r) for r in per_row])
+    w = np.array([v for r in per_row for v in r], dtype=np.int32)
+    return i, w, t, n, np.dtype(f"uint{bits}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidences_at_key_width())
+def test_rows_by_neighbor_is_the_stable_order_by_neighbor(case):
+    # one sort of the narrow keys w*t + i groups the rows as a stable
+    # argsort by w does
+    i, w, t, n, width = case
+    assert graph._end_type(n * t) == width
+    row_at = graph._rows_by_neighbor(i, w, t, n)
+    assert row_at.dtype == np.int32
+    assert np.array_equal(row_at, i[np.argsort(w, kind="stable")])
+
+
+@pytest.mark.parametrize("g", [
+    generate(GeneratorSpec(kind="paley", q=1009)), generate(GeneratorSpec(kind="paley", q=13)),
+    complete_graph(2), complete_graph(300), star_graph(2), star_graph(250),
+    *(generate(GeneratorSpec(kind="gnp", n=n, p=p, seed=1))
+      for n, p in [(2, 0.5), (3, 0.5), (250, 0.005), (700, 0.003), (1000, 0.01)])])
+def test_sampled_rows_take_the_top_degrees_of_a_stable_argsort(g):
+    # hosts whose degrees tie heavily: the top 1% is the first max(2, n // 100)
+    # of a stable argsort of -degrees, whichever ties it cuts
+    top = np.argsort(-g.degrees(), kind="stable")[:max(2, g.n // 100)]
+    assert graph._sampled_rows(g, 0).tolist() == sorted(top.tolist())
+    for sample_pairs in (1, 300):
+        assert graph._sampled_rows(g, sample_pairs).tolist() == sampled_rows_oracle(g, sample_pairs)
 
 
 @pytest.mark.parametrize("spec, rows, incidences, bins, found", [
@@ -732,16 +775,18 @@ def test_sparse_exact_scan_is_fast_and_chunked():
 
 
 def test_dense_exact_scan_is_tiled():
-    # gnp n=6000, p=0.1 scans with 2 MB tiles of 87 rows. Its 3.6M
-    # incidences take 43 MB as row and neighbor arrays (8 and 4 bytes each)
-    # while they are gathered and counted; the tiles drop the rows and add a
-    # 4-byte cell array and about 6 MB of tiles. The scan grew the peak by
-    # 64 MB (numpy 2.4.6), and by 93 MB with the cells made through int64
-    # arrays. A float32 copy of all rows would take 144 MB, and their product
-    # as much again.
+    # gnp n=6000, p=0.1 scans with 2 MB tiles of 87 rows. The scan reads its
+    # 3.6M incidences in place in the CSR and takes their row counts from the
+    # degrees, so beside the graph it holds a 4-byte cell per incidence (14
+    # MB), the column gather that builds it, and about 6 MB of tiles: a
+    # tracemalloc peak of 27.7 MB, and the peak RSS grew by 16 MB (numpy
+    # 2.4.6). Gathering the rows as int64 row and int32 neighbor arrays and
+    # counting the neighbors through an int64 copy grew it by 64 MB, and
+    # making the cells through int64 arrays as well by 93 MB. A float32 copy
+    # of all rows would take 144 MB, and their product as much again.
     mode, value, pair, check, grown_mb = exact_scan_in_subprocess(6000, 0.1)
     assert mode == "exact" and check == value
-    assert grown_mb < 80
+    assert grown_mb < 32
 
 
 def test_degrees_into_hand_cases():
@@ -1187,14 +1232,18 @@ def test_generate_peak_memory(n, p):
 
 def test_sampled_codegree_scan_peak_memory(monkeypatch):
     """The sampled co-degree scan of a dense host counts wedges over its
-    rows' incidences and peaks below 40 bytes per incidence: 30.9 on gnp
-    10000/0.05 (413 rows, 212,424 incidences; 28.5 on the trials host
-    30000/0.03). Its 413**2 row pairs are fewer than its incidences, so
-    every wedge is counted in one int64 bin per row pair, at most 8 bytes
-    per incidence, beside the rows' incidences and their order by neighbor.
-    Counting in chunks of whole rows, with the int32 index arrays and the
-    int64 running wedge count that needs, peaked at 50.1 (41.2); with int64
-    index arrays at 68.2."""
+    rows' incidences and peaks below 36 bytes per incidence: 30.9 on gnp
+    10000/0.05 (413 rows, 212,424 incidences; 25.5 on the trials host
+    30000/0.03). Its 413**2 row pairs are fewer than its incidences, so the
+    rows are grouped by neighbor with one sort of 4-byte keys, at 20.6
+    bytes per incidence, and every wedge is counted in one int64 bin per
+    row pair, at most 8 bytes per incidence. The peak is the bins and the
+    keys of one block of groups beside the gathered int64 rows, int32
+    neighbors and int32 grouped rows (16.5). The int64 keys and their
+    argsort that grouped them before peaked at 28. Counting in chunks of
+    whole rows, with the int32 index arrays and the int64 running wedge
+    count that needs, peaked at 50.1 (41.2); with int64 index arrays at
+    68.2."""
     g = generate(GeneratorSpec(kind="gnp", n=10000, p=0.05, seed=1))
     monkeypatch.setattr(graph, "EXACT_CODEGREE_CAP", g.n - 1)
     incidences = int(g.degrees()[graph._sampled_rows(g, 50_000)].sum())
@@ -1204,7 +1253,7 @@ def test_sampled_codegree_scan_peak_memory(monkeypatch):
                         lambda *args: kernels.append("wedges") or wedges(*args))
     profile, peak = traced_peak(lambda: tightest_profile(g, 0.05))
     assert profile.codegree_mode == "sampled" and kernels == ["wedges"]
-    assert peak < 40 * incidences
+    assert peak < 36 * incidences
 
 
 def test_load_peak_memory(tmp_path):
