@@ -15,7 +15,7 @@ import sys
 from . import experiment, graph, lemmas, percolate
 from .certify import certify as run_certify
 from .certify import tightest_profile
-from .errors import InvalidParameter, PercolabError, ascii_int, require_int
+from .errors import InvalidParameter, PercolabError, ascii_int, ascii_real, require_int
 from .experiment import write_json
 from .rng import derived
 
@@ -35,16 +35,16 @@ def parse_gen(text: str) -> graph.GeneratorSpec:
             if key in _INT_FIELDS:
                 kwargs[key] = _number(ascii_int, val, f"--gen {key}")
             elif key == "p":
-                kwargs[key] = _number(float, val, "--gen p")
+                kwargs[key] = _number(ascii_real, val, "--gen p")
             else:
                 raise InvalidParameter(f"unknown --gen key {key!r}")
     return graph.GeneratorSpec(kind=kind, **kwargs)
 
 
 def _number(cast, text: str, what: str):
-    """cast(text), cast being `float` or, for an integer, `ascii_int`, the
-    rule for edge-list ids and headers. InvalidParameter when cast raises
-    ValueError or returns None."""
+    """cast(text), cast being `ascii_real` for a real or, for an integer,
+    `ascii_int`, the rule for edge-list ids and headers. InvalidParameter
+    when cast raises ValueError or returns None."""
     try:
         value = cast(text)
     except ValueError:
@@ -52,6 +52,12 @@ def _number(cast, text: str, what: str):
     if value is None:
         raise InvalidParameter(f"bad {what} value {text!r}")
     return value
+
+
+def real(text: str) -> float:
+    """The argparse type of every real option: an InvalidParameter, a
+    ValueError, makes argparse exit 2 with "invalid real value"."""
+    return _number(ascii_real, text, "real")
 
 
 def parse_seeds(text: str):
@@ -84,9 +90,9 @@ def _add_common(sub, p=False, epsilon=False, seeds=False):
     sub.add_argument("--graph", help="edge-list file")
     sub.add_argument("--gen", help="generator spec kind:key=val,...")
     if p:
-        sub.add_argument("--p", type=float, required=True, help="target density")
+        sub.add_argument("--p", type=real, required=True, help="target density")
     if epsilon:
-        sub.add_argument("--epsilon", type=float, default=0.3)
+        sub.add_argument("--epsilon", type=real, default=0.3)
     if seeds:
         sub.add_argument("--seeds", type=parse_seeds, default=[0])
     sub.add_argument("--out", help="output path (default stdout)")
@@ -102,24 +108,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sp.add_parser("certify", help="degree/co-degree certificate")
     _add_common(c, p=True)
-    c.add_argument("--a", type=float, default=None, help="a_n (default: estimate)")
-    c.add_argument("--b", type=float, default=None, help="b_n (default: estimate)")
+    c.add_argument("--a", type=real, default=None, help="a_n (default: estimate)")
+    c.add_argument("--b", type=real, default=None, help="b_n (default: estimate)")
 
     pc = sp.add_parser("percolate", help="one DFS percolation run")
     _add_common(pc)
-    pc.add_argument("--rho", type=float, required=True)
+    pc.add_argument("--rho", type=real, required=True)
     pc.add_argument("--seed", default="0")
 
     lm = sp.add_parser("lemma", help="bound checks with witnesses")
     _add_common(lm, p=True, epsilon=True)
     lm.add_argument("--which", required=True,
                     choices=["expansion", "variance", "xi", "outer", "incl-excl"])
-    lm.add_argument("--a", type=float, default=None)
-    lm.add_argument("--b", type=float, default=None)
+    lm.add_argument("--a", type=real, default=None)
+    lm.add_argument("--b", type=real, default=None)
     lm.add_argument("--m", default="2")
-    lm.add_argument("--alpha0", type=float, default=0.5)
-    lm.add_argument("--alpha", type=float, default=0.5)
-    lm.add_argument("--c", type=float, default=1e-3)
+    lm.add_argument("--alpha0", type=real, default=0.5)
+    lm.add_argument("--alpha", type=real, default=0.5)
+    lm.add_argument("--c", type=real, default=1e-3)
     lm.add_argument("--u-size", default=None, help="|U| for variance/xi")
     lm.add_argument("--u-seed", default="0", help="stream for the random U")
     lm.add_argument("--root", default="0", help="BFS root for the outer check")
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sp.add_parser("trial", help="single-rho statistical trials")
     tr.add_argument("which", choices=["super", "sub", "hd"])
     _add_common(tr, p=True, epsilon=True, seeds=True)
-    tr.add_argument("--beta", type=float, default=None,
+    tr.add_argument("--beta", type=real, default=None,
                     help="hd trial beta (default epsilon**5)")
     return ap
 
@@ -209,7 +215,7 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = [_number(float, c, "--grid") for c in args.grid.split(",")]
+    grid = [_number(ascii_real, c, "--grid") for c in args.grid.split(",")]
     out = args.out or "sweep"
     cfg = experiment.SweepConfig(
         source=_load_graph(args), p=args.p, rho_grid=grid, seeds=args.seeds,

@@ -96,6 +96,14 @@ def ascii_int(text):
     return int(text) if text.isascii() and text.isdigit() else None
 
 
+def ascii_real(text):
+    """The float that the str `text` writes in ASCII without '_', as Python's
+    float() reads it ('nan' and 'inf' included, for the real gates to
+    refuse), or None for text with '_' or a character beyond ASCII, such as
+    another script's digit. float() raises ValueError for any other text."""
+    return float(text) if text.isascii() and "_" not in text else None
+
+
 def require_finite(**values):
     """The keyword values, in order, as plain numbers (an integer as int, any
     other real as float). Raises InvalidParameter for the first that is a

@@ -426,13 +426,14 @@ def max_co_degree(g: Graph, sample_pairs: int = 50_000) -> CoDegreeResult:
     An all-pairs scan over t rows uses one of two kernels, both exact. The
     exact scan reads the CSR's neighbors in place and takes s_w, the number
     of rows adjacent to w, from the degrees; a sampled scan gathers its
-    rows' neighbors and counts them. A wedge count makes one key per pair of
-    rows sharing a neighbor w, sum over w of C(s_w, 2) keys. It counts equal
-    keys in one bin per row pair when the t*t pairs are no more than the
-    rows' incidences (the sampled rows of a dense host), the rows grouped by
-    w with one sort of narrow keys, else in chunks of whole rows: a chunk of
-    r rows with at least r*t keys counts them in r*t bins, a sparser one
-    sorts them.
+    rows' neighbors and counts them. Either kernel reads each neighbor's row
+    from the rows' degrees. A wedge count makes one key per pair of rows
+    sharing a neighbor w, sum over w of C(s_w, 2) keys. It counts equal
+    keys in one narrow bin per row pair when the t*t pairs are no more than
+    the rows' incidences (the sampled rows of a dense host), the rows
+    grouped by w with one sort of narrow keys, else in chunks of whole rows:
+    a chunk of r rows with at least r*t keys counts them in r*t bins, a
+    sparser one sorts them.
     The dense kernel multiplies float32 0/1 tiles of the rows with BLAS
     over the `cols` vertices with s_w >= 2. Every count is at most the
     rows' largest degree, a number of `bits` bits, so the right operand of
@@ -461,18 +462,18 @@ def _max_codegree_among(g: Graph, rows: np.ndarray):
     """Largest co-degree over the pairs of the ascending vertex array `rows`
     (at least two), with the first pair attaining it; the kernel with the
     smaller estimated work does the scan. The incidences are the rows'
-    neighbors w, row by row, and s[w] counts the rows adjacent to w. When
-    the rows are every vertex, w is the CSR's `neighbors` itself and s the
-    degrees, since every neighbor of w is a row; a row subset gathers its
-    neighbors with adjacency_rows and counts them with a bincount. Each
-    incidence's row, an int64 array, is made only for the wedge count: the
-    dense kernel reads it from the degrees."""
+    neighbors w, row by row, deg[r] the degree of row r, and s[w] counts the
+    rows adjacent to w. When the rows are every vertex, w is the CSR's
+    `neighbors` itself and s the degrees, since every neighbor of w is a
+    row; a row subset keeps only the neighbors of its adjacency_rows gather
+    and counts them with a bincount. Every kernel reads each incidence's row
+    from deg."""
     t = len(rows)
     if t == g.n:
-        i, w = None, g.neighbors
+        w = g.neighbors
         s = deg = g.degrees()
     else:
-        i, w = adjacency_rows(g, rows)
+        w = adjacency_rows(g, rows)[1]
         s = np.bincount(w, minlength=g.n)
         deg = g.degrees()[rows]
     wedges = int((s * (s - 1) // 2).sum())
@@ -481,17 +482,14 @@ def _max_codegree_among(g: Graph, rows: np.ndarray):
     top = int(deg.max())
     k = _tile_rows(t, cols)
     tiles = -(-t // k)
-    f = _packing(top)[1]
+    bits, f = _packing(top)
     # the packed operand of tiles b .. b+f-1 meets every left tile up to its
     # last; a product costs k * k * cols multiply-adds and its left tile
     products = sum(min(tiles, b + f) for b in range(0, tiles, f))
     dense = products * k * cols * (k + _TILE_CELL_MADDS)
     if top < _FLOAT32_EXACT and wedges * _WEDGE_KEY_MADDS > dense:
-        del i
-        return _max_codegree_dense(rows, deg, w, shared, k)
-    if i is None:
-        i = np.repeat(np.arange(t), deg)
-    return _max_codegree_wedges(rows, i, w, s)
+        return _max_codegree_dense(rows, deg, w, shared, k, cols, bits, f)
+    return _max_codegree_wedges(rows, deg, w, s)
 
 
 def _tile_rows(t: int, cols: int) -> int:
@@ -512,34 +510,30 @@ def _packing(top: int) -> Tuple[int, int]:
 
 
 def _max_codegree_dense(rows: np.ndarray, deg: np.ndarray, w: np.ndarray, shared: np.ndarray,
-                        k: int):
+                        k: int, cols: int, bits: int, f: int):
     """The scan of _max_codegree_among by float32 products of 0/1 row
-    tiles. w lists the neighbors of the rows, row by row, as
-    adjacency_rows(g, rows) does, and deg[r] is the degree of row r; the
-    columns are the vertices w with shared[w], those adjacent to two or more
-    rows, the only ones a co-degree counts. Tile s holds rows s*k .. s*k+k-1.
+    tiles of k rows, tile s holding rows s*k .. s*k+k-1. w lists the rows'
+    neighbors, row by row, deg[r] of them for row r; the columns are the
+    `cols` vertices w with shared[w], adjacent to two or more rows, the only
+    ones a co-degree counts. (bits, f) is _packing of the rows' largest
+    degree, which bounds every count.
 
-    Every count is at most top = deg.max(), the largest degree, so it fits
-    a digit of bits = top.bit_length() bits. The right operand packs f =
-    _packing(top)[1] consecutive tiles s0 .. s0+f-1, tile s0+d weighted by
+    The right operand packs the f tiles s0 .. s0+f-1, tile s0+d weighted by
     2**(bits*d), into one float32 tile. A left tile times it sums, for each
     pair of rows, f counts times their weights: an integer of at most
     2**(bits*f) - 1 < _FLOAT32_EXACT, reached through partial sums of
     non-negative integers that are smaller still, so the float32 product is
-    exact (with f = 1 every sum is at most `top`). Cast to int32, the count
-    against tile s0+d is the digit that a shift of bits*d and a mask read.
-    Each packed operand is built once and multiplied by every left tile up
-    to its last tile, about C(T+1, 2) / f products for T tiles; the pairs
-    of rows b <= a are masked. Per row a the largest count and its first
-    row b are kept, the right tiles taken in ascending order, so the first
-    largest count of the first row attaining it is the first pair. Beside
-    the neighbor and cell arrays the scan holds two float32 tile buffers, a
-    product and one digit of it."""
+    exact. Cast to int32, the count against tile s0+d is the digit that a
+    shift of bits*d and a mask read. Each packed operand is built once and
+    multiplied by every left tile up to its last tile, about C(T+1, 2) / f
+    products for T tiles; the pairs of rows b <= a are masked. Per row a the
+    largest count and its first row b are kept, the right tiles taken in
+    ascending order, so the first largest count of the first row attaining
+    it is the first pair. Beside the neighbor and cell arrays the scan holds
+    two float32 tile buffers, a product and one digit of it."""
     t = len(rows)
-    top = int(deg.max())
     col = np.cumsum(shared, dtype=np.int32)
     col -= 1
-    cols = int(col[-1]) + 1
     size = k * cols
     # the cell of each incidence in its tile, its row's offset in the tile
     # plus its column, made in int32 in place. A vertex that is no column
@@ -555,7 +549,6 @@ def _max_codegree_dense(rows: np.ndarray, deg: np.ndarray, w: np.ndarray, shared
     np.cumsum(deg, out=start[1:])
     bounds = start[np.minimum(np.arange(0, t + k, k), t)]
     tiles = len(bounds) - 1
-    bits, f = _packing(top)
     left, right = np.zeros((2, size + 1), dtype=np.float32)
 
     def cells(s):
@@ -577,14 +570,9 @@ def _max_codegree_dense(rows: np.ndarray, deg: np.ndarray, w: np.ndarray, shared
             left.fill(0)
         for a in range(s1):
             lo, hi = a * k, min(a * k + k, t)
-            if a == s0 == s1 - 1:
-                # a tile times itself: no left tile to build, and numpy
-                # multiplies x @ x.T of one buffer as a symmetric product
-                product = packed[:hi - lo] @ packed[:hi - lo].T
-            else:
-                left[cells(a)] = 1
-                product = left[:size].reshape(k, cols)[:hi - lo] @ packed.T
-                left.fill(0)
+            left[cells(a)] = 1
+            product = left[:size].reshape(k, cols)[:hi - lo] @ packed.T
+            left.fill(0)
             # every sum is an integer below 2**24: cast it to int32 in place,
             # which numpy does for a 1-d array without a copy
             flat = product.reshape(-1)
@@ -614,10 +602,10 @@ def _max_codegree_dense(rows: np.ndarray, deg: np.ndarray, w: np.ndarray, shared
     return int(best[r]), (int(rows[r]), int(rows[arg[r]]))
 
 
-def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.ndarray):
-    """The scan of _max_codegree_among by counting wedges. (i, w) are the
-    incidences of the rows, as adjacency_rows(g, rows) gives them, and s[w]
-    the number of rows adjacent to w. Each pair a < b of rows adjacent to
+def _max_codegree_wedges(rows: np.ndarray, deg: np.ndarray, w: np.ndarray, s: np.ndarray):
+    """The scan of _max_codegree_among by counting wedges. w lists the
+    neighbors of the rows, row by row, deg[r] of them for row r, and s[w]
+    is the number of rows adjacent to w. Each pair a < b of rows adjacent to
     one w gives a key; the number of equal keys is the co-degree of the
     pair. When the t*t pairs of rows are no more than the incidences, the
     rows grouped by w (_rows_by_neighbor, one sort) give every key a*t + b,
@@ -629,19 +617,20 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
     among the most frequent wins, and a later chunk must beat the count, so
     the first largest count is the first attaining pair.
 
-    The chunks need each incidence's slot in the order by w, so they take
-    it from an argsort of the int64 keys w*t + i. by_w and slot are
-    incidence indices, row_at a row below t and owns a count below t, so
-    each is int32: DEFAULT_EDGE_CAP keeps the incidences below 2**31. The
-    running wedge count `owned` is int64, since the wedges, sum of
-    C(s_w, 2), may pass 2**31."""
+    Only the chunks make each incidence's row i, repeated from deg, for
+    the argsort of the int64 keys w*t + i that gives each incidence's slot
+    in the order by w. by_w and slot are incidence indices, i and row_at a
+    row below t and owns a count below t, so each is int32: DEFAULT_EDGE_CAP
+    keeps the incidences below 2**31. The running wedge count `owned` is
+    int64, since the wedges, sum of C(s_w, 2), may pass 2**31."""
     t = len(rows)
     if t * t <= len(w):
-        return _max_codegree_pair_bins(rows, _rows_by_neighbor(i, w, t, len(s)), s)
+        return _max_codegree_pair_bins(rows, _rows_by_neighbor(deg, w, len(s)), s)
+    i = np.repeat(np.arange(t, dtype=np.int32), deg)
     # the keys w*t + i are distinct and ascend with i inside a w group, so
     # sorting them groups the incidences by w exactly as a stable sort by w
     by_w = np.argsort(np.multiply(w, t, dtype=np.int64) + i).astype(np.int32)
-    row_at = i.astype(np.int32)[by_w]
+    row_at = i[by_w]
     slot = np.empty(len(w), dtype=np.int32)
     slot[by_w] = np.arange(len(w), dtype=np.int32)
     del by_w
@@ -651,7 +640,8 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
     owns -= 1
     owned = np.zeros(len(w) + 1, dtype=np.int64)
     np.cumsum(owns, dtype=np.int64, out=owned[1:])
-    row_start = np.searchsorted(i, np.arange(t + 1))
+    row_start = np.zeros(t + 1, dtype=np.int64)
+    np.cumsum(deg, out=row_start[1:])
     best, pair = 0, (int(rows[0]), int(rows[1]))
     for a0, a1 in _chunks(owned[row_start]):
         r0, r1 = row_start[a0], row_start[a1]
@@ -661,7 +651,7 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
         before = np.cumsum(count, dtype=np.int64) - count
         partner = np.repeat(slot[r0:r1] + 1 - before, count)
         partner += np.arange(len(partner))
-        keys = np.repeat((i[r0:r1] - a0) * t, count)
+        keys = np.repeat(np.multiply(i[r0:r1] - a0, t, dtype=np.int64), count)
         keys += row_at[partner]
         span = (a1 - a0) * t
         key, runs = _first_largest_bin(keys, span) if span <= len(keys) else _first_largest_run(keys)
@@ -672,34 +662,38 @@ def _max_codegree_wedges(rows: np.ndarray, i: np.ndarray, w: np.ndarray, s: np.n
     return best, pair
 
 
-def _rows_by_neighbor(i: np.ndarray, w: np.ndarray, t: int, n: int) -> np.ndarray:
-    """The rows i of the incidences (i, w) of t rows on n vertices, grouped
-    by w ascending and each group's rows ascending, as int32. The keys
-    w*t + i are distinct, below n*t, and ascend with i inside a w group, so
-    one in-place sort of them, held in _end_type(n * t) (uint32 on the
-    sampled rows of gnp 30000/0.03), gives the order of a stable sort by w,
-    and key % t is the row."""
-    keys = np.multiply(w, t, dtype=_end_type(n * t), casting="unsafe")
-    np.add(keys, i, out=keys, dtype=keys.dtype, casting="unsafe")
+def _rows_by_neighbor(deg: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """The row of each neighbor in w, which lists the neighbors of t =
+    len(deg) rows on n vertices row by row, deg[r] of them for row r,
+    grouped by w ascending and each group's rows ascending, as int32. The
+    keys w*t + r, r repeated from deg into _end_type(n * t) (uint32 on the
+    sampled rows of gnp 30000/0.03), are distinct, below n*t, and ascend
+    with r inside a w group, so one in-place sort of them gives the order
+    of a stable sort by w, and key % t is the row."""
+    t = len(deg)
+    keys = np.repeat(np.arange(t, dtype=_end_type(n * t)), deg)
+    keys += np.multiply(w, t, dtype=keys.dtype, casting="unsafe")
     keys.sort()
     return np.remainder(keys, t, out=np.empty(len(keys), dtype=np.int32), casting="unsafe")
 
 
 def _max_codegree_pair_bins(rows: np.ndarray, row_at: np.ndarray, s: np.ndarray):
-    """The wedge count of _max_codegree_wedges in one int64 bin per pair of
-    the t rows, for t*t at most the incidences: the bins take at most 8
-    bytes an incidence, and every key a*t + b fits the int32 of row_at.
-    row_at lists the rows adjacent to each w, w ascending and each group's
-    rows ascending, so the groups have sizes s[w] > 0 in order of w. The
-    groups of one size k >= 2 are taken as one (groups x k) block; each
-    position pair p < q of np.triu_indices(k, 1) gives the key a*t + b of
-    the group's rows a = row_at[p] < b = row_at[q]. np.add.at adds at most
-    _CODEGREE_CHUNK_KEYS keys at a time, or one group's. The least key of
-    the largest bin is the first attaining pair."""
+    """The wedge count of _max_codegree_wedges in one bin per pair of the t
+    rows, for t*t at most the incidences, so every key a*t + b fits the
+    int32 of row_at. row_at lists the rows adjacent to each w, w ascending
+    and each group's rows ascending, so the groups have sizes s[w] > 0 in
+    order of w. A pair counts at most once a group, so a bin is the least
+    unsigned type that holds the number of groups (uint16 on the sampled
+    rows of gnp 30000/0.03), and np.add.at adds a one of that type, which
+    keeps it on numpy's fast path. The groups of one size k >= 2 form one
+    (groups x k) block; each position pair p < q of np.triu_indices(k, 1)
+    gives the key a*t + b of the group's rows a = row_at[p] < b =
+    row_at[q], at most _CODEGREE_CHUNK_KEYS keys at a time, or one group's.
+    The least key of the largest bin is the first attaining pair."""
     t = len(rows)
     size = s[s > 0]
     start = np.cumsum(size) - size
-    bins = np.zeros(t * t, dtype=np.int64)
+    bins = np.zeros(t * t, dtype=_end_type(len(size) + 1))
     for k in np.unique(size[size > 1]).tolist():
         p, q = np.triu_indices(k, 1)
         first = start[size == k, None]
@@ -708,7 +702,7 @@ def _max_codegree_pair_bins(rows: np.ndarray, row_at: np.ndarray, s: np.ndarray)
             block = row_at[first[g:g + step] + np.arange(k)]
             keys = block[:, p] * t
             keys += block[:, q]
-            np.add.at(bins, keys, 1)
+            np.add.at(bins, keys, bins.dtype.type(1))
     key = int(bins.argmax())
     if bins[key] == 0:
         return 0, (int(rows[0]), int(rows[1]))

@@ -485,6 +485,9 @@ BAD_INPUT = {
     "gen-q-plus": "generate --gen paley:q=+13 --out g.txt",
     "gen-seed-arabic-indic": "generate --gen gnp:n=50,p=0.1,seed=٣ --out g.txt",
     "h-underscore": f"lemma --which incl-excl {GEN} --p 0.1 --h 0,1_0",
+    # reals are ASCII without '_': float() ran c = 10 and built p = 0.1
+    "grid-underscore": f"sweep {GEN} --p 0.1 --grid 1_0 --clip-rho",
+    "gen-p-underscore": "generate --gen gnp:n=50,p=0.1_0,seed=1 --out g.txt",
 }
 # the input files that BAD_INPUT names, written beside each run
 BAD_FILES = {"huge-n.txt": "# n=2000000000\n"}
@@ -526,6 +529,32 @@ def test_seed_blocks_are_ascii_digits(seeds, tmp_path):
                    tmp_path)
     assert done.returncode == 2 and "Traceback" not in done.stderr
     assert "argument --seeds" in done.stderr and done.stdout == ""
+
+
+# each argparse-typed real option, in a command that takes it
+REAL_OPTIONS = {
+    "--p": f"certify {GEN}",
+    "--a": f"certify {GEN} --p 0.1 --b 1",
+    "--b": f"lemma --which variance {GEN} --p 0.1 --a 1",
+    "--rho": f"percolate {GEN}",
+    "--epsilon": f"sweep {GEN} --p 0.1 --grid 1",
+    "--alpha0": f"lemma --which expansion {GEN} --p 0.1",
+    "--alpha": f"lemma --which xi {GEN} --p 0.1",
+    "--c": f"lemma --which expansion {GEN} --p 0.1",
+    "--beta": f"trial hd {GEN} --p 0.1",
+}
+
+
+@pytest.mark.parametrize("text", ["0.1_0", "٠.١", "0.1\u2003"])
+@pytest.mark.parametrize("option", REAL_OPTIONS)
+def test_real_options_are_ascii(option, text, capsys):
+    # float() read 0.1_0 and the Arabic-Indic ٠.١ as 0.1, and an em space
+    # around a number; argparse refuses them with its usage line
+    with pytest.raises(SystemExit) as done:
+        cli.main([*REAL_OPTIONS[option].split(), option, text])
+    out, err = capsys.readouterr()
+    assert done.value.code == 2 and out == "" and "Traceback" not in err
+    assert f"argument {option}: invalid real value: {text!r}" in err
 
 
 def test_perturbed_below_two_vertices_is_the_plain_graph(tmp_path):

@@ -548,13 +548,19 @@ def test_one_scan_counts_some_chunks_and_sorts_others():
 def pair_bin_scans(draw):
     """A host and an ascending row set whose t*t row pairs are no more than
     the rows' incidences: rows of a dense gnp, of a Paley graph (whose
-    co-degrees tie at two values) or the t centres of t disjoint stars of t
-    leaves, which share no neighbor."""
-    kind = draw(st.sampled_from(["gnp", "paley", "stars"]))
+    co-degrees tie at two values), the t centres of t disjoint stars of t
+    leaves, which share no neighbor, or hubs 0 and 1 with some of the m
+    leaves both are joined to. The hubs share m = 255 neighbors, the most a
+    uint8 bin holds, or m = 256, which takes a uint16 bin."""
+    kind = draw(st.sampled_from(["gnp", "paley", "stars", "hubs"]))
     if kind == "stars":
         t = draw(st.integers(2, 6))
         stars = [(c, t + c * t + j) for c in range(t) for j in range(t)]
         return build_graph(t + t * t, stars), list(range(t))
+    if kind == "hubs":
+        m = draw(st.sampled_from([255, 256]))
+        g = build_graph(m + 2, [(h, v) for h in (0, 1) for v in range(2, m + 2)])
+        return g, [0, 1, *sorted(draw(st.sets(st.integers(2, m + 1), max_size=12)))]
     if kind == "paley":
         g = generate(GeneratorSpec(kind="paley", q=draw(st.sampled_from([13, 17, 29, 37, 41]))))
     else:
@@ -585,29 +591,31 @@ def test_pair_bins_equal_the_naive_scan(scan, chunk_keys):
 
 @st.composite
 def incidences_at_key_width(draw):
-    """Incidences (i, w) of t rows, each row's neighbors distinct and
-    ascending, with a nominal vertex count n whose keys w*t + i take the
-    drawn width of _end_type(n * t): uint8, uint16, uint32 or uint64."""
+    """The degrees of t rows and their neighbors w, row by row, each row's
+    distinct and ascending, with a nominal vertex count n whose keys w*t + r
+    take the drawn width of _end_type(n * t): uint8, uint16, uint32 or
+    uint64."""
     t = draw(st.integers(1, 9))
     bits = draw(st.sampled_from([8, 16, 32, 64]))
     n = draw(st.integers((1 << bits // 2) // t + 1 if bits > 8 else 2,
                          (1 << bits) // t if bits < 64 else 1 << 40))
     per_row = [sorted(draw(st.sets(st.integers(0, min(n, 40) - 1), max_size=12))) for _ in range(t)]
-    i = np.repeat(np.arange(t), [len(r) for r in per_row])
+    deg = np.array([len(r) for r in per_row], dtype=np.int64)
     w = np.array([v for r in per_row for v in r], dtype=np.int32)
-    return i, w, t, n, np.dtype(f"uint{bits}")
+    return deg, w, n, np.dtype(f"uint{bits}")
 
 
 @settings(max_examples=300, deadline=None)
 @given(incidences_at_key_width())
 def test_rows_by_neighbor_is_the_stable_order_by_neighbor(case):
-    # one sort of the narrow keys w*t + i groups the rows as a stable
-    # argsort by w does
-    i, w, t, n, width = case
+    # one sort of the narrow keys w*t + r, r repeated from the degrees,
+    # groups the rows as a stable argsort by w does
+    deg, w, n, width = case
+    t = len(deg)
     assert graph._end_type(n * t) == width
-    row_at = graph._rows_by_neighbor(i, w, t, n)
+    row_at = graph._rows_by_neighbor(deg, w, n)
     assert row_at.dtype == np.int32
-    assert np.array_equal(row_at, i[np.argsort(w, kind="stable")])
+    assert np.array_equal(row_at, np.repeat(np.arange(t), deg)[np.argsort(w, kind="stable")])
 
 
 @pytest.mark.parametrize("g", [
@@ -1232,15 +1240,17 @@ def test_generate_peak_memory(n, p):
 
 def test_sampled_codegree_scan_peak_memory(monkeypatch):
     """The sampled co-degree scan of a dense host counts wedges over its
-    rows' incidences and peaks below 36 bytes per incidence: 30.9 on gnp
-    10000/0.05 (413 rows, 212,424 incidences; 25.5 on the trials host
-    30000/0.03). Its 413**2 row pairs are fewer than its incidences, so the
-    rows are grouped by neighbor with one sort of 4-byte keys, at 20.6
-    bytes per incidence, and every wedge is counted in one int64 bin per
-    row pair, at most 8 bytes per incidence. The peak is the bins and the
-    keys of one block of groups beside the gathered int64 rows, int32
-    neighbors and int32 grouped rows (16.5). The int64 keys and their
-    argsort that grouped them before peaked at 28. Counting in chunks of
+    rows' incidences and peaks below 22 bytes per incidence: 18.1 on gnp
+    10000/0.05 (413 rows, 212,424 incidences; 13.5 on the trials host
+    30000/0.03), a margin of a fifth. Its 413**2 row pairs are fewer than
+    its incidences, so the rows are grouped by neighbor with one sort of
+    4-byte keys made from the degrees, at 12.6 bytes per incidence, and
+    every wedge is counted in one uint16 bin per row pair. The scan keeps
+    only the int32 neighbors of its gather (13.0 while it runs). The peak
+    is the bins and the keys of one block of groups beside the int32
+    neighbors and int32 grouped rows (8.5). Holding the gather's int64 rows
+    through int64 bins peaked at 30.9 (25.5); the int64 keys and their
+    argsort that grouped them before that at 28. Counting in chunks of
     whole rows, with the int32 index arrays and the int64 running wedge
     count that needs, peaked at 50.1 (41.2); with int64 index arrays at
     68.2."""
@@ -1253,7 +1263,7 @@ def test_sampled_codegree_scan_peak_memory(monkeypatch):
                         lambda *args: kernels.append("wedges") or wedges(*args))
     profile, peak = traced_peak(lambda: tightest_profile(g, 0.05))
     assert profile.codegree_mode == "sampled" and kernels == ["wedges"]
-    assert peak < 36 * incidences
+    assert peak < 22 * incidences
 
 
 def test_load_peak_memory(tmp_path):
