@@ -60,8 +60,10 @@ def real(text: str) -> float:
     return _number(ascii_real, text, "real")
 
 
-def parse_seeds(text: str):
-    """'base:count' as a pair, or a comma list of seeds, each in ASCII digits."""
+def seeds(text: str):
+    """The argparse type of --seeds: 'base:count' as a pair, or a comma
+    list of seeds, each in ASCII digits; argparse names it in "invalid
+    seeds value"."""
     if ":" in text:
         return tuple(_number(ascii_int, s, "--seeds") for s in text.split(":", 1))
     return [_number(ascii_int, s, "--seeds") for s in text.split(",")]
@@ -86,15 +88,15 @@ def _profile_for(args, g):
     return tightest_profile(g, args.p)
 
 
-def _add_common(sub, p=False, epsilon=False, seeds=False):
+def _add_common(sub, p=False, epsilon=False, seed_block=False):
     sub.add_argument("--graph", help="edge-list file")
     sub.add_argument("--gen", help="generator spec kind:key=val,...")
     if p:
         sub.add_argument("--p", type=real, required=True, help="target density")
     if epsilon:
         sub.add_argument("--epsilon", type=real, default=0.3)
-    if seeds:
-        sub.add_argument("--seeds", type=parse_seeds, default=[0])
+    if seed_block:
+        sub.add_argument("--seeds", type=seeds, default=[0])
     sub.add_argument("--out", help="output path (default stdout)")
 
 
@@ -132,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     lm.add_argument("--h", default=None, help="explicit H as comma list (incl-excl)")
 
     sw = sp.add_parser("sweep", help="rho-grid Monte Carlo sweep")
-    _add_common(sw, p=True, epsilon=True, seeds=True)
+    _add_common(sw, p=True, epsilon=True, seed_block=True)
     sw.add_argument("--grid", required=True,
                     help="comma list of multipliers c (rho = c/(np))")
     sw.add_argument("--clip-rho", action="store_true")
 
     tr = sp.add_parser("trial", help="single-rho statistical trials")
     tr.add_argument("which", choices=["super", "sub", "hd"])
-    _add_common(tr, p=True, epsilon=True, seeds=True)
+    _add_common(tr, p=True, epsilon=True, seed_block=True)
     tr.add_argument("--beta", type=real, default=None,
                     help="hd trial beta (default epsilon**5)")
     return ap

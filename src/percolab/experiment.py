@@ -32,7 +32,7 @@ from .certify import PseudoRandomProfile, hd_check
 # undecided) beyond the cap
 from .certify import tightest_profile as derive_profile
 from .errors import InvalidParameter, NotCertified, require_density, require_finite, require_int
-from .graph import Graph
+from .graph import Graph, write_in_place
 from .lemmas import ceil_eps_over_p, grow_connected_set, outer_complement_check
 from .percolate import BernoulliStream, dfs_percolate, largest_two
 
@@ -188,7 +188,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 def emit_csv(result: SweepResult, path):
     """One data row per run: c,rho,seed,retained,L1,L2 (floats via repr)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_in_place(path, "w", encoding="utf-8") as fh:
         fh.write("c,rho,seed,retained,L1,L2\n")
         for r in result.rows:
             fh.write(f"{r.c!r},{r.rho!r},{r.seed},{r.retained},{r.L1},{r.L2}\n")
@@ -321,5 +321,5 @@ def write_json(payload: dict, path=None):
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_in_place(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -14,6 +14,9 @@ independent scalar re-implementation reproduces the edge set exactly.
 """
 
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -73,8 +76,12 @@ _FLOAT32_EXACT = 1 << 24
 # Keys made and counted at once by the wedge count. On gnp n=20000,
 # p=0.002 (16M wedges, every chunk sorted) 2**17 took 0.41-0.58 s and 42
 # MB over the graph; 2**21 took 0.79 s and 136 MB, one chunk 0.89 s and
-# 791 MB. save_edge_list gathers the lines of row ranges of this many
-# neighbor entries at once, so its peak follows this size and not the file's.
+# 791 MB. save_edge_list gathers the lines of row ranges of an eighth of
+# this many neighbor entries at once, so its peak follows this size and not
+# the file's: with the whole size its index and arange per output byte
+# peaked at 13.5 MB of tracemalloc on gnp 2000/0.1 (a 1.8 MB file), with
+# an eighth at 2.1 MB (2.4 MB on gnp 10000/0.05, 3.1 MB on 50000/2e-4), and
+# the saves took no longer.
 # _from_upper_rows makes the row ids of its keys and lays out its rows in
 # ranges of this many entries, so its scratch beside the CSR does too, and
 # adjacency_rows offsets its gather index in ranges of this many entries.
@@ -83,8 +90,11 @@ _CODEGREE_CHUNK_KEYS = 1 << 17
 # about 20x its bytes. In a fresh process that starts at 30 MB RSS,
 # loading gnp 50000/2e-4 (a 2.9 MB file) peaked at 41 MB in blocks of
 # 256 KiB, 38 MB in 64 KiB, 58 MB in 1 MiB and 83 MB in 4 MiB (one block),
-# as the whole-file scan did (84 MB), all in 0.08-0.15 s.
-_LOAD_BLOCK_BYTES = 1 << 18
+# as the whole-file scan did (84 MB), all in 0.08-0.15 s. Against 256 KiB,
+# 64 KiB cut the tracemalloc peak of loading gnp 2000/0.1 from 9.0 to 4.0
+# MB and of gnp 50000/2e-4 from 8.7 to 4.9 MB, in 10.5-10.8 and 17.1-18.2
+# ms (best of 7) on both sizes.
+_LOAD_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -747,13 +757,14 @@ def _sampled_rows(g: Graph, sample_pairs: int) -> np.ndarray:
     return np.union1d(top, uniform)
 
 
-def _chunks(before: np.ndarray):
+def _chunks(before: np.ndarray, share: int = 1):
     """Consecutive ranges [a, b) that cover items 0..len(before)-2, where
     item k makes before[k+1] - before[k] keys: each range makes at most
-    _CODEGREE_CHUNK_KEYS keys, or is one item."""
+    _CODEGREE_CHUNK_KEYS // share keys, or is one item."""
+    keys = _CODEGREE_CHUNK_KEYS // share
     a = 0
     while a < len(before) - 1:
-        b = max(a + 1, int(np.searchsorted(before, before[a] + _CODEGREE_CHUNK_KEYS, "right")) - 1)
+        b = max(a + 1, int(np.searchsorted(before, before[a] + keys, "right")) - 1)
         yield a, b
         a = b
 
@@ -964,19 +975,43 @@ def _line_error(line_no: int, raw: bytes, declared_n, first_edge) -> PercolabErr
     return ParseError(line_no, f"vertex {max(u, v)} outside declared n={declared_n}")
 
 
+@contextmanager
+def write_in_place(path, mode="wb", encoding=None):
+    """The one writer of artifact files: `path` opened for writing in
+    `mode` without truncation (created 0o666 less the umask, a symlink
+    written through), yielded, and in the end cut at the position written
+    to, even when the write raised; a target that is not a regular file,
+    such as /dev/stdout or /dev/null, is not cut.
+
+    Closing a file that was truncated to zero waits for its data to reach
+    the disk on ext4 (auto_da_alloc): a rewrite took 61-83 ms for 8 KB and
+    81-99 ms for 1.8 MB, the size of a gnp 2000/0.1 edge list, against
+    0.01-0.10 ms in place (2-vCPU VM, ext4 root). Writing a temporary file
+    and renaming it over the old one waited as long (58-75 ms for 8 KB),
+    and unlinking first would break a link and cannot write /dev/stdout."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode, encoding=encoding) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def save_edge_list(g: Graph, path):
     """Write canonical form: '# n=<N>' header, then 'u v' lines with u < v,
-    sorted by (u, v). save -> load -> save is byte-identical.
+    sorted by (u, v), in place (write_in_place). save -> load -> save is
+    byte-identical.
 
     Every id's line entry (its digits and '\n') is made once (_id_entries).
-    The lines of each row range of _chunks are then one gather from those
-    entries, u's then w's for each edge, through an int32 index when the
-    entries allow; the '\n' after u is set to ' ' in place."""
+    The lines of each row range of _chunks, an eighth of its keys, are then
+    one gather from those entries, u's then w's for each edge, through an
+    int32 index when the entries allow; the '\n' after u is set to ' ' in
+    place."""
     entries, at = _id_entries(g.n)
     index_type = np.int32 if len(entries) <= _MAX_N else np.int64
-    with open(path, "wb") as fh:
+    with write_in_place(path) as fh:
         fh.write(f"{_HEADER_PREFIX}{g.n}\n".encode())
-        for a, b in _chunks(g.offsets):
+        for a, b in _chunks(g.offsets, 8):
             w = g.neighbors[g.offsets[a]:g.offsets[b]]
             u = np.repeat(np.arange(a, b, dtype=np.int32), np.diff(g.offsets[a:b + 1]))
             upper = u < w

@@ -22,7 +22,7 @@ from conftest import cycle_graph
 import percolab
 from percolab import cli, lemmas
 from percolab.certify import certify, estimate_slacks
-from percolab.cli import parse_gen, parse_seeds
+from percolab.cli import parse_gen, seeds
 from percolab.errors import InvalidParameter
 from percolab.experiment import (
     SweepConfig,
@@ -81,15 +81,15 @@ def test_argument_errors_are_invalid_parameters(fields, call, message):
 
 
 def test_parse_seeds():
-    assert parse_seeds("1000:200") == (1000, 200)
-    assert parse_seeds("1,2,3") == [1, 2, 3]
-    assert parse_seeds("7") == [7]
-    assert parse_seeds(" 1, 2 ") == [1, 2]  # ASCII whitespace around a seed
+    assert seeds("1000:200") == (1000, 200)
+    assert seeds("1,2,3") == [1, 2, 3]
+    assert seeds("7") == [7]
+    assert seeds(" 1, 2 ") == [1, 2]  # ASCII whitespace around a seed
     # a seed is ASCII digits, like an edge-list id: int() read 1_0 as 10 and
     # the Arabic-Indic ٣ and +3 as 3
     for bad in ("1_0,٣", "٣", "+3", "-1", "1:1_0", "0x10", "3\u00a0", ""):
         with pytest.raises(InvalidParameter, match="bad --seeds value"):
-            parse_seeds(bad)
+            seeds(bad)
 
 
 @pytest.mark.parametrize("text", ["n=1_00,p=0.1,seed=1", "n=100,p=0.1,seed=٣",
@@ -524,11 +524,13 @@ def test_integer_options_are_ascii_digits(option, text, capsys):
 
 @pytest.mark.parametrize("seeds", ["1_0", "٣", "+3", "٣:2", "1,+2"])
 def test_seed_blocks_are_ascii_digits(seeds, tmp_path):
-    # argparse refuses the --seeds value with its usage line; int() read these
+    # argparse refuses the --seeds value with its usage line, naming the type
+    # `seeds` (it read "invalid parse_seeds value"); int() read these
     done = run_cli(["sweep", *GEN.split(), "--p", "0.1", "--grid", "1", "--seeds", seeds],
                    tmp_path)
     assert done.returncode == 2 and "Traceback" not in done.stderr
-    assert "argument --seeds" in done.stderr and done.stdout == ""
+    assert f"argument --seeds: invalid seeds value: {seeds!r}" in done.stderr
+    assert done.stdout == ""
 
 
 # each argparse-typed real option, in a command that takes it
