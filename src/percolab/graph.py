@@ -105,6 +105,9 @@ class Graph:
     offsets: np.ndarray  # int64, length n+1
     neighbors: np.ndarray  # int32, length 2*edge_count, sorted per row
     edge_count: int
+    # int64, length n: the index of row v's first neighbor above v, offsets[v]
+    # plus v's lower count, both of which _from_upper_rows finds in its build
+    above: np.ndarray
 
     def degree(self, v) -> int:
         return len(self.neighbors_of(v))
@@ -142,15 +145,16 @@ def vertex_set(g: Graph, vertices) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
-def adjacency_rows(g: Graph, rows) -> Tuple[np.ndarray, np.ndarray]:
-    """Every neighbor w[k] of rows[i[k]], row by row, each row ascending.
+def adjacency_rows(g: Graph, rows, above: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """Every neighbor w[k] of rows[i[k]], row by row, each row ascending;
+    with `above`, only each row's neighbors above it, from `g.above`.
     `rows` holds valid ids, in any order and possibly repeated. Entry k of
     the gather index is k plus its row's start less the entries before that
     row; the k are added one _chunks-sized range at a time, and the index is
     dropped before `i` is made, so the gather holds at most one int64 and
     one int32 array of its length."""
     rows = np.asarray(rows, dtype=np.int64)
-    start = g.offsets[rows]
+    start = (g.above if above else g.offsets)[rows]
     deg = g.offsets[rows + 1] - start
     at = np.repeat(start - np.cumsum(deg) + deg, deg)
     for a in range(0, len(at), _CODEGREE_CHUNK_KEYS):
@@ -264,7 +268,9 @@ def _from_upper_rows(n: int, upper: np.ndarray, ev: np.ndarray) -> Graph:
     ev << s | u, s the bits of n - 1. With L(v) and U(v) the lower and upper
     entries of the rows before v, row v starts at L(v) + U(v), and L(v) is
     the number of keys below v << s. Row n's bound is m, not a search:
-    n << s is 2**32 at n = 65536, which wraps in uint32.
+    n << s is 2**32 at n = 65536, which wraps in uint32. Row v's upper
+    part starts after its L(v + 1) - L(v) lower entries, at `above`[v] =
+    L(v + 1) + U(v).
 
     The build works inside the `neighbors` it returns (2m int32). Up to
     n = 65536 the keys fit in uint32 and are made and sorted in its back
@@ -277,7 +283,8 @@ def _from_upper_rows(n: int, upper: np.ndarray, ev: np.ndarray) -> Graph:
     range's keys start, so no write passes a key not yet read. Beside
     `upper` and `ev` (two bytes a pair from a generator up to n = 65536)
     the build holds `neighbors`, two n + 1 int64 arrays (`offsets`, first
-    U, and L) and one range's row ids, keys and mask.
+    U, and L) and one range's row ids, keys and mask; `above` adds n int64
+    at the end.
     """
     m = len(ev)
     s = max(1, (n - 1).bit_length())
@@ -303,9 +310,11 @@ def _from_upper_rows(n: int, upper: np.ndarray, ev: np.ndarray) -> Graph:
         out[is_lower] = key[lower_at[a]:lower_at[b]].astype(np.int32)
         np.logical_not(is_lower, out=is_lower)
         out[is_lower] = ev[offsets[a] - lower_at[a]:offsets[b] - lower_at[b]]
+    above = offsets[:-1] + np.diff(lower_at)
     offsets.setflags(write=False)
     neighbors.setflags(write=False)
-    return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=m)
+    above.setflags(write=False)
+    return Graph(n=n, offsets=offsets, neighbors=neighbors, edge_count=m, above=above)
 
 
 def _end_type(n: int) -> np.dtype:

@@ -67,8 +67,11 @@ top (Newman & Ziff, PRE 64, 016706 (2001)). Since the retained sets are
 nested, an induced edge (a, b) of G[keep(top)] is in G[keep(rho)] exactly
 when it has arrived, max(u_a, u_b) < rho, and components only merge as rho
 grows. So streams made together (`BernoulliStream.coupled`) share one walk:
-the first run draws the uniforms and gathers the rows of keep(top) once,
-keeping the induced edges in arrival order, and each run at rho extends one
+the first run draws the uniforms and gathers the upper half of each row of
+keep(top) once, the neighbours above the row's vertex from `Graph.above`
+on, so each induced edge is taken once, from its lower end, by
+construction rather than by a filter. It keeps the neighbours in keep(top)
+as the induced edges, in arrival order, and each run at rho extends one
 min-label forest by the edges that arrived since the walk's last rho. It
 rebuilds the forest from singletons instead when rho went down, or when as
 many edges arrived as the forest holds. A lone stream is a walk of one rho:
@@ -210,9 +213,10 @@ class _Walk:
     """The runs of one seed at the given rhos (see the module docstring):
     the retained ids `ret` at their largest, `top`, ascending, with their
     uniforms `u`, and the induced edges (a, b) as local ids a < b into
-    `ret`, in arrival order when the rhos differ; `cuts[rho]` edges have
-    arrived at rho. `root` is the forest of the first `done` edges, that of
-    the walk's last rho, once a run has made it."""
+    `ret`, row a by row a with b ascending, sorted by arrival when the rhos
+    differ; `cuts[rho]` edges have arrived at rho. `root` is the forest of
+    the first `done` edges, that of the walk's last rho, once a run has
+    made it."""
 
     def __init__(self, seed: int, rhos: List[float]):
         self.seed, self.rhos, self.top = seed, rhos, max(rhos)
@@ -223,7 +227,8 @@ class _Walk:
         ret = np.flatnonzero(u < self.top)
         u = u[ret]
         m = len(ret)
-        i, w = adjacency_rows(g, ret)
+        # each row's neighbors above it, so each induced edge comes once
+        i, w = adjacency_rows(g, ret, above=True)
         # local ids 0..m-1 ascend with ret; -1 marks a rejected vertex. Each
         # array is dropped once read, which bounds a dense run's peak.
         local = np.full(g.n, -1, dtype=np.int32)
@@ -231,11 +236,11 @@ class _Walk:
         # fancy indexing casts the int32 index a buffer at a time, unlike take
         lw = local[w]
         del w
-        up = lw > i  # each induced edge once
-        a = i[up]
+        hit = np.flatnonzero(lw >= 0)  # the retained ones, one index for a and b
+        a = i[hit]
         del i
-        b = lw[up]
-        del lw, up
+        b = lw[hit]
+        del lw, hit
         self.cuts = {self.top: len(a)}  # every edge has arrived at top
         if len(set(self.rhos)) > 1:
             arrival = u[a]
@@ -268,8 +273,9 @@ class _Walk:
         if rho == self.top:
             return self.ret, self.root
         keep = self.u < rho
+        at = np.flatnonzero(keep)
         # a retained vertex's root is retained: it lies in its component
-        return self.ret[keep], (np.cumsum(keep) - 1)[self.root[keep]]
+        return self.ret[at], (np.cumsum(keep) - 1)[self.root[at]]
 
 
 def _least_labels(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:

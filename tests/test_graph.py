@@ -1097,13 +1097,25 @@ def graphs_and_rows(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs_and_rows())
-def test_adjacency_rows_is_the_per_row_neighbor_concatenation(case):
+@given(graphs_and_rows(), st.booleans())
+@example((build_graph(0, []), np.zeros(0, dtype=np.int64)), True)
+@example((build_graph(1, []), np.zeros(1, dtype=np.int64)), True)
+def test_adjacency_rows_is_the_per_row_neighbor_concatenation(case, above):
+    """With `above`, each row keeps only its neighbors above it, which start
+    at `g.above`: offsets[v] plus v's neighbors below v, one read-only entry
+    a vertex."""
     g, rows = case
-    i, w = adjacency_rows(g, rows)
+    i, w = adjacency_rows(g, rows, above=above)
     per_row = [g.neighbors_of(int(v)) for v in rows]
+    if above:
+        per_row = [r[r > v] for r, v in zip(per_row, rows)]
     assert np.array_equal(i, np.repeat(np.arange(len(rows)), [len(r) for r in per_row]))
     assert np.array_equal(w, np.concatenate([np.zeros(0, dtype=np.int32), *per_row]))
+    assert len(g.above) == g.n and g.above.dtype == np.int64 and not g.above.flags.writeable
+    # every vertex at once: v's row ids against its neighbors
+    v = np.repeat(np.arange(g.n), g.degrees())
+    below = np.bincount(v[g.neighbors < v], minlength=g.n)
+    assert np.array_equal(g.above, g.offsets[:-1] + below)
 
 
 def test_vertex_set_sorts_dedups_and_range_checks(k4):

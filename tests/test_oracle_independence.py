@@ -2,7 +2,9 @@
 
 `dfs_percolate` and `oracle_components` both read rows through
 `graph.adjacency_rows`; beyond that shared gather, neither may reach the
-other, or the oracle would check the engine against itself.
+other, or the oracle would check the engine against itself. The walk reads
+only each row's neighbors above its vertex, from `Graph.above`; the oracle
+reads whole rows.
 """
 
 import ast
@@ -34,6 +36,15 @@ def named_functions(fn):
     return names, callees
 
 
+def keywords(fn):
+    """(callee, keyword, value source) of every keyword argument that fn's
+    source passes, the callee named by its last name or attribute."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {(getattr(call.func, "id", getattr(call.func, "attr", None)), kw.arg,
+             ast.unparse(kw.value))
+            for call in ast.walk(tree) if isinstance(call, ast.Call) for kw in call.keywords}
+
+
 def reachable(fn):
     seen, todo = set(), [fn]
     while todo:
@@ -58,3 +69,12 @@ def test_oracle_calls_no_percolate_helper():
     _, callees = named_functions(percolate.oracle_components)
     assert graph.adjacency_rows in callees
     assert not {f for f in callees if f.__module__ == percolate.__name__}
+
+
+def test_only_the_walk_gathers_the_rows_above_each_vertex():
+    """The oracle reads whole rows and keeps u < v itself, so a wrong split
+    point `g.above` is caught by it instead of being shared with it."""
+    names, _ = named_functions(percolate.oracle_components)
+    assert "above" not in names
+    assert not {k for k in keywords(percolate.oracle_components) if k[1] == "above"}
+    assert ("adjacency_rows", "above", "True") in keywords(percolate._Walk._gather)

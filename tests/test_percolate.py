@@ -21,6 +21,7 @@ from percolab import (
     oracle_components,
 )
 from percolab.errors import InvalidParameter
+from percolab.graph import adjacency_rows
 
 
 def u01(seed, n):
@@ -582,6 +583,40 @@ def test_coupled_streams_match_lone_runs_in_any_order(case):
     # later runs of the walk leave the arrays of earlier outcomes as they were
     for walked, alone in runs:
         assert np.array_equal(walked.ids, alone.ids) and np.array_equal(walked.labels, alone.labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+@example((complete_graph(8), [0.6], 2, [0]))
+@example((complete_graph(8), [0.3, 0.6, 0.6, 1.0, 0.3], 2, [0, 1, 2, 3, 4]))
+def test_walk_edges_are_the_whole_row_gather_in_arrival_order(case):
+    """The walk's induced edges (a, b) and cuts equal those of the whole
+    retained rows filtered to lw > i, sorted by the same unstable arrival
+    argsort. Edges that arrive with one vertex tie, and where the unstable
+    sort puts tied edges depends on the order it is given, so any other
+    gather order shows here."""
+    g, rhos, seed, _ = case
+    [stream, *_] = BernoulliStream.coupled(rhos, seed)
+    dfs_percolate(g, stream)
+    walk = stream._walk
+    u = u01(seed, g.n)
+    ret = np.flatnonzero(u < max(rhos))
+    u = u[ret]
+    local = np.full(g.n, -1, dtype=np.int32)
+    local[ret] = np.arange(len(ret), dtype=np.int32)
+    i, w = adjacency_rows(g, ret)
+    lw = local[w]
+    up = lw > i
+    a, b = i[up], lw[up]
+    cuts = {max(rhos): len(a)}
+    if len(set(rhos)) > 1:
+        arrival = np.maximum(u[a], u[b])
+        order = np.argsort(arrival)
+        cuts = dict(zip(rhos, np.searchsorted(arrival, rhos, sorter=order).tolist()))
+        a, b = a[order], b[order]
+    assert walk.a.dtype == a.dtype and walk.b.dtype == b.dtype
+    assert np.array_equal(walk.a, a) and np.array_equal(walk.b, b)
+    assert walk.cuts == cuts
 
 
 def test_rejected_vertex_below_a_later_root_is_queried_as_a_root():
